@@ -17,8 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import IndefiniteMatrixError
-
 __all__ = [
     "BoundarySpec",
     "GridBasis",
@@ -367,10 +365,12 @@ def assemble_stiffness(basis: GridBasis) -> SymMatrix:
     return _project(basis, _full_stiffness(basis.n_cells, basis.h))
 
 
-def assemble_potential(basis: GridBasis, v: PotentialSpec) -> SymMatrix:
-    """Potential matrix P_ij = v(phi_i phi_j) for any supported potential."""
+def assemble_potential(basis: GridBasis, v: PotentialSpec | None) -> SymMatrix:
+    """Potential matrix P_ij = v(phi_i phi_j); v None is the zero potential."""
     n, h = basis.n_cells, basis.h
-    if isinstance(v, Delta):
+    if v is None:
+        full = sp.csr_matrix((n + 1, n + 1))
+    elif isinstance(v, Delta):
         full = _full_delta(v.x0, v.strength, n, h)
     elif isinstance(v, Sampled):
         values = np.asarray(v.values, dtype=float)
@@ -449,11 +449,6 @@ def has_positive_pivots(mat: SymMatrix) -> bool:
     if not np.array_equal(lu.perm_r, np.arange(mat.dimension)):
         return False
     return bool(np.all(lu.U.diagonal() > 0.0))
-
-
-def require_positive_definite(mat: SymMatrix, name: str = "matrix") -> None:
-    if not has_positive_pivots(mat):
-        raise IndefiniteMatrixError(f"{name} is not positive definite")
 
 
 def stiffness_kernel_dim(K: SymMatrix, rel_threshold: float = 1e-12) -> int:

@@ -382,14 +382,7 @@ def _cmd_solve_single(config: RunConfig) -> int:
     grid = build_grid_basis(config.n_cells, config.bc)
     K = assemble_stiffness(grid)
     M = assemble_overlap(grid)
-    if config.potential is not None:
-        P = assemble_potential(grid, config.potential)
-    else:
-        import scipy.sparse as sp
-
-        from .basis import SymMatrix
-
-        P = SymMatrix.from_sparse(sp.csr_matrix((grid.n_dofs, grid.n_dofs)))
+    P = assemble_potential(grid, config.potential)
     res = solve_sp_eig(K, P, M, min(config.k, grid.n_dofs))
     gaps = gap_report(res, config.bc, config.deg_tol) if res.eigenvalues.size >= 2 else None
     doc = {

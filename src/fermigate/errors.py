@@ -26,4 +26,4 @@ class ConvergenceError(FermigateError):
 
 
 class CapExceededError(FermigateError):
-    """A configured size cap (determinant count, dense dimension) was exceeded."""
+    """A configured size cap (determinant count, oracle size) was exceeded."""

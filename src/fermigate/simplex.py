@@ -18,7 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from .slater import OrbitalSet, WaveVector
+from .slater import OrbitalSet, WaveVector, mode_product, permutation_sign, wedge_tensor
 
 __all__ = [
     "Permutation",
@@ -43,15 +43,6 @@ __all__ = [
 # permutations
 
 
-def _parity(image: tuple[int, ...]) -> int:
-    inv = 0
-    for i in range(len(image)):
-        for j in range(i + 1, len(image)):
-            if image[i] > image[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 @dataclass(frozen=True)
 class Permutation:
     """Permutation of {0..N-1} with its parity sign."""
@@ -64,7 +55,7 @@ class Permutation:
         image = tuple(int(i) for i in image)
         if sorted(image) != list(range(len(image))):
             raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image}")
-        return Permutation(image=image, sign=_parity(image))
+        return Permutation(image=image, sign=permutation_sign(image))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -147,8 +138,7 @@ def extend_from_simplex(values: np.ndarray, n_particles: int) -> np.ndarray:
     scale = 1.0 / np.sqrt(factorial(N))
     out = np.zeros_like(values)
     for perm in itertools.permutations(range(N)):
-        sgn = _parity(tuple(perm))
-        out += sgn * scale * np.transpose(values, perm)
+        out += permutation_sign(perm) * scale * np.transpose(values, perm)
     return out
 
 
@@ -167,18 +157,9 @@ def restrict_full_tensor(full: np.ndarray, n_particles: int) -> np.ndarray:
 
 def _antisymmetric_coefficients(psi: WaveVector) -> np.ndarray:
     """Dense antisymmetric coefficient tensor over orbital indices."""
-    basis = psi.basis
-    N = basis.n_particles
-    if N > 4:
+    if psi.basis.n_particles > 4:
         raise ValueError("dense evaluation supported for up to 4 particles")
-    n = basis.n_orbitals
-    C = np.zeros((n,) * N)
-    for J, c in zip(basis.tuples, psi.coefficients):
-        if c == 0.0:
-            continue
-        for perm in itertools.permutations(range(N)):
-            C[tuple(J[p] for p in perm)] = _parity(tuple(perm)) * c
-    return C
+    return wedge_tensor(psi.basis, psi.coefficients)[0]
 
 
 _EVAL_EINSUM = {
@@ -204,12 +185,8 @@ def evaluate_state(psi: WaveVector, orbitals: OrbitalSet, points: np.ndarray) ->
 def nodal_tensor(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
     """Nodal values of the wavefunction on the full tensor grid."""
     C = _antisymmetric_coefficients(psi)
-    N = psi.basis.n_particles
-    U = orbitals.nodal
-    T = C
-    for _ in range(N):
-        T = np.tensordot(T, U, axes=([0], [1]))
-    return T / np.sqrt(factorial(N))
+    T = mode_product(C[None], orbitals.nodal)[0]
+    return T / np.sqrt(factorial(psi.basis.n_particles))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,32 @@
-"""Antisymmetric Galerkin sector built from Slater determinants.
+"""Antisymmetric Galerkin sector of the P1 space as a sparse nodal pencil.
 
-Orbitals are the M-orthonormalized finite-element degrees of freedom; the
-N-particle basis is the set of strictly increasing orbital tuples.  The
-Hamiltonian over that basis is assembled from one- and two-body integrals
-with the usual determinant excitation rules (entries vanish beyond double
-excitations), and an independent dense tensor-grid assembly is provided as
-an oracle for N = 2.
+The N-particle space is spanned by the nodal wedges phi_a ^ phi_b (^ ...)
+over strictly increasing tuples of grid dofs.  In that basis the
+Hamiltonian and the Gram matrix form a sparse symmetric pencil
+
+    H_N = P'(N A (x) M^(N-1) + N(N-1) W (x) M^(N-2)) P,    M_N = P' M^(N) P,
+
+where A = K + P_v and M are the one-particle dof matrices, W is the local
+pair tensor of the interaction and P scatters wedge coefficients into
+antisymmetric dof tensors.  Every term is local: phi_a phi_c vanishes
+unless a and c are neighbours, so a wedge couples only to wedges of
+neighbouring dofs.  A contact interaction is the null term, because
+antisymmetric P1 functions vanish on the diagonal x = y exactly.
+
+States are reported over the orthonormal orbitals chi = L^{-T} phi
+(M = LL'): a WaveVector holds Slater-determinant coefficients over the same
+index tuples as the wedges, obtained from nodal coefficients by mode
+products with L'.  An independent dense tensor-grid assembly of the N = 2
+pencil serves as an oracle.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from functools import cached_property
+from math import comb, factorial
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,13 +53,18 @@ __all__ = [
     "SampledKernel",
     "TwoBodyTensor",
     "OrbitalSet",
+    "NodalModes",
     "ManyBodyOperator",
     "WaveVector",
     "ManyBodyProblem",
     "enumerate_slater_basis",
+    "permutation_sign",
     "orthonormalize_orbitals",
     "transform_one_body",
     "transform_two_body",
+    "wedge_tensor",
+    "wedge_coefficients",
+    "mode_product",
     "assemble_manybody",
     "assemble_manybody_bruteforce",
     "reduced_density",
@@ -56,16 +75,7 @@ __all__ = [
 ]
 
 DETERMINANT_CAP = 100_000
-DENSE_DIM_CAP = 6000
 
-# moments int_0^1 l0^(4-k) l1^k dt for quartic cell products, k = 0..4
-_QUARTIC = np.array([1 / 5, 1 / 20, 1 / 30, 1 / 20, 1 / 5])
-# Hankel layout over quadratic-coefficient index pairs (m, n) -> moment m+n
-_QUAD_GRAM = np.array(
-    [[_QUARTIC[0], _QUARTIC[1], _QUARTIC[2]],
-     [_QUARTIC[1], _QUARTIC[2], _QUARTIC[3]],
-     [_QUARTIC[2], _QUARTIC[3], _QUARTIC[4]]]
-)
 # moments int_0^1 l0^(3-k) l1^k dt for cubic cell products, k = 0..3
 _CUBIC = np.array([1 / 4, 1 / 12, 1 / 12, 1 / 4])
 
@@ -76,7 +86,11 @@ _CUBIC = np.array([1 / 4, 1 / 12, 1 / 12, 1 / 4])
 
 @dataclass(frozen=True)
 class SlaterBasis:
-    """All strictly increasing orbital index tuples in lexicographic order."""
+    """All strictly increasing index tuples in lexicographic order.
+
+    The tuples label both the nodal wedges of the pencil (indices are grid
+    dofs) and the Slater determinants of the orthonormal orbitals.
+    """
 
     n_orbitals: int
     n_particles: int
@@ -85,6 +99,11 @@ class SlaterBasis:
     @property
     def dim(self) -> int:
         return len(self.tuples)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The tuples as a (dim, n_particles) integer array."""
+        return np.array(self.tuples, dtype=np.intp).reshape(self.dim, self.n_particles)
 
     def index(self) -> dict[tuple[int, ...], int]:
         return {t: i for i, t in enumerate(self.tuples)}
@@ -105,6 +124,41 @@ def enumerate_slater_basis(
 
 
 # ---------------------------------------------------------------------------
+# antisymmetric tensors
+
+
+def permutation_sign(perm) -> int:
+    """Parity sign of a permutation given by its image tuple."""
+    return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
+
+
+def wedge_tensor(basis: SlaterBasis, coeffs: np.ndarray) -> np.ndarray:
+    """Antisymmetric tensors C[sigma J] = sign(sigma) c_J of coefficient columns.
+
+    coeffs is (dim,) or (dim, m); the result has shape (m, n, ..., n) and is
+    zero wherever two indices tie.
+    """
+    c = np.asarray(coeffs, dtype=float).reshape(basis.dim, -1).T
+    C = np.zeros((c.shape[0],) + (basis.n_orbitals,) * basis.n_particles)
+    J = basis.array
+    for perm in itertools.permutations(range(basis.n_particles)):
+        C[(slice(None),) + tuple(J[:, p] for p in perm)] = permutation_sign(perm) * c
+    return C
+
+
+def wedge_coefficients(basis: SlaterBasis, C: np.ndarray) -> np.ndarray:
+    """Inverse of wedge_tensor on antisymmetric tensors, as (dim, m) columns."""
+    return C[(slice(None),) + tuple(basis.array.T)].T
+
+
+def mode_product(C: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Apply the matrix B along every axis of C after the first (column) axis."""
+    for _ in range(C.ndim - 1):
+        C = np.tensordot(C, B, axes=([1], [1]))
+    return C
+
+
+# ---------------------------------------------------------------------------
 # orbitals
 
 
@@ -119,10 +173,6 @@ class OrbitalSet:
     grid: GridBasis
     transform: np.ndarray = field(repr=False)
     nodal: np.ndarray = field(repr=False)
-
-    @property
-    def n_orbitals(self) -> int:
-        return self.transform.shape[1]
 
 
 def orthonormalize_orbitals(M: SymMatrix) -> np.ndarray:
@@ -163,7 +213,7 @@ class NoInteraction(InteractionSpec):
 
 @dataclass(frozen=True)
 class DeltaContact(InteractionSpec):
-    """Contact interaction g * delta(x - y)."""
+    """Contact interaction g * delta(x - y); spinless fermions do not see it."""
 
     g: float
 
@@ -186,11 +236,12 @@ class SampledKernel(InteractionSpec):
 
 @dataclass(frozen=True)
 class TwoBodyTensor:
-    """Two-body integrals over orthonormal orbitals.
+    """Local pair tensor of a two-body interaction over grid dofs.
 
-    pair_matrix is (n^2, n^2) with element [(a, c), (b, d)] equal to
-    int int phi_a(x) phi_c(x) w(x, y) phi_b(y) phi_d(y) dx dy, i.e. the
-    physicist integral <ab|w|cd> gathered by same-coordinate pairs.
+    Pairs are the nonzeros (a, c) of the mass matrix in CSR order, the only
+    dof pairs whose product phi_a phi_c is not identically zero.  Element
+    [p, q] of pair_matrix for p = (a, c), q = (b, d) is
+    int int phi_a(x) phi_c(x) w(x, y) phi_b(y) phi_d(y) dx dy.
     None marks the identically zero interaction.
     """
 
@@ -201,13 +252,6 @@ class TwoBodyTensor:
     def is_null(self) -> bool:
         return self.pair_matrix is None
 
-    def elem(self, a: int, b: int, c: int, d: int) -> float:
-        """<ab|w|cd>."""
-        if self.pair_matrix is None:
-            return 0.0
-        n = self.n_orbitals
-        return float(self.pair_matrix[a * n + c, b * n + d])
-
 
 def _pair_cell_coeffs(nodal: np.ndarray) -> np.ndarray:
     """Per-cell quadratic coefficients of all orbital pair products.
@@ -216,28 +260,13 @@ def _pair_cell_coeffs(nodal: np.ndarray) -> np.ndarray:
     q0*l0^2 + q1*l0*l1 + q2*l1^2 in the local linear shape functions.
     """
     n_nodes, n_orb = nodal.shape
-    n_cells = n_nodes - 1
-    u = nodal[:-1, :]  # left values per cell, (n_cells, n_orb)
-    v = nodal[1:, :]
-    q0 = np.einsum("ca,cb->abc", u, u)
-    q1 = np.einsum("ca,cb->abc", u, v) + np.einsum("ca,cb->abc", v, u)
-    q2 = np.einsum("ca,cb->abc", v, v)
-    out = np.empty((n_orb * n_orb, n_cells, 3))
-    out[:, :, 0] = q0.reshape(n_orb * n_orb, n_cells)
-    out[:, :, 1] = q1.reshape(n_orb * n_orb, n_cells)
-    out[:, :, 2] = q2.reshape(n_orb * n_orb, n_cells)
-    return out
-
-
-def _contact_pair_matrix(g: float, orbitals: OrbitalSet) -> np.ndarray:
-    """Closed-form g * int phi_a phi_b phi_c phi_d (piecewise quartic)."""
-    grid = orbitals.grid
-    coeffs = _pair_cell_coeffs(orbitals.nodal)  # (n^2, n_cells, 3)
-    n2, n_cells, _ = coeffs.shape
-    weighted = coeffs @ _QUAD_GRAM  # contract the quadratic Gram per cell
-    flat = coeffs.reshape(n2, 3 * n_cells)
-    wflat = weighted.reshape(n2, 3 * n_cells)
-    return (g * grid.h) * (wflat @ flat.T)
+    u, v = nodal[:-1, :], nodal[1:, :]  # left and right values per cell
+    q = (
+        np.einsum("ca,cb->abc", u, u),
+        np.einsum("ca,cb->abc", u, v) + np.einsum("ca,cb->abc", v, u),
+        np.einsum("ca,cb->abc", v, v),
+    )
+    return np.stack(q, axis=-1).reshape(n_orb * n_orb, n_nodes - 1, 3)
 
 
 def _gauss_cells(grid: GridBasis, order: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -251,64 +280,87 @@ def _gauss_cells(grid: GridBasis, order: int = 4) -> tuple[np.ndarray, np.ndarra
     return pts, wts
 
 
-def _kernel_pair_matrix(spec: SampledKernel, orbitals: OrbitalSet) -> np.ndarray:
-    grid = orbitals.grid
-    wnod = np.asarray(spec.values)
-    if wnod.shape[0] != grid.n_nodes:
+def transform_two_body(w: InteractionSpec, basis: GridBasis, M: SymMatrix) -> TwoBodyTensor:
+    """Local pair tensor of w over the dofs of `basis`; pairs follow M's pattern.
+
+    Four Gauss points per cell integrate the kernel's bilinear interpolant
+    against pair products exactly (cubic per cell in each variable).
+    """
+    if M.dimension != basis.n_dofs:
+        raise ValueError("mass matrix must match the basis dof count")
+    if isinstance(w, (NoInteraction, DeltaContact)):
+        return TwoBodyTensor(n_orbitals=basis.n_dofs)
+    if not isinstance(w, SampledKernel):
+        raise TypeError(f"unsupported interaction {type(w).__name__}")
+    wnod = np.asarray(w.values)
+    if wnod.shape[0] != basis.n_nodes:
         raise ValueError(
-            f"kernel needs {grid.n_nodes}x{grid.n_nodes} nodal samples, got {wnod.shape}"
+            f"kernel needs {basis.n_nodes}x{basis.n_nodes} nodal samples, got {wnod.shape}"
         )
-    pts, wts = _gauss_cells(grid, order=4)
-    hats = grid.hat_values_at(pts)  # (Q, n_nodes)
-    V = hats @ orbitals.nodal  # orbital values at quadrature points
+    pts, wts = _gauss_cells(basis, order=4)
+    hats = basis.hat_values_at(pts)  # (Q, n_nodes)
+    phi = (basis.extension @ hats.T).T  # dof values at the quadrature points
+    pairs = M.data.tocoo()
+    B = phi[:, pairs.row] * phi[:, pairs.col] * wts[:, None]
     G = hats @ wnod @ hats.T  # bilinear kernel at point pairs
-    n_orb = V.shape[1]
-    B = (V[:, :, None] * V[:, None, :]).reshape(len(pts), n_orb * n_orb)
-    Bw = B * wts[:, None]
-    return Bw.T @ G @ Bw
-
-
-def transform_two_body(
-    w: InteractionSpec, basis: GridBasis, R: np.ndarray
-) -> TwoBodyTensor:
-    """Two-body tensor in the orthonormal orbitals defined by R."""
-    if R.shape[0] != basis.n_dofs:
-        raise ValueError("transform rows must match the basis dof count")
-    n_orb = R.shape[1]
-    if isinstance(w, NoInteraction):
-        return TwoBodyTensor(n_orbitals=n_orb, pair_matrix=None)
-    orbitals = OrbitalSet(grid=basis, transform=R, nodal=np.asarray(basis.extension.T @ R))
-    if isinstance(w, DeltaContact):
-        if w.g == 0.0:
-            return TwoBodyTensor(n_orbitals=n_orb, pair_matrix=None)
-        return TwoBodyTensor(n_orbitals=n_orb, pair_matrix=_contact_pair_matrix(w.g, orbitals))
-    if isinstance(w, SampledKernel):
-        return TwoBodyTensor(n_orbitals=n_orb, pair_matrix=_kernel_pair_matrix(w, orbitals))
-    raise TypeError(f"unsupported interaction {type(w).__name__}")
+    return TwoBodyTensor(n_orbitals=basis.n_dofs, pair_matrix=B.T @ G @ B)
 
 
 # ---------------------------------------------------------------------------
-# many-body operator
+# many-body pencil
+
+
+@dataclass(frozen=True)
+class NodalModes:
+    """One-particle data of a nodal pencil.
+
+    values and vectors are the generalized eigenpairs of (A, M), the vectors
+    M-orthonormal; to_orbitals is L' for M = LL', the map from dof
+    coefficients to orthonormal-orbital coefficients.
+    """
+
+    values: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+    to_orbitals: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
 class ManyBodyOperator:
-    """Hamiltonian over a Slater basis of orthonormal orbitals (overlap = I)."""
+    """Symmetric pencil (H, M) over the wedges of a Slater basis.
+
+    overlap None means M = I.  modes, present on assembled nodal pencils,
+    carries the one-particle data that preconditions the eigensolve and
+    maps its eigenvectors to orbital Slater coefficients.
+    """
 
     matrix: object = field(repr=False)  # dense ndarray or scipy CSR
     basis: SlaterBasis
     metadata: dict = field(default_factory=dict, compare=False)
+    overlap: object = field(default=None, repr=False, compare=False)
+    modes: NodalModes | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
-
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray() if self.is_sparse else self.matrix
+        return self.matrix.toarray() if sp.issparse(self.matrix) else self.matrix
+
+    def mass(self) -> sp.csr_matrix:
+        """M as a sparse matrix (the identity when overlap is None)."""
+        if self.overlap is None:
+            return sp.identity(self.dim, format="csr")
+        return sp.csr_matrix(self.overlap)
+
+    def orbital_coefficients(self, X: np.ndarray) -> np.ndarray:
+        """Orbital Slater coefficients of the pencil's coefficient columns X.
+
+        M-orthonormal columns map to Euclidean-orthonormal ones.
+        """
+        if self.modes is None:
+            return X
+        C = mode_product(wedge_tensor(self.basis, X), self.modes.to_orbitals)
+        return wedge_coefficients(self.basis, C)
 
 
 @dataclass(frozen=True)
@@ -330,146 +382,78 @@ class WaveVector:
         object.__setattr__(self, "coefficients", c)
 
 
-def _single_sign(tup: tuple[int, ...], pos_removed: int, new_tuple: tuple[int, ...], new_orb: int) -> int:
-    pos_inserted = new_tuple.index(new_orb)
-    return -1 if (pos_removed + pos_inserted) % 2 else 1
-
-
-def _assemble_n2(h: np.ndarray, two: TwoBodyTensor | None, basis: SlaterBasis) -> np.ndarray:
-    """Vectorized assembly for two particles (every pair differs by <= 2)."""
-    n = basis.n_orbitals
-    dets = np.asarray(basis.tuples, dtype=np.int64)
-    p, q = dets[:, 0], dets[:, 1]
-    D = len(dets)
-
-    pi, qi = p[:, None], q[:, None]
-    pj, qj = p[None, :], q[None, :]
-    pp, qq, pq, qp = pi == pj, qi == qj, pi == qj, qi == pj
-
-    H = np.zeros((D, D))
-    if two is not None and not two.is_null:
-        T = two.pair_matrix.ravel()
-        n2 = n * n
-        # double-excitation formula, valid wherever no orbital is shared
-        r = (pi * n + pj) * n2 + (qi * n + qj)
-        H = 2.0 * T[r]
-        r = (pi * n + qj) * n2 + (qi * n + pj)
-        H -= 2.0 * T[r]
-        del r
-
-    # shared-one-orbital entries overwrite the doubles formula
-    share_i_p = pp | pq
-    share_j_p = pp | qp
-    ones = (share_i_p.astype(np.int8) + (qp | qq)) == 1
-    ii, jj = np.nonzero(ones)
-    di = np.where(share_i_p[ii, jj], q[ii], p[ii])
-    dj = np.where(share_j_p[ii, jj], q[jj], p[jj])
-    s_orb = np.where(share_i_p[ii, jj], p[ii], q[ii])
-    sign = np.where(
-        (share_i_p[ii, jj].astype(np.int8) + share_j_p[ii, jj]) % 2 == 0, 1.0, -1.0
-    )
-    elem = h[di, dj].copy()
-    if two is not None and not two.is_null:
-        T2 = two.pair_matrix
-        elem += 2.0 * (T2[di * n + dj, s_orb * n + s_orb] - T2[di * n + s_orb, s_orb * n + dj])
-    H[ii, jj] = sign * elem
-
-    diag = h[p, p] + h[q, q]
-    if two is not None and not two.is_null:
-        T2 = two.pair_matrix
-        diag = diag + 2.0 * (T2[p * n + p, q * n + q] - T2[p * n + q, q * n + p])
-    H[np.arange(D), np.arange(D)] = diag
-    return H
-
-
-def _assemble_generic(
-    h: np.ndarray, two: TwoBodyTensor | None, basis: SlaterBasis
-) -> np.ndarray | sp.csr_matrix:
-    """Excitation-generation assembly for any particle count."""
-    dets = basis.tuples
-    D = len(dets)
-    idx = basis.index()
-    has_two = two is not None and not two.is_null
-    T = two.pair_matrix if has_two else None
-    n = basis.n_orbitals
-    dense = D <= DENSE_DIM_CAP
-    if not dense and has_two:
-        raise CapExceededError(
-            f"interacting assembly above dense cap {DENSE_DIM_CAP} is not supported"
-        )
-    H = np.zeros((D, D)) if dense else None
-    rows, cols, vals = [], [], []
-
-    def put(i, j, val):
-        if dense:
-            H[i, j] += val
-        else:
-            rows.append(i)
-            cols.append(j)
-            vals.append(val)
-
-    all_orbs = set(range(n))
-    for i, J in enumerate(dets):
-        occ = set(J)
-        diag = float(sum(h[k, k] for k in J))
-        if has_two:
-            for a in range(len(J)):
-                for b in range(a + 1, len(J)):
-                    k, l = J[a], J[b]
-                    diag += 2.0 * (T[k * n + k, l * n + l] - T[k * n + l, l * n + k])
-        put(i, i, diag)
-
-        virt = sorted(all_orbs - occ)
-        for pos_k, k in enumerate(J):
-            rest = J[:pos_k] + J[pos_k + 1:]
-            for pnew in virt:
-                J2 = tuple(sorted(rest + (pnew,)))
-                j = idx[J2]
-                sign = _single_sign(J, pos_k, J2, pnew)
-                val = h[k, pnew]
-                if has_two:
-                    for m in rest:
-                        val += 2.0 * (T[k * n + pnew, m * n + m] - T[k * n + m, m * n + pnew])
-                put(i, j, sign * val)
-
-        if has_two:
-            for (ak, al) in itertools.combinations(range(len(J)), 2):
-                k, l = J[ak], J[al]
-                rest = tuple(o for o in J if o not in (k, l))
-                for (pnew, qnew) in itertools.combinations(virt, 2):
-                    J2 = tuple(sorted(rest + (pnew, qnew)))
-                    j = idx[J2]
-                    pos_p = J2.index(pnew)
-                    pos_q = J2.index(qnew)
-                    sign = -1 if (ak + al + pos_p + pos_q) % 2 else 1
-                    val = 2.0 * (T[k * n + pnew, l * n + qnew] - T[k * n + qnew, l * n + pnew])
-                    put(i, j, sign * val)
-
-    if dense:
-        return H
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(D, D)).tocsr()
-    mat.sum_duplicates()
-    return mat
-
-
 def assemble_manybody(
-    one_body: SymMatrix, two_body: TwoBodyTensor | None, basis: SlaterBasis
+    A: SymMatrix, M: SymMatrix, two_body: TwoBodyTensor | None, basis: SlaterBasis
 ) -> ManyBodyOperator:
-    """Hamiltonian matrix over the Slater basis via excitation rules."""
-    n = basis.n_orbitals
-    if one_body.dimension != n:
+    """Sparse pencil (H_N, M_N) over the nodal wedges of `basis`.
+
+    A must be supported on M's pattern, as every P1 one-body matrix is.
+    Row J of the pencil sums the full tensor operator over the dof tuples b
+    with b_k a neighbour of J_k; a tuple without ties lands on its sorted
+    tuple with the sign of the sorting permutation.  Because the full
+    operator commutes with coordinate permutations, these row sums equal
+    P'(.)P exactly.
+    """
+    n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
+    if A.dimension != n or M.dimension != n:
         raise ValueError("one-body dimension does not match orbital count")
-    if two_body is not None and not two_body.is_null and two_body.n_orbitals != n:
+    has_two = two_body is not None and not two_body.is_null
+    if has_two and two_body.n_orbitals != n:
         raise ValueError("two-body tensor orbital count mismatch")
-    h = one_body.dense()
-    if basis.n_particles == 2 and basis.dim <= DENSE_DIM_CAP:
-        H = _assemble_n2(h, two_body, basis)
-    else:
-        H = _assemble_generic(h, two_body, basis)
-    if not sp.issparse(H):
-        # write each unordered pair once
-        H = np.triu(H) + np.triu(H, 1).T
-    return ManyBodyOperator(matrix=H, basis=basis, metadata={})
+
+    Ad, Md = A.dense(), M.dense()
+    # slot s of dof a is the s-th nonzero of row a of M (its s-th neighbour)
+    csr = M.data
+    deg = np.diff(csr.indptr)
+    ok = np.arange(deg.max()) < deg[:, None]
+    pos = np.where(ok, csr.indptr[:-1, None] + np.arange(deg.max()), 0)
+    nb = np.where(ok, csr.indices[pos], -1)
+    mval = np.where(ok, csr.data[pos], 0.0)
+    aval = np.where(ok, Ad[np.arange(n)[:, None], np.maximum(nb, 0)], 0.0)
+
+    J = basis.array
+    slots = np.array(list(itertools.product(range(deg.max()), repeat=N)))
+
+    def per_axis(table):
+        return [table[J[:, k]][:, slots[:, k]] for k in range(N)]
+
+    mv, av = per_axis(mval), per_axis(aval)
+
+    def mass_except(*skip):
+        out = np.ones(mv[0].shape)
+        for k in range(N):
+            if k not in skip:
+                out = out * mv[k]
+        return out
+
+    hval = sum(av[k] * mass_except(k) for k in range(N))
+    if has_two:
+        W = two_body.pair_matrix
+        pv, okv = per_axis(pos), per_axis(ok)
+        for j, k in itertools.combinations(range(N), 2):
+            hval = hval + 2.0 * W[pv[j], pv[k]] * (okv[j] & okv[k]) * mass_except(j, k)
+
+    target = np.stack(per_axis(nb), axis=-1)  # (D, slots, N)
+    valid = np.all(target >= 0, axis=-1)
+    inversions = np.zeros(valid.shape, dtype=np.intp)
+    for i, j in itertools.combinations(range(N), 2):
+        valid &= target[..., i] != target[..., j]
+        inversions += target[..., i] > target[..., j]
+    sign = np.where(inversions[valid] % 2, -1.0, 1.0)
+    rank = np.full(n**N, -1, dtype=np.intp)
+    rank[np.ravel_multi_index(J.T, (n,) * N)] = np.arange(D)
+    cols = rank[np.ravel_multi_index(np.sort(target[valid], axis=-1).T, (n,) * N)]
+    rows = np.broadcast_to(np.arange(D)[:, None], valid.shape)[valid]
+
+    def pencil_matrix(vals):
+        mat = sp.csr_matrix((sign * vals[valid], (rows, cols)), shape=(D, D))
+        return _symmetrize_exact(mat)
+
+    values, vectors = sla.eigh(Ad, Md)
+    modes = NodalModes(values=values, vectors=vectors, to_orbitals=sla.cholesky(Md))
+    return ManyBodyOperator(
+        matrix=pencil_matrix(hval), basis=basis, overlap=pencil_matrix(mass_except()), modes=modes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,33 +476,27 @@ def assemble_manybody_bruteforce(
     basis: GridBasis,
     n_particles: int = 2,
 ) -> ManyBodyOperator:
-    """Direct two-particle assembly on the tensor grid.
+    """Direct two-particle assembly of the pencil on the tensor grid.
 
-    Builds antisymmetrized orbital products as nodal arrays and evaluates
-    kinetic, potential, and interaction terms with explicit 2D quadrature.
-    Independent of the excitation-rule path; used as its oracle.
+    Builds the wedge of every pair of dof hats as a nodal array and
+    evaluates the Gram, kinetic, potential and interaction forms with
+    explicit 2D quadrature, including g * delta(x - y).  Independent of the
+    sparse assembly; used as its oracle.
     """
     if n_particles != 2:
         raise ValueError("brute-force assembly is implemented for two particles only")
-    M = assemble_overlap(basis)
-    K = assemble_stiffness(basis)
-    orbitals = make_orbitals(basis, M)
-    n_orb = orbitals.n_orbitals
-    if n_orb > 12:
-        raise CapExceededError("brute-force oracle capped at 12 orbitals")
+    if basis.n_dofs > 12:
+        raise CapExceededError("brute-force oracle capped at 12 dofs")
 
     from .basis import _full_overlap, _full_stiffness  # full-grid hat matrices
 
     n, h = basis.n_cells, basis.h
     Mf = _full_overlap(n, h).toarray()
     Kf = _full_stiffness(n, h).toarray()
-    if v is not None:
-        Pf = assemble_potential(build_grid_basis(n, BoundarySpec.free()), v).dense()
-    else:
-        Pf = np.zeros_like(Mf)
+    Pf = assemble_potential(build_grid_basis(n, BoundarySpec.free()), v).dense()
 
-    slater = enumerate_slater_basis(n_orb, 2)
-    U = orbitals.nodal
+    slater = enumerate_slater_basis(basis.n_dofs, 2)
+    U = basis.extension.T.toarray()  # nodal values of the dof hats
     states = [
         (np.outer(U[:, a], U[:, b]) - np.outer(U[:, b], U[:, a])) / np.sqrt(2.0)
         for (a, b) in slater.tuples
@@ -560,10 +538,12 @@ def assemble_manybody_bruteforce(
 
     D = slater.dim
     H = np.zeros((D, D))
+    G = np.zeros((D, D))
     for i in range(D):
         CI = states[i]
         for j in range(i, D):
             CJ = states[j]
+            G[i, j] = G[j, i] = np.sum(CI * (Mf @ CJ @ Mf))
             val = np.sum(CI * (Kf @ CJ @ Mf)) + np.sum(CI * (Mf @ CJ @ Kf))
             val += np.sum(CI * (Pf @ CJ @ Mf)) + np.sum(CI * (Mf @ CJ @ Pf))
             if isinstance(w, DeltaContact) and w.g != 0.0:
@@ -573,7 +553,7 @@ def assemble_manybody_bruteforce(
             H[i, j] = val
             H[j, i] = val
     meta = {"v": v, "w": w, "bc": basis.bc, "n_cells": basis.n_cells, "n_particles": 2}
-    return ManyBodyOperator(matrix=H, basis=slater, metadata=meta)
+    return ManyBodyOperator(matrix=H, basis=slater, metadata=meta, overlap=G)
 
 
 # ---------------------------------------------------------------------------
@@ -583,94 +563,23 @@ def assemble_manybody_bruteforce(
 def one_body_density_matrix(psi: WaveVector) -> np.ndarray:
     """One-particle reduced density matrix over orthonormal orbitals."""
     basis = psi.basis
-    c = psi.coefficients
-    n = basis.n_orbitals
-    idx = basis.index()
-    gamma = np.zeros((n, n))
-    all_orbs = set(range(n))
-    for i, J in enumerate(basis.tuples):
-        ci = c[i]
-        if ci == 0.0:
-            continue
-        for k in J:
-            gamma[k, k] += ci * ci
-        occ = set(J)
-        virt = all_orbs - occ
-        for pos_k, k in enumerate(J):
-            rest = J[:pos_k] + J[pos_k + 1:]
-            for pnew in virt:
-                J2 = tuple(sorted(rest + (pnew,)))
-                j = idx[J2]
-                if c[j] == 0.0:
-                    continue
-                sign = _single_sign(J, pos_k, J2, pnew)
-                gamma[k, pnew] += sign * ci * c[j]
-    return gamma
+    C = wedge_tensor(basis, psi.coefficients).reshape(basis.n_orbitals, -1)
+    return (C @ C.T) / factorial(basis.n_particles - 1)
 
 
 def pair_density_matrix(psi: WaveVector) -> np.ndarray:
     """Pair-space density matrix G with rho2(x, y) = b(x)' G b(y).
 
-    Here b(x)[(p, r)] = phi_p(x) phi_r(x); built from determinant pairs
-    differing in at most two orbitals.
+    Here b(x)[(p, r)] = phi_p(x) phi_r(x), so G[(p, r), (q, s)] sums
+    C[p, q, rest] C[r, s, rest] over the antisymmetric coefficient tensor.
     """
     basis = psi.basis
     if basis.n_particles < 2:
         raise ValueError("pair density requires at least two particles")
-    c = psi.coefficients
     n = basis.n_orbitals
-    idx = basis.index()
-    G = np.zeros((n * n, n * n))
-
-    def add(p, r, q, s, val):
-        G[p * n + r, q * n + s] += val
-
-    all_orbs = set(range(n))
-    for i, J in enumerate(basis.tuples):
-        ci = c[i]
-        if ci == 0.0:
-            continue
-        # same determinant
-        for k in J:
-            for l in J:
-                if k == l:
-                    continue
-                add(k, k, l, l, ci * ci)
-                add(k, l, l, k, -ci * ci)
-        occ = set(J)
-        virt = sorted(all_orbs - occ)
-        # single excitations
-        for pos_k, k in enumerate(J):
-            rest = J[:pos_k] + J[pos_k + 1:]
-            for pnew in virt:
-                J2 = tuple(sorted(rest + (pnew,)))
-                cj = c[idx[J2]]
-                if cj == 0.0:
-                    continue
-                sval = _single_sign(J, pos_k, J2, pnew) * ci * cj
-                for m in rest:
-                    add(k, pnew, m, m, sval)
-                    add(m, m, k, pnew, sval)
-                    add(k, m, m, pnew, -sval)
-                    add(m, pnew, k, m, -sval)
-        # double excitations
-        for (ak, al) in itertools.combinations(range(len(J)), 2):
-            k, l = J[ak], J[al]
-            rest = tuple(o for o in J if o not in (k, l))
-            for (pnew, qnew) in itertools.combinations(virt, 2):
-                J2 = tuple(sorted(rest + (pnew, qnew)))
-                cj = c[idx[J2]]
-                if cj == 0.0:
-                    continue
-                pos_p = J2.index(pnew)
-                pos_q = J2.index(qnew)
-                sign = -1 if (ak + al + pos_p + pos_q) % 2 else 1
-                sval = sign * ci * cj
-                add(k, pnew, l, qnew, sval)
-                add(l, qnew, k, pnew, sval)
-                add(k, qnew, l, pnew, -sval)
-                add(l, pnew, k, qnew, -sval)
-    return G
+    C = wedge_tensor(basis, psi.coefficients).reshape(n * n, -1)
+    G = (C @ C.T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return G / factorial(basis.n_particles - 2)
 
 
 def _trapezoid_weights(grid: GridBasis) -> np.ndarray:
@@ -705,14 +614,10 @@ def reduced_pair_density(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
     G = pair_density_matrix(psi)
     grid = orbitals.grid
     coeffs = _pair_cell_coeffs(orbitals.nodal)  # (n^2, n_cells, 3)
-    n2, n_cells, _ = coeffs.shape
     # third moments against the hat at each node
-    C3 = np.zeros((grid.n_nodes, n2))
-    left = grid.h * (coeffs[:, :, 0] * _CUBIC[0] + coeffs[:, :, 1] * _CUBIC[1] + coeffs[:, :, 2] * _CUBIC[2])
-    right = grid.h * (coeffs[:, :, 0] * _CUBIC[2] + coeffs[:, :, 1] * _CUBIC[1] + coeffs[:, :, 2] * _CUBIC[0])
-    for k in range(n_cells):
-        C3[k, :] += left[:, k]
-        C3[k + 1, :] += right[:, k]
+    C3 = np.zeros((grid.n_nodes, coeffs.shape[0]))
+    C3[:-1] += grid.h * (coeffs @ _CUBIC[:3]).T
+    C3[1:] += grid.h * (coeffs @ _CUBIC[2::-1]).T
     w = _trapezoid_weights(grid)
     rho2 = (C3 @ G @ C3.T) / np.outer(w, w)
     return 0.5 * (rho2 + rho2.T)
@@ -724,7 +629,10 @@ def reduced_pair_density(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ManyBodyProblem:
-    """Assembled many-body problem: grid, matrices, orbitals, Hamiltonian."""
+    """Assembled many-body problem: grid, dof matrices, orbitals, pencil.
+
+    one_body is A = K + P over grid dofs; operator is the nodal pencil.
+    """
 
     grid: GridBasis
     overlap: SymMatrix
@@ -748,29 +656,24 @@ def build_problem(
     n_particles: int,
     det_cap: int = DETERMINANT_CAP,
 ) -> ManyBodyProblem:
-    """Assemble the full pipeline from problem data to the Hamiltonian."""
+    """Assemble the full pipeline from problem data to the nodal pencil."""
     grid = build_grid_basis(n_cells, bc)
     M = assemble_overlap(grid)
     K = assemble_stiffness(grid)
-    if v is not None:
-        P = assemble_potential(grid, v)
-    else:
-        P = SymMatrix.from_sparse(sp.csr_matrix((grid.n_dofs, grid.n_dofs)))
+    P = assemble_potential(grid, v)
     orbitals = make_orbitals(grid, M)
     A = SymMatrix.from_sparse(K.data + P.data)
-    one_body = transform_one_body(A, orbitals.transform)
-    two_body = transform_two_body(w, grid, orbitals.transform)
+    two_body = transform_two_body(w, grid, M)
     slater = enumerate_slater_basis(grid.n_dofs, n_particles, cap=det_cap)
-    op = assemble_manybody(one_body, two_body, slater)
     meta = {"v": v, "w": w, "bc": bc, "n_cells": n_cells, "n_particles": n_particles}
-    op = ManyBodyOperator(matrix=op.matrix, basis=slater, metadata=meta)
+    op = dataclasses.replace(assemble_manybody(A, M, two_body, slater), metadata=meta)
     return ManyBodyProblem(
         grid=grid,
         overlap=M,
         stiffness=K,
         potential=P,
         orbitals=orbitals,
-        one_body=one_body,
+        one_body=A,
         two_body=two_body,
         slater=slater,
         operator=op,

@@ -28,9 +28,13 @@ __all__ = [
 
 DENSE_DIM_CAP = 5000
 
-# residual and orthonormality tolerances promised by SpectralResult
+# residual tolerance promised by SpectralResult
 RESIDUAL_RTOL = 1e-8
-ORTHO_TOL = 1e-10
+
+
+def norm1(X) -> float:
+    """Largest absolute column sum of a dense or sparse matrix."""
+    return float(abs(X).sum(axis=0).max())
 
 
 @dataclass(frozen=True)
@@ -42,17 +46,21 @@ class SpectralResult:
     residuals: np.ndarray
     k_requested: int
 
-    def check(self, A_norm1: float, M_norm1: float) -> None:
-        """Raise if the advertised invariants do not hold."""
+    def check(self, A_norm1: float, M_norm1: float, iterations: int | None = None) -> None:
+        """Raise ConvergenceError unless the advertised invariants hold."""
         lam = self.eigenvalues
         if np.any(np.diff(lam) < 0):
-            raise AssertionError("eigenvalues not non-decreasing")
+            raise ConvergenceError("eigenvalues not non-decreasing", iterations=iterations)
         bound = RESIDUAL_RTOL * (A_norm1 + np.abs(lam) * M_norm1)
-        if np.any(self.residuals > bound):
-            raise AssertionError("residual bound violated")
+        if not np.all(self.residuals <= bound):
+            worst = float(np.max(self.residuals / bound))
+            raise ConvergenceError(
+                f"residual {worst:.3g} times its bound RESIDUAL_RTOL*(|A|_1 + |lambda| |M|_1)",
+                iterations=iterations,
+            )
 
 
-def _residuals(A: sp.spmatrix, M: sp.spmatrix, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _residuals(A, M, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
     R = A @ X - (M @ X) * lam[None, :]
     return np.linalg.norm(R, axis=0)
 
@@ -91,7 +99,9 @@ def solve_pencil(A: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
         lam, X = lam[order], X[:, order]
 
     res = _residuals(A.data, M.data, lam, X)
-    return SpectralResult(eigenvalues=lam, eigenvectors=X, residuals=res, k_requested=k)
+    result = SpectralResult(eigenvalues=lam, eigenvectors=X, residuals=res, k_requested=k)
+    result.check(A.norm1(), M.norm1())
+    return result
 
 
 def solve_sp_eig(K: SymMatrix, P: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
@@ -102,35 +112,18 @@ def solve_sp_eig(K: SymMatrix, P: SymMatrix, M: SymMatrix, k: int) -> SpectralRe
     return solve_pencil(A, M, k)
 
 
-def solve_dense_symmetric(H: np.ndarray, k: int, v0_seed: int = 0) -> SpectralResult:
-    """Lowest k eigenpairs of a dense/sparse symmetric matrix (M = I)."""
-    dim = H.shape[0]
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must lie in [1, {dim}], got {k}")
-    sparse_input = sp.issparse(H)
-    if not sparse_input:
-        if dim <= 400:
-            lam, X = sla.eigh(H)
-            lam, X = lam[:k], X[:, :k]
-        else:
-            lam, X = sla.eigh(H, subset_by_index=[0, k - 1], driver="evr")
-    else:
-        if k >= dim - 1:
-            lam, X = sla.eigh(H.toarray())
-            lam, X = lam[:k], X[:, :k]
-        else:
-            v0 = np.full(dim, 1.0 / np.sqrt(dim))
-            try:
-                lam, X = spla.eigsh(H, k=k, which="SA", v0=v0, tol=0, maxiter=20000)
-            except spla.ArpackNoConvergence as exc:
-                raise ConvergenceError(
-                    f"eigensolver did not converge ({len(exc.eigenvalues)} of {k} pairs)"
-                ) from exc
-            order = np.argsort(lam)
-            lam, X = lam[order], X[:, order]
-    R = H @ X - X * lam[None, :]
-    res = np.linalg.norm(R, axis=0)
-    return SpectralResult(eigenvalues=lam, eigenvectors=X, residuals=res, k_requested=k)
+def solve_dense_symmetric(H, k: int) -> SpectralResult:
+    """Lowest k eigenpairs of a small symmetric matrix (M = I), dense LAPACK."""
+    H = H.toarray() if sp.issparse(H) else np.asarray(H)
+    if not 1 <= k <= H.shape[0]:
+        raise ValueError(f"k must lie in [1, {H.shape[0]}], got {k}")
+    lam, X = sla.eigh(H, subset_by_index=[0, k - 1])
+    result = SpectralResult(
+        eigenvalues=lam, eigenvectors=X, residuals=_residuals(H, np.eye(len(H)), lam, X),
+        k_requested=k,
+    )
+    result.check(norm1(H), 1.0)
+    return result
 
 
 # ---------------------------------------------------------------------------

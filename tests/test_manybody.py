@@ -1,22 +1,40 @@
 import numpy as np
 import pytest
 
+from fermigate import manybody
 from fermigate.basis import BoundarySpec, Delta
-from fermigate.errors import ShiftError
+from fermigate.errors import ConvergenceError, ShiftError
 from fermigate.manybody import classify_degeneracy, inverse_iteration_ground, solve_mb_eig
 from fermigate.slater import (
     DeltaContact,
     ManyBodyOperator,
     NoInteraction,
+    SampledKernel,
     WaveVector,
     build_problem,
     enumerate_slater_basis,
+    mode_product,
+    wedge_coefficients,
+    wedge_tensor,
 )
+from fermigate.spectrum import RESIDUAL_RTOL
+from fermigate.verify import Scenario, clear_cache, run_scenario
 
 PI2 = np.pi**2
 DIRICHLET = BoundarySpec.dirichlet_both()
 PERIODIC = BoundarySpec.quasiperiodic(1.0)
 ANTIPERIODIC = BoundarySpec.quasiperiodic(-1.0)
+
+
+def norm1(X):
+    return float(abs(X).sum(axis=0).max())
+
+
+def rayleigh(prob, c):
+    """Rayleigh quotient on the pencil of orbital Slater coefficients c."""
+    C = mode_product(wedge_tensor(prob.slater, c), prob.orbitals.transform)
+    x = wedge_coefficients(prob.slater, C)[:, 0]
+    return float(x @ (prob.operator.matrix @ x)) / float(x @ (prob.operator.overlap @ x))
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +60,11 @@ class TestSolveMbEig:
         assert res.eigenvalues[1] == pytest.approx(10 * PI2, rel=2e-2)
 
     def test_residual_bound(self, free_dirichlet_40):
-        res = solve_mb_eig(free_dirichlet_40.operator, 4)
-        H = free_dirichlet_40.operator.dense()
-        scale = np.max(np.abs(H))
-        assert np.all(res.residuals <= 1e-8 * scale)
+        op = free_dirichlet_40.operator
+        res = solve_mb_eig(op, 4)
+        assert np.all(res.residuals <= 1e-8 * np.max(np.abs(op.dense())))
+        bound = RESIDUAL_RTOL * (norm1(op.matrix) + np.abs(res.eigenvalues) * norm1(op.overlap))
+        assert np.all(res.residuals <= bound)
 
     def test_euclidean_orthonormal(self, free_dirichlet_40):
         res = solve_mb_eig(free_dirichlet_40.operator, 4)
@@ -57,13 +76,30 @@ class TestSolveMbEig:
             solve_mb_eig(free_dirichlet_40.operator, 0)
 
     def test_variational_upper_bound(self, free_dirichlet_40):
-        H = free_dirichlet_40.operator.dense()
-        lam1 = solve_mb_eig(free_dirichlet_40.operator, 1).eigenvalues[0]
+        op = free_dirichlet_40.operator
+        lam1 = solve_mb_eig(op, 1).eigenvalues[0]
         rng = np.random.default_rng(7)
         for _ in range(50):
-            x = rng.standard_normal(H.shape[0])
-            x /= np.linalg.norm(x)
-            assert lam1 <= x @ (H @ x) + 1e-10
+            x = rng.standard_normal(op.dim)
+            assert lam1 <= (x @ (op.matrix @ x)) / (x @ (op.overlap @ x)) + 1e-10
+
+    def test_capped_iterations_raise_and_become_report_errors(self, monkeypatch):
+        monkeypatch.setattr(manybody, "LOBPCG_MAX_ITER", 1)
+        nodes = np.linspace(0.0, 1.0, 25)
+        kernel = SampledKernel(tuple(map(tuple, np.exp(-((nodes[:, None] - nodes) ** 2)))))
+        prob = build_problem(None, kernel, DIRICHLET, 24, 2)
+        with pytest.raises(ConvergenceError, match="bound"):
+            solve_mb_eig(prob.operator, 2)
+        s = Scenario(
+            name="capped",
+            kind="nondegeneracy",
+            params={"w": {"kind": "none"}, "bc": {"kind": "dirichlet-both"},
+                    "n_particles": 3, "grids": [10, 20]},
+        )
+        clear_cache()
+        rep = run_scenario(s)
+        assert not rep.overall
+        assert rep.error.startswith("ConvergenceError")
 
     def test_refinement_improves_ground_energy(self):
         exact = 5 * PI2
@@ -132,8 +168,7 @@ class TestInverseIteration:
         prob = build_problem(None, NoInteraction(), PERIODIC, 20, 2)
         res = solve_mb_eig(prob.operator, 2)
         psi = inverse_iteration_ground(prob.operator, res.eigenvalues[0] - 5.0)
-        H = prob.operator.dense()
-        ray = float(psi.coefficients @ (H @ psi.coefficients))
+        ray = rayleigh(prob, psi.coefficients)
         assert ray == pytest.approx(res.eigenvalues[0], abs=1e-6)
         proj = res.eigenvectors[:, :2].T @ psi.coefficients
         assert np.linalg.norm(proj) == pytest.approx(1.0, abs=1e-6)

@@ -304,29 +304,23 @@ class TestEvaluation:
 
 class TestPullback:
     def test_rayleigh_quotient_invariant(self):
-        # the quadratic form of the full operator evaluated on the box equals
-        # the ordered-region form of the restriction, including a sampled
-        # multiplicative potential
-        prob = build_problem(None, NoInteraction(), DIRICHLET, 10, 2)
-        vband = np.cos(np.pi * prob.grid.nodes) + 2.0
-        from fermigate.basis import Sampled, assemble_potential
-        from fermigate.slater import assemble_manybody, transform_one_body
+        # the pencil's Rayleigh quotient equals the ordered-region form of
+        # the restriction, including a sampled multiplicative potential
+        from fermigate.basis import Sampled
+        from fermigate.slater import OrbitalSet
 
-        Pv = assemble_potential(prob.grid, Sampled(tuple(vband)))
-        Hv = assemble_manybody(
-            transform_one_body(Pv, prob.orbitals.transform), None, prob.slater
-        ).dense()
-        H = prob.operator.dense()
+        vband = np.cos(np.pi * np.linspace(0.0, 1.0, 11)) + 2.0
+        prob = build_problem(Sampled(tuple(vband)), NoInteraction(), DIRICHLET, 10, 2)
+        op, grid = prob.operator, prob.grid
+        hats = OrbitalSet(grid=grid, transform=np.eye(grid.n_dofs), nodal=grid.extension.T.toarray())
         rng = np.random.default_rng(37)
         for _ in range(20):
-            c = rng.standard_normal(prob.slater.dim)
-            c /= np.linalg.norm(c)
-            psi = WaveVector(c, prob.slater)
-            full = nodal_tensor(psi, prob.orbitals)
-            l2s, h1s = simplex_norms(full, prob.grid.h)
-            pot = simplex_potential_energy(full, prob.grid.h, vband)
+            x = rng.standard_normal(op.dim)
+            full = nodal_tensor(WaveVector(x, op.basis, normalized=False), hats)
+            l2s, h1s = simplex_norms(full, grid.h)
+            pot = simplex_potential_energy(full, grid.h, vband)
             lhs = (h1s + pot) / l2s
-            rhs = float(c @ ((H + Hv) @ c))
+            rhs = float(x @ (op.matrix @ x)) / float(x @ (op.overlap @ x))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 

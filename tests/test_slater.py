@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigate.basis import (
     BoundarySpec,
@@ -13,6 +15,7 @@ from fermigate.basis import (
     build_grid_basis,
 )
 from fermigate.errors import CapExceededError
+from fermigate.manybody import solve_mb_eig
 from fermigate.slater import (
     DeltaContact,
     NoInteraction,
@@ -22,17 +25,25 @@ from fermigate.slater import (
     assemble_manybody_bruteforce,
     build_problem,
     enumerate_slater_basis,
-    make_orbitals,
+    mode_product,
     one_body_density_matrix,
     orthonormalize_orbitals,
     reduced_density,
     reduced_pair_density,
     transform_one_body,
     transform_two_body,
+    wedge_coefficients,
+    wedge_tensor,
 )
-from fermigate.spectrum import solve_dense_symmetric, solve_sp_eig
+from fermigate.spectrum import solve_sp_eig
 
 DIRICHLET = BoundarySpec.dirichlet_both()
+
+
+def to_nodal(prob, c):
+    """Nodal wedge coefficients of orbital Slater coefficients c."""
+    C = mode_product(wedge_tensor(prob.slater, c), prob.orbitals.transform)
+    return wedge_coefficients(prob.slater, C)[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -107,59 +118,70 @@ class TestOrthonormalize:
 
 class TestTwoBodyTensor:
     def test_zero_contact_is_null(self, grid7):
+        # antisymmetric P1 functions vanish on x = y, so contact of any
+        # strength is the null term
         M = assemble_overlap(grid7)
-        R = orthonormalize_orbitals(M)
-        T = transform_two_body(DeltaContact(0.0), grid7, R)
-        assert T.is_null
-        assert T.elem(0, 1, 2, 3) == 0.0
+        for g in (0.0, 5.0, -5.0):
+            T = transform_two_body(DeltaContact(g), grid7, M)
+            assert T.is_null
+            assert T.n_orbitals == grid7.n_dofs
 
     def test_disjoint_support_vanishes(self, grid7):
-        # in the raw hat basis distant pairs never overlap
-        T = transform_two_body(DeltaContact(1.0), grid7, np.eye(grid7.n_dofs))
-        assert T.elem(0, 0, 5, 5) == 0.0
-        assert T.elem(0, 1, 4, 5) == 0.0
-
-    def test_contact_tensor_matches_quadrature_oracle(self, grid7):
+        # only neighbouring dof pairs are stored, and wedges of distant dofs
+        # never couple, interaction included
         M = assemble_overlap(grid7)
-        orbs = make_orbitals(grid7, M)
-        T = transform_two_body(DeltaContact(1.0), grid7, orbs.transform)
-        x, w = np.polynomial.legendre.leggauss(6)
-        pts = ((x + 1) / 2)[None, :] * grid7.h + np.arange(7)[:, None] * grid7.h
-        pts, wts = pts.ravel(), np.tile(w / 2 * grid7.h, 7)
-        vals = grid7.hat_values_at(pts) @ orbs.nodal
-        worst = 0.0
-        n = grid7.n_dofs
-        for a, b, c, d in itertools.product(range(n), repeat=4):
-            direct = float(np.sum(wts * vals[:, a] * vals[:, b] * vals[:, c] * vals[:, d]))
-            worst = max(worst, abs(T.elem(a, b, c, d) - direct))
-        assert worst <= 1e-10
+        T = transform_two_body(cos_kernel(grid7), grid7, M)
+        assert T.pair_matrix.shape == (M.data.nnz, M.data.nnz)
+        prob = build_problem(None, cos_kernel(grid7), DIRICHLET, 7, 2)
+        idx = prob.slater.index()
+        for mat in (prob.operator.dense(), prob.operator.overlap.toarray()):
+            assert mat[idx[(0, 1)], idx[(3, 5)]] == 0.0
+            assert mat[idx[(0, 2)], idx[(4, 5)]] == 0.0
 
     def test_kernel_requires_symmetry(self):
         with pytest.raises(ValueError, match="symmetric"):
             SampledKernel(((0.0, 1.0), (0.5, 0.0)))
 
+    @pytest.mark.parametrize(
+        "bc", [DIRICHLET, BoundarySpec.free(), BoundarySpec.quasiperiodic(-0.5)], ids=str
+    )
+    def test_kernel_pair_tensor_matches_quadrature(self, bc):
+        # pairs are the nonzeros of M; each entry is checked against
+        # six-point Gauss quadrature of the exact integrand
+        grid = build_grid_basis(7, bc)
+        M = assemble_overlap(grid)
+        T = transform_two_body(cos_kernel(grid), grid, M)
+        pairs = M.data.tocoo()
+        x, w = np.polynomial.legendre.leggauss(6)
+        pts = ((x + 1) / 2)[None, :] * grid.h + np.arange(7)[:, None] * grid.h
+        pts, wts = pts.ravel(), np.tile(w / 2 * grid.h, 7)
+        hats = grid.hat_values_at(pts)
+        phi = hats @ grid.extension.T.toarray()
+        wpts = hats @ np.asarray(cos_kernel(grid).values) @ hats.T
+        f = phi[:, pairs.row] * phi[:, pairs.col] * wts[:, None]
+        assert np.max(np.abs(T.pair_matrix - f.T @ wpts @ f)) <= 1e-12
+
     def test_kernel_tensor_symmetries(self, grid7):
+        # symmetric under exchanging the coordinates and within each pair
         M = assemble_overlap(grid7)
-        orbs = make_orbitals(grid7, M)
-        T = transform_two_body(cos_kernel(grid7), grid7, orbs.transform)
-        n = grid7.n_dofs
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            a, b, c, d = rng.integers(0, n, 4)
-            ref = T.elem(a, b, c, d)
-            assert T.elem(c, b, a, d) == pytest.approx(ref, abs=1e-12)
-            assert T.elem(a, d, c, b) == pytest.approx(ref, abs=1e-12)
-            assert T.elem(b, a, d, c) == pytest.approx(ref, abs=1e-12)
+        W = transform_two_body(cos_kernel(grid7), grid7, M).pair_matrix
+        pairs = M.data.tocoo()
+        flip = {(a, c): i for i, (a, c) in enumerate(zip(pairs.row, pairs.col))}
+        swap = [flip[(c, a)] for a, c in zip(pairs.row, pairs.col)]
+        assert np.max(np.abs(W - W.T)) <= 1e-12
+        assert np.max(np.abs(W - W[swap][:, swap])) <= 1e-12
 
 
 class TestSlaterCondon:
     def test_noninteracting_diagonal_sum(self):
         eps = np.array([1.0, 2.5, 4.0, 8.0])
         h = SymMatrix.from_sparse(sp.diags(eps).tocsr())
+        eye = SymMatrix.from_sparse(sp.identity(4, format="csr"))
         basis = enumerate_slater_basis(4, 2)
-        H = assemble_manybody(h, None, basis).dense()
+        op = assemble_manybody(h, eye, None, basis)
         expected = np.array([eps[a] + eps[b] for (a, b) in basis.tuples])
-        np.testing.assert_allclose(H, np.diag(expected), atol=1e-14)
+        np.testing.assert_allclose(op.dense(), np.diag(expected), atol=1e-14)
+        np.testing.assert_allclose(op.overlap.toarray(), np.eye(basis.dim), atol=1e-14)
 
     def test_triple_difference_exactly_zero(self, grid7):
         prob = build_problem(None, cos_kernel(grid7), DIRICHLET, 7, 3)
@@ -191,6 +213,7 @@ class TestSlaterCondon:
         oracle = assemble_manybody_bruteforce(v, w, grid7, 2)
         dev = np.max(np.abs(prob.operator.dense() - oracle.dense()))
         assert dev <= 1e-10
+        assert np.max(np.abs(prob.operator.overlap.toarray() - oracle.overlap)) <= 1e-10
 
     @pytest.mark.parametrize(
         "bc,n_cells",
@@ -210,15 +233,7 @@ class TestSlaterCondon:
             oracle = assemble_manybody_bruteforce(v, w, grid, 2)
             dev = np.max(np.abs(prob.operator.dense() - oracle.dense()))
             assert dev <= 1e-10
-
-    def test_generic_path_agrees_with_pair_path(self, grid7):
-        prob = build_problem(Delta(0.4, 3.0), cos_kernel(grid7), DIRICHLET, 7, 2)
-        from fermigate.slater import _assemble_generic, _assemble_n2
-
-        h = prob.one_body.dense()
-        Hg = _assemble_generic(h, prob.two_body, prob.slater)
-        Hn = _assemble_n2(h, prob.two_body, prob.slater)
-        assert np.max(np.abs(Hg - Hn)) <= 1e-13
+            assert np.max(np.abs(prob.operator.overlap.toarray() - oracle.overlap)) <= 1e-10
 
     def test_linearity_in_v(self, grid7):
         probs = [
@@ -248,9 +263,10 @@ class TestSlaterCondon:
         assert np.max(np.abs(np.diag(H1) - np.diag(H0))) <= 1e-11
 
     def test_exact_symmetry(self, grid7):
-        prob = build_problem(Delta(0.4, 3.0), cos_kernel(grid7), DIRICHLET, 7, 2)
-        H = prob.operator.dense()
-        assert np.array_equal(H, H.T)
+        for n_particles in (2, 3):
+            prob = build_problem(Delta(0.4, 3.0), cos_kernel(grid7), DIRICHLET, 7, n_particles)
+            for mat in (prob.operator.dense(), prob.operator.overlap.toarray()):
+                assert np.array_equal(mat, mat.T)
 
 
 class TestBruteForce:
@@ -263,27 +279,24 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             assemble_manybody_bruteforce(None, NoInteraction(), big, 2)
 
-    def test_overlap_identity_of_states(self, grid7):
-        # the antisymmetrized products used by the oracle are orthonormal
-        from fermigate.basis import _full_overlap
-
-        M = assemble_overlap(grid7)
-        orbs = make_orbitals(grid7, M)
-        Mf = _full_overlap(grid7.n_cells, grid7.h).toarray()
-        U = orbs.nodal
-        basis = enumerate_slater_basis(grid7.n_dofs, 2)
-        states = [
-            (np.outer(U[:, a], U[:, b]) - np.outer(U[:, b], U[:, a])) / np.sqrt(2)
-            for a, b in basis.tuples
-        ]
-        G = np.array([[np.sum(ci * (Mf @ cj @ Mf)) for cj in states] for ci in states])
-        assert np.max(np.abs(G - np.eye(basis.dim))) <= 1e-12
+    def test_overlap_is_wedge_gram(self, grid7):
+        # the oracle's Gram matrix of hat wedges equals P'(M (x) M)P, with P
+        # the antisymmetrizing scatter written out densely
+        M = assemble_overlap(grid7).dense()
+        oracle = assemble_manybody_bruteforce(None, NoInteraction(), grid7, 2)
+        n = grid7.n_dofs
+        P = np.zeros((n * n, oracle.dim))
+        for j, (a, b) in enumerate(oracle.basis.tuples):
+            P[a * n + b, j] = 1 / np.sqrt(2)
+            P[b * n + a, j] = -1 / np.sqrt(2)
+        G = P.T @ np.kron(M, M) @ P
+        assert np.max(np.abs(G - oracle.overlap)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
 def ground2():
     prob = build_problem(None, NoInteraction(), DIRICHLET, 40, 2)
-    res = solve_dense_symmetric(prob.operator.dense(), 2)
+    res = solve_mb_eig(prob.operator, 2)
     psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
     return prob, psi
 
@@ -364,7 +377,7 @@ class TestReducedDensities:
 
     def test_pair_density_three_particles(self):
         prob = build_problem(Delta(0.4, -2.0), NoInteraction(), DIRICHLET, 12, 3)
-        res = solve_dense_symmetric(prob.operator.dense(), 1)
+        res = solve_mb_eig(prob.operator, 1)
         psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
         rho2 = reduced_pair_density(psi, prob.orbitals)
         w = np.full(prob.grid.n_nodes, prob.grid.h)
@@ -372,19 +385,25 @@ class TestReducedDensities:
         assert abs(float(w @ rho2 @ w) - 6.0) <= 1e-8
 
     def test_interaction_expectation_consistency(self, grid7):
-        # <W> through the Hamiltonian equals the pair-density pairing
+        # <W> through the pencil equals the pair-density pairing with the
+        # pair tensor carried over to orbital pairs
         ker = cos_kernel(grid7)
         probk = build_problem(None, ker, DIRICHLET, 7, 2)
         prob0 = build_problem(None, NoInteraction(), DIRICHLET, 7, 2)
-        res = solve_dense_symmetric(probk.operator.dense(), 1)
+        res = solve_mb_eig(probk.operator, 1)
         psi = WaveVector(res.eigenvectors[:, 0], probk.slater)
         from fermigate.slater import pair_density_matrix
 
         G = pair_density_matrix(psi)
-        via_h = psi.coefficients @ (
-            (probk.operator.dense() - prob0.operator.dense()) @ psi.coefficients
-        )
-        via_rho2 = np.sum(G * probk.two_body.pair_matrix)
+        x = to_nodal(probk, psi.coefficients)
+        via_h = x @ ((probk.operator.matrix - prob0.operator.matrix) @ x)
+        n = grid7.n_dofs
+        pairs = probk.overlap.data.tocoo()
+        Wd = np.zeros((n, n, n, n))
+        Wd[pairs.row[:, None], pairs.col[:, None], pairs.row, pairs.col] = probk.two_body.pair_matrix
+        R = probk.orbitals.transform
+        T = np.einsum("acbd,ap,cr,bq,ds->prqs", Wd, R, R, R, R).reshape(n * n, n * n)
+        via_rho2 = np.sum(G * T)
         assert via_h == pytest.approx(via_rho2, abs=1e-12)
 
 
@@ -396,8 +415,66 @@ class TestNonInteractingSumRule:
         sums = sorted(
             sum(c) for c in itertools.combinations(sp_res.eigenvalues, n_particles)
         )[:6]
-        mb = solve_dense_symmetric(prob.operator.dense(), 6)
+        mb = solve_mb_eig(prob.operator, 6)
         np.testing.assert_allclose(mb.eigenvalues, sums, rtol=1e-8)
+
+
+BOUNDARIES = st.one_of(
+    st.sampled_from(
+        [
+            BoundarySpec.dirichlet_both(),
+            BoundarySpec.dirichlet_left(),
+            BoundarySpec.dirichlet_right(),
+            BoundarySpec.free(),
+        ]
+    ),
+    st.floats(-3.0, 3.0).filter(lambda a: abs(a) >= 0.1).map(BoundarySpec.quasiperiodic),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    .filter(lambda ab: abs(ab[0]) + abs(ab[1]) >= 0.1)
+    .map(lambda ab: BoundarySpec.line(*ab)),
+)
+
+
+@st.composite
+def small_problems(draw):
+    """Boundary, cell count, random sampled potential, random symmetric kernel."""
+    bc = draw(BOUNDARIES)
+    n_cells = draw(st.integers(4, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = Sampled(tuple(rng.uniform(-5.0, 5.0, n_cells + 1)))
+    W = rng.uniform(-3.0, 3.0, (n_cells + 1, n_cells + 1))
+    return bc, n_cells, v, SampledKernel(tuple(map(tuple, W + W.T)))
+
+
+class TestPencilProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(small_problems())
+    def test_n2_pencil_equals_oracle(self, problem):
+        bc, n_cells, v, w = problem
+        op = build_problem(v, w, bc, n_cells, 2).operator
+        oracle = assemble_manybody_bruteforce(v, w, build_grid_basis(n_cells, bc), 2)
+        assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
+        assert np.max(np.abs(op.overlap.toarray() - oracle.overlap)) <= 1e-10
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_problems(), st.sampled_from([2, 3]))
+    def test_noninteracting_spectrum_is_orbital_sums(self, problem, n_particles):
+        bc, n_cells, v, _ = problem
+        prob = build_problem(v, NoInteraction(), bc, n_cells, n_particles)
+        sp_res = solve_sp_eig(prob.stiffness, prob.potential, prob.overlap, prob.grid.n_dofs)
+        sums = np.sort([sum(c) for c in itertools.combinations(sp_res.eigenvalues, n_particles)])
+        k = min(4, prob.slater.dim)
+        lam = solve_mb_eig(prob.operator, k).eigenvalues
+        assert np.max(np.abs(lam - sums[:k]) / np.maximum(np.abs(sums[:k]), 1.0)) <= 1e-8
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_problems(), st.floats(-20.0, 20.0), st.sampled_from([2, 3]))
+    def test_contact_yields_the_free_pencil(self, problem, g, n_particles):
+        bc, n_cells, v, _ = problem
+        free = build_problem(v, NoInteraction(), bc, n_cells, n_particles).operator
+        contact = build_problem(v, DeltaContact(g), bc, n_cells, n_particles).operator
+        assert np.array_equal(contact.dense(), free.dense())
+        assert np.array_equal(contact.overlap.toarray(), free.overlap.toarray())
 
 
 class TestWaveVector:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from fermigate import cli
 from fermigate.basis import BoundarySpec, Delta, build_grid_basis
 from fermigate.manybody import solve_mb_eig
 from fermigate.simplex import nodal_tensor
@@ -17,6 +20,8 @@ from fermigate.verify import (
     run_manifest,
     run_scenario,
     slater_sum_oracle,
+    tessellation_z,
+    tessellation_z_threshold,
 )
 
 PI2 = np.pi**2
@@ -236,6 +241,20 @@ class TestScenarios:
         assert not rep.overall
         assert rep.error is not None
 
+    def test_bad_manifest_entry_becomes_report_error(self, monkeypatch, tmp_path):
+        bad = Scenario(name="missing_bc", kind="slater_sum", params={"n_particles": 2, "n_cells": 8})
+        good = make_scenario("sp_free_spectra")
+        first, second = run_manifest([bad, good])
+        assert not first.overall
+        assert first.error.startswith("KeyError")
+        assert second.overall and second.error is None
+        monkeypatch.setattr(cli, "default_manifest", lambda: [bad, good])
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--out", str(out)]) != 0
+        doc = json.loads(out.read_text())
+        assert doc["scenarios"][0]["error"].startswith("KeyError")
+        assert doc["scenarios"][1]["overall"] is True
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario kind"):
             run_scenario(Scenario(name="x", kind="nope", params={}))
@@ -250,18 +269,49 @@ class TestScenarios:
         assert rep.overall == all(c.passed for c in rep.checks)
 
     def test_run_manifest_parallel_matches_sequential(self):
+        # the solves are redone on each side, so the seeded LOBPCG start and
+        # the inverse iteration are covered too
         scenarios = [
             make_scenario("sp_free_spectra"),
             make_scenario("single_particle_gaps_antiperiodic_free"),
+            make_scenario("nondegeneracy_nonlocal_periodic_n3", {"grids": [12, 24]}),
+            make_scenario("nondegeneracy_local", {"grids": [20, 40]}),
         ]
+        clear_cache()
         seq = run_manifest(scenarios, seed=3, max_workers=1)
+        clear_cache()
         par = run_manifest(scenarios, seed=3, max_workers=2)
         assert [r.scenario for r in seq] == [r.scenario for r in par]
         for a, b in zip(seq, par):
             assert a == b
+        assert cli.emit_report(seq) == cli.emit_report(par)
 
     def test_reports_reproducible_at_fixed_seed(self):
-        s = make_scenario("structural_invariants", {"tessellation_points": 20000})
-        r1 = run_scenario(s, seed=11)
-        r2 = run_scenario(s, seed=11)
-        assert r1 == r2
+        for name, overrides in (
+            ("structural_invariants", {"tessellation_points": 20000}),
+            ("nondegeneracy_nonlocal_periodic_n3", {"grids": [12, 24]}),
+            ("nondegeneracy_local", {"grids": [20, 40]}),
+        ):
+            s = make_scenario(name, overrides)
+            clear_cache()
+            r1 = run_scenario(s, seed=11)
+            clear_cache()
+            r2 = run_scenario(s, seed=11)
+            assert r1 == r2
+
+
+class TestTessellation:
+    def test_threshold_from_family_wise_rate(self):
+        # Bonferroni over six tiles and both tails at a 1e-6 false-alarm rate
+        assert tessellation_z_threshold() == pytest.approx(5.23, abs=5e-3)
+
+    def test_mislabelled_tile_fails(self):
+        order = np.argsort(np.random.default_rng(302).uniform(size=(100_000, 3)), axis=1)
+        assert tessellation_z(order) <= tessellation_z_threshold()
+        bad = order.copy()
+        bad[np.all(order == [0, 1, 2], axis=1)] = [0, 2, 1]
+        assert tessellation_z(bad) > 100.0
+
+    def test_verify_seed_302_exits_zero(self, tmp_path):
+        # the derived threshold no longer fails this seed by chance
+        assert cli.main(["verify", "--seed", "302", "--out", str(tmp_path / "r.json")]) == 0
