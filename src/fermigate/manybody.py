@@ -5,7 +5,10 @@ Every solve works on the nodal pencil (H, M).  The eigensolver is LOBPCG
 inverse of the pencil's separable part: in the one-particle (A, M)
 eigenbasis the non-interacting pencil is diagonal, so its inverse is a mode
 product, a division and a mode product (fast diagonalization; Lynch, Rice
-& Thomas, Numer. Math. 6 (1964)).
+& Thomas, Numer. Math. 6 (1964)).  The same eigenbasis gives the start
+block: the lowest separable eigenstates, which are exact for free and
+contact pencils (these return at iteration 0) and close for kernel ones,
+plus two seeded random guard columns that reach every symmetry sector.
 
 Ground-state degeneracy is never judged from a single grid: the spectral
 gap is tracked under one refinement step and the verdict compares the gap
@@ -31,6 +34,7 @@ from .slater import (
     ManyBodyProblem,
     WaveVector,
     build_problem,
+    enumerate_slater_basis,
     mode_product,
     wedge_coefficients,
     wedge_tensor,
@@ -80,6 +84,29 @@ def _separable_inverse(op: ManyBodyOperator):
         return wedge_coefficients(basis, mode_product(C, modes.vectors))
 
     return apply
+
+
+def _start_block(op: ManyBodyOperator, k: int) -> np.ndarray:
+    """LOBPCG start: the k lowest separable eigenstates and two guard columns.
+
+    The separable eigenstates are the antisymmetrized products of the
+    one-particle (A, M) modes, ranked by the sum of their levels with ties
+    in tuple order; the k lowest use only modes below k + N - 1.  The guard
+    columns are seeded random, so sectors of a symmetry shared by v and w
+    that the wanted columns miss stay reachable.  Without modes every
+    column is random.
+    """
+    rng = np.random.default_rng(LOBPCG_SEED)
+    if op.modes is None:
+        return rng.standard_normal((op.dim, min(k + 2, op.dim)))
+    N = op.basis.n_particles
+    products = enumerate_slater_basis(min(op.basis.n_orbitals, k + N - 1), N)
+    levels = op.modes.values[products.array].sum(axis=1)
+    unit = np.zeros((products.dim, k))
+    unit[np.argsort(levels, kind="stable")[:k], np.arange(k)] = 1.0
+    C = mode_product(wedge_tensor(products, unit), op.modes.vectors[:, : products.n_orbitals])
+    guard = rng.standard_normal((op.dim, min(2, op.dim - k)))
+    return np.hstack([wedge_coefficients(op.basis, C), guard])
 
 
 def _orthonormalize(Z: np.ndarray, MZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +166,11 @@ def _lobpcg(H, M, X, precond, k: int, bound):
 def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
     """Lowest k eigenpairs of the many-body pencil by preconditioned LOBPCG.
 
-    The start block holds k + 2 seeded random vectors.  Eigenvectors are
-    returned as Euclidean-orthonormal Slater coefficients over orthonormal
-    orbitals; residuals are those of the pencil at unit-norm vectors, and
-    each must meet RESIDUAL_RTOL * (|H|_1 + |lambda| |M|_1).
+    The start block holds the k lowest separable eigenstates and two seeded
+    random guard columns (see _start_block).  Eigenvectors are returned as
+    Euclidean-orthonormal Slater coefficients over orthonormal orbitals;
+    residuals are those of the pencil at unit-norm vectors, and each must
+    meet RESIDUAL_RTOL * (|H|_1 + |lambda| |M|_1).
     """
     if not 1 <= k <= H.dim:
         raise ValueError(f"k must lie in [1, {H.dim}], got {k}")
@@ -153,15 +181,15 @@ def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
         return RESIDUAL_RTOL * (a_norm + np.abs(lam) * m_norm)
 
     precond = _separable_inverse(H) if H.modes is not None else (lambda R: R)
-    X0 = np.random.default_rng(LOBPCG_SEED).standard_normal((H.dim, min(k + 2, H.dim)))
-    lam, X, res, iterations = _lobpcg(A, M, X0, precond, k, bound)
+    lam, X, res, iterations = _lobpcg(A, M, _start_block(H, k), precond, k, bound)
     result = SpectralResult(
         eigenvalues=lam[:k],
         eigenvectors=H.orbital_coefficients(X[:, :k]),
         residuals=res[:k],
         k_requested=k,
+        iterations=iterations,
     )
-    result.check(a_norm, m_norm, iterations)
+    result.check(a_norm, m_norm)
     return result
 
 

@@ -209,24 +209,28 @@ class SimplexSample:
 
     @property
     def interior(self) -> np.ndarray:
-        return np.asarray([t == TAG_INTERIOR for t in self.tags])
+        return np.asarray(self.tags) == TAG_INTERIOR
 
     def __len__(self) -> int:
         return len(self.values)
 
 
 def _tag_points(points: np.ndarray, h: float) -> tuple[str, ...]:
-    tags = []
-    for x in points:
-        dist_out = min(x[0], 1.0 - x[-1])
-        dist_int = np.min(np.diff(x)) / np.sqrt(2.0) if len(x) > 1 else np.inf
-        if dist_out < h:
-            tags.append(TAG_NEAR_OUTER)
-        elif dist_int < h:
-            tags.append(TAG_NEAR_INTERNAL)
-        else:
-            tags.append(TAG_INTERIOR)
-    return tuple(tags)
+    """Tag sorted points by their distance to the outer and internal faces.
+
+    Points within h of x_1 = 0 or x_N = 1 are near the outer boundary; of
+    the rest, those within h of a face x_i = x_(i+1) (distance
+    (x_(i+1) - x_i)/sqrt(2)) are near an internal one.
+    """
+    points = np.asarray(points, dtype=float)
+    dist_out = np.minimum(points[:, 0], 1.0 - points[:, -1])
+    dist_int = np.diff(points, axis=1).min(axis=1, initial=np.inf) / np.sqrt(2.0)
+    tags = np.where(
+        dist_out < h,
+        TAG_NEAR_OUTER,
+        np.where(dist_int < h, TAG_NEAR_INTERNAL, TAG_INTERIOR),
+    )
+    return tuple(tags.tolist())
 
 
 def restrict_to_simplex(psi: WaveVector, orbitals: OrbitalSet) -> SimplexSample:
@@ -235,7 +239,7 @@ def restrict_to_simplex(psi: WaveVector, orbitals: OrbitalSet) -> SimplexSample:
     N = psi.basis.n_particles
     full = nodal_tensor(psi, orbitals)
     n_nodes = grid.n_nodes
-    tuples = np.asarray(list(itertools.combinations(range(n_nodes), N)), dtype=int)
+    tuples = np.argwhere(_sorted_mask(n_nodes, N, strict=True))
     vals = np.sqrt(factorial(N)) * full[tuple(tuples[:, k] for k in range(N))]
     points = tuples * grid.h
     return SimplexSample(

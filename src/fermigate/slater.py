@@ -253,22 +253,6 @@ class TwoBodyTensor:
         return self.pair_matrix is None
 
 
-def _pair_cell_coeffs(nodal: np.ndarray) -> np.ndarray:
-    """Per-cell quadratic coefficients of all orbital pair products.
-
-    Returns (n_orb^2, n_cells, 3): pair (a, b) restricted to a cell equals
-    q0*l0^2 + q1*l0*l1 + q2*l1^2 in the local linear shape functions.
-    """
-    n_nodes, n_orb = nodal.shape
-    u, v = nodal[:-1, :], nodal[1:, :]  # left and right values per cell
-    q = (
-        np.einsum("ca,cb->abc", u, u),
-        np.einsum("ca,cb->abc", u, v) + np.einsum("ca,cb->abc", v, u),
-        np.einsum("ca,cb->abc", v, v),
-    )
-    return np.stack(q, axis=-1).reshape(n_orb * n_orb, n_nodes - 1, 3)
-
-
 def _gauss_cells(grid: GridBasis, order: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points/weights on every cell, mapped to (0,1)."""
     x, w = np.polynomial.legendre.leggauss(order)
@@ -610,16 +594,33 @@ def reduced_density(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
 
 
 def reduced_pair_density(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
-    """Pair density on the node grid, symmetric, trapezoid-exact to N(N-1)."""
-    G = pair_density_matrix(psi)
+    """Pair density on the node grid, symmetric, trapezoid-exact to N(N-1).
+
+    On each pair of cells the state is multilinear in its corner values, so
+    the hat moments of its square need only the products of corner values
+    summed over the other coordinates: sixteen numbers per cell pair, never
+    the n^4 pair-density matrix.  The other coordinates stay in orthonormal
+    orbitals, where summing is integrating.
+    """
+    basis = psi.basis
+    if basis.n_particles < 2:
+        raise ValueError("pair density requires at least two particles")
     grid = orbitals.grid
-    coeffs = _pair_cell_coeffs(orbitals.nodal)  # (n^2, n_cells, 3)
-    # third moments against the hat at each node
-    C3 = np.zeros((grid.n_nodes, coeffs.shape[0]))
-    C3[:-1] += grid.h * (coeffs @ _CUBIC[:3]).T
-    C3[1:] += grid.h * (coeffs @ _CUBIC[2::-1]).T
+    n = grid.n_cells
+    C = wedge_tensor(basis, psi.coefficients)[0]
+    U = orbitals.nodal
+    F = np.einsum("ip,kq,pq...->ik...", U, U, C, optimize=True)
+    # corner (a, e) of cell pair (c, d), the remaining coordinates flattened
+    G = np.stack([F[a : a + n, e : e + n].reshape(n, n, -1) for a in (0, 1) for e in (0, 1)])
+    P = np.einsum("icdr,jcdr->ijcd", G, G).reshape(2, 2, 2, 2, n, n)
+    # W[t, a, b] = int_cell phi_t phi_a phi_b over the cell's two hats
+    W = grid.h * _CUBIC[np.indices((2, 2, 2)).sum(axis=0)]
+    Z = np.einsum("tab,uef,aebfcd->tucd", W, W, P)
+    rho2 = np.zeros((grid.n_nodes, grid.n_nodes))
+    for t, u in itertools.product((0, 1), repeat=2):
+        rho2[t : t + n, u : u + n] += Z[t, u]
     w = _trapezoid_weights(grid)
-    rho2 = (C3 @ G @ C3.T) / np.outer(w, w)
+    rho2 /= np.outer(w, w) * factorial(basis.n_particles - 2)
     return 0.5 * (rho2 + rho2.T)
 
 

@@ -39,24 +39,29 @@ def norm1(X) -> float:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Ascending eigenvalues with M-orthonormal eigenvectors and residuals."""
+    """Ascending eigenvalues with M-orthonormal eigenvectors and residuals.
+
+    iterations counts the iterations of an iterative solver (None for
+    direct ones).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i is the i-th eigenvector
     residuals: np.ndarray
     k_requested: int
+    iterations: int | None = None
 
-    def check(self, A_norm1: float, M_norm1: float, iterations: int | None = None) -> None:
+    def check(self, A_norm1: float, M_norm1: float) -> None:
         """Raise ConvergenceError unless the advertised invariants hold."""
         lam = self.eigenvalues
         if np.any(np.diff(lam) < 0):
-            raise ConvergenceError("eigenvalues not non-decreasing", iterations=iterations)
+            raise ConvergenceError("eigenvalues not non-decreasing", iterations=self.iterations)
         bound = RESIDUAL_RTOL * (A_norm1 + np.abs(lam) * M_norm1)
         if not np.all(self.residuals <= bound):
             worst = float(np.max(self.residuals / bound))
             raise ConvergenceError(
                 f"residual {worst:.3g} times its bound RESIDUAL_RTOL*(|A|_1 + |lambda| |M|_1)",
-                iterations=iterations,
+                iterations=self.iterations,
             )
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fermigate import manybody
-from fermigate.basis import BoundarySpec, Delta
+from fermigate.basis import BoundarySpec, Delta, Sampled, build_grid_basis
 from fermigate.errors import ConvergenceError, ShiftError
 from fermigate.manybody import classify_degeneracy, inverse_iteration_ground, solve_mb_eig
 from fermigate.slater import (
@@ -11,6 +12,7 @@ from fermigate.slater import (
     NoInteraction,
     SampledKernel,
     WaveVector,
+    assemble_manybody_bruteforce,
     build_problem,
     enumerate_slater_basis,
     mode_product,
@@ -24,6 +26,15 @@ PI2 = np.pi**2
 DIRICHLET = BoundarySpec.dirichlet_both()
 PERIODIC = BoundarySpec.quasiperiodic(1.0)
 ANTIPERIODIC = BoundarySpec.quasiperiodic(-1.0)
+EVERY_BOUNDARY = [
+    DIRICHLET,
+    BoundarySpec.dirichlet_left(),
+    BoundarySpec.dirichlet_right(),
+    BoundarySpec.free(),
+    PERIODIC,
+    ANTIPERIODIC,
+    BoundarySpec.line(1.0, 0.5),
+]
 
 
 def norm1(X):
@@ -90,11 +101,15 @@ class TestSolveMbEig:
         prob = build_problem(None, kernel, DIRICHLET, 24, 2)
         with pytest.raises(ConvergenceError, match="bound"):
             solve_mb_eig(prob.operator, 2)
+        # a free pencil starts at its exact eigenvectors and never iterates,
+        # so the scenario needs a kernel for the cap to bite
+        nodes = np.linspace(0.0, 1.0, 11)
+        values = np.exp(-((nodes[:, None] - nodes) ** 2)).tolist()
         s = Scenario(
             name="capped",
-            kind="nondegeneracy",
-            params={"w": {"kind": "none"}, "bc": {"kind": "dirichlet-both"},
-                    "n_particles": 3, "grids": [10, 20]},
+            kind="simplex_positivity",
+            params={"w": {"kind": "sampled-kernel", "values": values},
+                    "bc": {"kind": "dirichlet-both"}, "n_particles": 3, "n_cells": 10},
         )
         clear_cache()
         rep = run_scenario(s)
@@ -108,6 +123,61 @@ class TestSolveMbEig:
             prob = build_problem(None, NoInteraction(), DIRICHLET, n, 2)
             errs.append(abs(solve_mb_eig(prob.operator, 1).eigenvalues[0] - exact))
         assert errs[1] < errs[0]
+
+
+def dense_levels(op, k):
+    return sla.eigh(op.dense(), op.mass().toarray(), eigvals_only=True)[:k]
+
+
+def assert_levels_match(lam, dense):
+    assert np.max(np.abs(lam - dense) / np.maximum(np.abs(dense), 1.0)) <= 1e-10
+
+
+def reflection_symmetric(n_cells):
+    """Potential and kernel invariant under x -> 1 - x (jointly for the kernel)."""
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    v = Sampled(tuple(-30.0 * np.cos(2 * np.pi * x)))
+    W = 100.0 * np.exp(-((x[:, None] - x) ** 2) / 0.02) + 300.0 * np.cos(np.pi * (x[:, None] + x))
+    return v, SampledKernel(tuple(map(tuple, W)))
+
+
+class TestSeparableStart:
+    @pytest.mark.parametrize("bc", EVERY_BOUNDARY, ids=lambda bc: bc.kind)
+    @pytest.mark.parametrize("n_particles, n_cells", [(2, 24), (3, 12)])
+    @pytest.mark.parametrize("w", [NoInteraction(), DeltaContact(5.0)], ids=["free", "contact"])
+    def test_free_and_contact_start_converged(self, bc, n_particles, n_cells, w):
+        prob = build_problem(Delta(0.3, -4.0), w, bc, n_cells, n_particles)
+        assert solve_mb_eig(prob.operator, 4).iterations == 0
+
+    def test_kernel_iterates(self):
+        v, w = reflection_symmetric(12)
+        prob = build_problem(v, w, DIRICHLET, 12, 2)
+        assert solve_mb_eig(prob.operator, 4).iterations > 0
+
+    @pytest.mark.parametrize("n_particles, n_cells", [(2, 12), (3, 10)])
+    def test_symmetric_kernel_reaches_every_sector(self, n_particles, n_cells):
+        # v and w share the reflection, so every iterate stays in the
+        # sectors its start block touches.  At k = 2 the kernel puts both
+        # lowest states in the sector of the separable ground state, where
+        # the wanted columns hold only one; the guard columns supply the other
+        v, w = reflection_symmetric(n_cells)
+        op = build_problem(v, w, DIRICHLET, n_cells, n_particles).operator
+        for k in (1, 2, 7):
+            assert_levels_match(solve_mb_eig(op, k).eigenvalues, dense_levels(op, k))
+
+    def test_operator_without_modes_starts_random(self):
+        oracle = assemble_manybody_bruteforce(None, NoInteraction(), build_grid_basis(7, DIRICHLET))
+        res = solve_mb_eig(oracle, 3)
+        assert res.iterations > 0
+        assert_levels_match(res.eigenvalues, dense_levels(oracle, 3))
+
+    def test_block_edge_splits_a_degenerate_pair(self):
+        op = build_problem(None, NoInteraction(), PERIODIC, 12, 2).operator
+        dense = dense_levels(op, 8)
+        split = [k for k in range(1, 8) if dense[k] - dense[k - 1] <= 1e-8 * dense[k]]
+        assert split
+        for k in split:
+            assert_levels_match(solve_mb_eig(op, k).eigenvalues, dense[:k])
 
 
 class TestClassifyDegeneracy:

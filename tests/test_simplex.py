@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from fermigate.basis import BoundarySpec
 from fermigate.manybody import solve_mb_eig
 from fermigate.simplex import (
+    TAG_INTERIOR,
+    TAG_NEAR_INTERNAL,
+    TAG_NEAR_OUTER,
     Permutation,
     SimplexSample,
+    _tag_points,
     box_norms,
     evaluate_state,
     extend_from_simplex,
@@ -197,6 +201,44 @@ class TestRestrictToSimplex:
                 assert tag == "near-internal-boundary"
             else:
                 assert tag == "interior"
+
+
+def scalar_tag(x, h):
+    dist_out = min(x[0], 1.0 - x[-1])
+    dist_int = np.min(np.diff(x)) / np.sqrt(2.0) if len(x) > 1 else np.inf
+    if dist_out < h:
+        return TAG_NEAR_OUTER
+    if dist_int < h:
+        return TAG_NEAR_INTERNAL
+    return TAG_INTERIOR
+
+
+@st.composite
+def points_near_faces(draw):
+    """Sorted points whose face distances cluster around the threshold h."""
+    n_particles = draw(st.integers(1, 3))
+    h = draw(st.floats(0.01, 0.2))
+    outer = st.one_of(st.just(h), st.floats(0.5 * h, 1.5 * h), st.floats(0.0, 0.5))
+    inner = st.one_of(
+        st.just(h * np.sqrt(2.0)), st.floats(0.5 * h, 2.0 * h), st.just(0.0), st.floats(0.0, 0.3)
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        gaps = [draw(outer)] + [draw(inner) for _ in range(n_particles - 1)]
+        x = np.cumsum(gaps)
+        rows.append(1.0 - x[::-1] if draw(st.booleans()) else x)
+    return np.array(rows), h
+
+
+class TestTags:
+    @settings(max_examples=200, deadline=None)
+    @given(points_near_faces())
+    def test_tags_follow_the_scalar_rule(self, data):
+        points, h = data
+        tags = _tag_points(points, h)
+        assert tags == tuple(scalar_tag(x, h) for x in points)
+        sample = SimplexSample(points=points, values=np.ones(len(points)), tags=tags, spacing=h)
+        assert np.array_equal(sample.interior, [t == TAG_INTERIOR for t in tags])
 
 
 class TestPositivity:

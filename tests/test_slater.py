@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -466,6 +467,17 @@ class TestPencilProperties:
         k = min(4, prob.slater.dim)
         lam = solve_mb_eig(prob.operator, k).eigenvalues
         assert np.max(np.abs(lam - sums[:k]) / np.maximum(np.abs(sums[:k]), 1.0)) <= 1e-8
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_problems(), st.sampled_from([2, 3]), st.integers(1, 6))
+    def test_eigensolve_matches_dense_pencil(self, problem, n_particles, k):
+        # the separable start must not hide any level of the interacting pencil
+        bc, n_cells, v, w = problem
+        op = build_problem(v, w, bc, n_cells, n_particles).operator
+        k = min(k, op.dim)
+        dense = sla.eigh(op.dense(), op.overlap.toarray(), eigvals_only=True)[:k]
+        lam = solve_mb_eig(op, k).eigenvalues
+        assert np.max(np.abs(lam - dense) / np.maximum(np.abs(dense), 1.0)) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(small_problems(), st.floats(-20.0, 20.0), st.sampled_from([2, 3]))
