@@ -14,7 +14,6 @@ from .basis import (
     assemble_potential,
     assemble_stiffness,
     build_grid_basis,
-    estimate_form_bound,
 )
 from .errors import (
     CapExceededError,
@@ -30,7 +29,6 @@ from .simplex import (
     SimplexSample,
     extend_from_simplex,
     locate_cell,
-    nodal_volume_estimate,
     positivity_report,
     restrict_to_simplex,
 )

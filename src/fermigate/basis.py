@@ -29,9 +29,7 @@ __all__ = [
     "assemble_overlap",
     "assemble_stiffness",
     "assemble_potential",
-    "estimate_form_bound",
     "has_positive_pivots",
-    "stiffness_kernel_dim",
 ]
 
 
@@ -103,13 +101,6 @@ class BoundarySpec:
         if self.kind == "line":
             return (self.a, self.b)
         return None
-
-    def admits_constants(self) -> bool:
-        """True when the constant function lies in the boundary subspace."""
-        if self.kind == "free":
-            return True
-        d = self.trace_direction()
-        return d is not None and d[0] == d[1]
 
 
 @dataclass(frozen=True)
@@ -269,12 +260,6 @@ class SymMatrix:
     def dense(self) -> np.ndarray:
         return self.data.toarray()
 
-    def quad(self, x: np.ndarray, y: np.ndarray | None = None) -> float:
-        """Quadratic/bilinear form x' A y."""
-        if y is None:
-            y = x
-        return float(x @ (self.data @ y))
-
     def norm1(self) -> float:
         return float(spla.norm(self.data, 1)) if self.data.nnz else 0.0
 
@@ -389,36 +374,6 @@ def assemble_potential(basis: GridBasis, v: PotentialSpec | None) -> SymMatrix:
     return _project(basis, full)
 
 
-def estimate_form_bound(
-    basis: GridBasis,
-    v: PotentialSpec,
-    epsilon: float,
-    trials: int = 200,
-    seed: int = 0,
-) -> float:
-    """Sampled relative-bound constant for the potential form.
-
-    Returns the smallest C >= 0 such that |v(|psi|^2)| <= epsilon*|psi|_H1^2
-    + C*|psi|_L2^2 holds on `trials` random coefficient vectors.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    K = assemble_stiffness(basis)
-    M = assemble_overlap(basis)
-    P = assemble_potential(basis, v)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        psi = rng.standard_normal(basis.n_dofs)
-        pot = abs(P.quad(psi))
-        h1 = K.quad(psi) + M.quad(psi)
-        l2 = M.quad(psi)
-        best = max(best, (pot - epsilon * h1) / l2)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # structure checks
 
@@ -449,11 +404,3 @@ def has_positive_pivots(mat: SymMatrix) -> bool:
     if not np.array_equal(lu.perm_r, np.arange(mat.dimension)):
         return False
     return bool(np.all(lu.U.diagonal() > 0.0))
-
-
-def stiffness_kernel_dim(K: SymMatrix, rel_threshold: float = 1e-12) -> int:
-    """Count near-zero eigenvalues of K below rel_threshold * ||K||_1."""
-    import scipy.linalg as sla
-
-    w = sla.eigvalsh(K.dense())
-    return int(np.sum(np.abs(w) <= rel_threshold * K.norm1()))

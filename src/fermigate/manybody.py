@@ -44,12 +44,16 @@ from .spectrum import RESIDUAL_RTOL, SpectralResult, norm1
 __all__ = [
     "DegeneracyReport",
     "solve_mb_eig",
+    "two_grid_verdict",
     "classify_degeneracy",
     "inverse_iteration_ground",
 ]
 
 # gaps below this (relative) floor are treated as exactly degenerate
 GAP_FLOOR_RTOL = 1e-9
+# a gap or ordering is established only when it exceeds this multiple of
+# the measured discretization error
+REFINEMENT_MARGIN = 4.0
 
 LOBPCG_MAX_ITER = 500
 # LOBPCG iterates until every wanted residual is this fraction of its
@@ -197,10 +201,8 @@ def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
 class DegeneracyReport:
     """Two-grid evidence for a ground-state degeneracy verdict.
 
-    verdict 'non-degenerate' requires the fine-grid gap to exceed four
-    times the discretization error estimate |lambda1(h) - lambda1(h/2)|;
-    'degenerate' requires the gap to shrink at least by half (or sit at
-    the solver floor on both grids); anything else is 'inconclusive'.
+    The verdict is two_grid_verdict's, with the discretization error
+    estimate |lambda1(h) - lambda1(h/2)|.
     """
 
     grids: tuple[int, int]
@@ -210,6 +212,22 @@ class DegeneracyReport:
     refinement_ratio: float
     discretization_error_estimate: float
     verdict: str
+
+
+def two_grid_verdict(gap_coarse: float, gap_fine: float, error: float, scale: float) -> str:
+    """Verdict on a spectral gap tracked under one refinement step.
+
+    'non-degenerate' when the fine gap exceeds REFINEMENT_MARGIN times the
+    discretization error and the floor GAP_FLOOR_RTOL * max(1, |scale|);
+    'degenerate' when it is at most the floor or half the coarse gap;
+    'inconclusive' otherwise.
+    """
+    floor = GAP_FLOOR_RTOL * max(1.0, abs(scale))
+    if gap_fine > REFINEMENT_MARGIN * error and gap_fine > floor:
+        return "non-degenerate"
+    if gap_fine <= max(floor, 0.5 * gap_coarse):
+        return "degenerate"
+    return "inconclusive"
 
 
 def classify_degeneracy(
@@ -235,13 +253,6 @@ def classify_degeneracy(
     err = abs(lam1[0] - lam1[1])
     floor = GAP_FLOOR_RTOL * max(1.0, abs(lam1[1]))
     ratio = gaps[1] / gaps[0] if gaps[0] > floor else 0.0
-
-    if gaps[1] > 4.0 * err and gaps[1] > floor:
-        verdict = "non-degenerate"
-    elif gaps[1] <= max(floor, 0.5 * gaps[0]):
-        verdict = "degenerate"
-    else:
-        verdict = "inconclusive"
     return DegeneracyReport(
         grids=grids,
         lambda1=(lam1[0], lam1[1]),
@@ -249,7 +260,7 @@ def classify_degeneracy(
         gaps=gaps,
         refinement_ratio=ratio,
         discretization_error_estimate=err,
-        verdict=verdict,
+        verdict=two_grid_verdict(gaps[0], gaps[1], err, lam1[1]),
     )
 
 

@@ -7,13 +7,21 @@ both directions of the correspondence preserve the L2 and H1 norms.  This
 module implements the correspondence on nodal tensor data, point location
 and sampling, exact quadrature over the ordered region, and sign-statistics
 reports used by the positivity checks.
+
+The quadrature integrates a nodal tensor cell by cell over the part of each
+grid cell that lies in the ordered region.  That part is fixed by the cell's
+tie pattern (which corner indices are equal), so every pattern has its own
+P1 element forms on the 2^N corner values: mass, stiffness and potential
+forms built once from closed-form integrals of monomials over ordered
+sub-simplices.  A norm is then one contraction of the gathered corner
+values of all cells of a pattern with that pattern's forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
 import numpy as np
@@ -28,11 +36,9 @@ __all__ = [
     "extend_from_simplex",
     "restrict_full_tensor",
     "restrict_to_simplex",
-    "sample_state",
     "evaluate_state",
     "nodal_tensor",
     "positivity_report",
-    "nodal_volume_estimate",
     "box_norms",
     "simplex_norms",
     "simplex_potential_energy",
@@ -250,24 +256,6 @@ def restrict_to_simplex(psi: WaveVector, orbitals: OrbitalSet) -> SimplexSample:
     )
 
 
-def sample_state(
-    psi: WaveVector,
-    orbitals: OrbitalSet,
-    n_points: int,
-    rng: np.random.Generator,
-) -> SimplexSample:
-    """Monte-Carlo sample of sqrt(N!)*Psi on the ordered region."""
-    N = psi.basis.n_particles
-    pts = np.sort(rng.uniform(0.0, 1.0, size=(n_points, N)), axis=1)
-    vals = np.sqrt(factorial(N)) * evaluate_state(psi, orbitals, pts)
-    return SimplexSample(
-        points=pts,
-        values=vals,
-        tags=_tag_points(pts, orbitals.grid.h),
-        spacing=orbitals.grid.h,
-    )
-
-
 @dataclass(frozen=True)
 class PositivityReport:
     """Sign statistics over interior sample points after sign fixing."""
@@ -307,18 +295,6 @@ def positivity_report(sample: SimplexSample, exclusion_frac: float = 1e-6) -> Po
     )
 
 
-def nodal_volume_estimate(sample: SimplexSample, thresholds) -> np.ndarray:
-    """Fractions of interior points with |value| <= t * max, per threshold t."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(np.diff(thresholds) >= 0):
-        raise ValueError("thresholds must be strictly descending")
-    if len(sample) < 1000:
-        raise ValueError("need at least 1000 sample points")
-    vals = np.abs(sample.values[sample.interior])
-    vmax = vals.max()
-    return np.asarray([float(np.mean(vals <= t * vmax)) for t in thresholds])
-
-
 # ---------------------------------------------------------------------------
 # exact quadrature over the box and the ordered region
 
@@ -345,7 +321,6 @@ def box_norms(full: np.ndarray, h: float) -> tuple[float, float]:
     return l2, h1
 
 
-@lru_cache(maxsize=None)
 def _ordered_weights(pattern: tuple[int, ...], degrees: tuple[int, ...]) -> np.ndarray:
     """Integrals of all monomials up to `degrees` over a tied-cell region.
 
@@ -368,71 +343,62 @@ def _ordered_weights(pattern: tuple[int, ...], degrees: tuple[int, ...]) -> np.n
     return weights
 
 
-def _cell_pattern(corner: tuple[int, ...]) -> tuple[int, ...]:
-    sizes = []
-    run = 1
-    for a, b in zip(corner, corner[1:]):
-        if a == b:
-            run += 1
-        else:
-            sizes.append(run)
-            run = 1
-    sizes.append(run)
-    return tuple(sizes)
-
-
 _CORNER_TO_MONO = np.array([[1.0, -1.0], [0.0, 1.0]])  # rows: (1-s), s
+_CORNER_TO_SLOPE = np.array([[-1.0, 0.0], [1.0, 0.0]])  # rows: (1-s)', s'
 
 
-def _corner_to_poly(corner_vals: np.ndarray) -> np.ndarray:
-    """Multilinear corner data to monomial coefficients, degree <= 1 per axis."""
-    P = corner_vals
-    N = corner_vals.ndim
-    for _ in range(N):
-        P = np.tensordot(P, _CORNER_TO_MONO, axes=([0], [0]))
-    return P
+@lru_cache(maxsize=None)
+def _corner_forms(pattern: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Element forms on the 2^N corner values of a cell with this tie pattern.
+
+    Each form is T W T' with T the corner-hat-to-monomial map and
+    W[a, b] the ordered-region integral of s^(a+b) in cell coordinates.
+    Returns norms[0] (mass), norms[1] (stiffness summed over axes) and
+    potential[k, e], the mass form weighted by the hat of end e on axis k.
+    """
+    N = sum(pattern)
+    mono = np.array(list(itertools.product((0, 1), repeat=N)))
+    degree = mono[:, None, :] + mono[None, :, :]
+    w = _ordered_weights(pattern, (3,) * N)
+
+    def gram(T, shift=0):
+        return T @ w[tuple(np.moveaxis(degree + shift, -1, 0))] @ T.T
+
+    T = reduce(np.kron, [_CORNER_TO_MONO] * N)
+    mass = gram(T)
+    stiff = sum(
+        gram(reduce(np.kron, [_CORNER_TO_SLOPE if j == k else _CORNER_TO_MONO for j in range(N)]))
+        for k in range(N)
+    )
+    # the hat of end e on axis k is C[e, 0] + C[e, 1] * s_k
+    C, unit = _CORNER_TO_MONO, np.eye(N, dtype=int)
+    potential = np.array(
+        [[C[e, 0] * mass + C[e, 1] * gram(T, unit[k]) for e in (0, 1)] for k in range(N)]
+    )
+    norms = np.array([mass, stiff])
+    norms.flags.writeable = potential.flags.writeable = False
+    return norms, potential
 
 
-def _poly_square(P: np.ndarray) -> np.ndarray:
-    """Square a multivariate polynomial given as a dense coefficient array."""
-    N = P.ndim
-    out_shape = tuple(2 * (s - 1) + 1 for s in P.shape)
-    out = np.zeros(out_shape)
-    flat = list(np.ndenumerate(P))
-    for (d1, c1) in flat:
-        if c1 == 0.0:
+def _ordered_cells(full: np.ndarray):
+    """(tie pattern, lower corners, corner values) of the cells meeting the
+    ordered region, one triple per pattern.
+
+    A cell's lower corner is non-decreasing; its pattern lists the run
+    lengths of equal corner indices, the coordinate groups that must also
+    increase inside the cell.
+    """
+    N = full.ndim
+    corners = np.argwhere(_sorted_mask(full.shape[0] - 1, N, strict=False))
+    ties = corners[:, 1:] == corners[:, :-1]
+    offsets = np.array(list(itertools.product((0, 1), repeat=N)))
+    for tie in itertools.product((False, True), repeat=N - 1):
+        cells = corners[np.all(ties == tie, axis=1)]
+        if len(cells) == 0:
             continue
-        for (d2, c2) in flat:
-            if c2 == 0.0:
-                continue
-            out[tuple(a + b for a, b in zip(d1, d2))] += c1 * c2
-    return out
-
-
-def _poly_mul_axis_linear(P: np.ndarray, const: float, lin: float, axis: int) -> np.ndarray:
-    """Multiply by (const + lin * s_axis)."""
-    shape = list(P.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    sl_lo = [slice(None)] * P.ndim
-    sl_lo[axis] = slice(0, P.shape[axis])
-    sl_hi = [slice(None)] * P.ndim
-    sl_hi[axis] = slice(1, P.shape[axis] + 1)
-    out[tuple(sl_lo)] += const * P
-    out[tuple(sl_hi)] += lin * P
-    return out
-
-
-def _iter_ordered_cells(n_cells: int, N: int):
-    return itertools.combinations_with_replacement(range(n_cells), N)
-
-
-def _cell_corner_values(full: np.ndarray, corner: tuple[int, ...]) -> np.ndarray:
-    N = len(corner)
-    sl = tuple(slice(c, c + 2) for c in corner)
-    block = full[sl]
-    assert block.shape == (2,) * N
-    return block
+        breaks = [0] + [k + 1 for k, tied in enumerate(tie) if not tied] + [N]
+        idx = cells[:, None, :] + offsets
+        yield tuple(np.diff(breaks).tolist()), cells, full[tuple(np.moveaxis(idx, -1, 0))]
 
 
 def simplex_norms(full: np.ndarray, h: float) -> tuple[float, float]:
@@ -443,23 +409,12 @@ def simplex_norms(full: np.ndarray, h: float) -> tuple[float, float]:
     """
     full = np.asarray(full, dtype=float)
     N = full.ndim
-    n_cells = full.shape[0] - 1
-    l2 = 0.0
-    h1 = 0.0
-    for corner in _iter_ordered_cells(n_cells, N):
-        pattern = _cell_pattern(corner)
-        vals = _cell_corner_values(full, corner)
-        P = _corner_to_poly(vals)
-        sq = _poly_square(P)
-        w = _ordered_weights(pattern, tuple(s - 1 for s in sq.shape))
-        l2 += h**N * float(np.sum(sq * w))
-        for axis in range(N):
-            D = np.take(P, 1, axis=axis)
-            D = np.expand_dims(D, axis=axis)
-            dsq = _poly_square(D)
-            wd = _ordered_weights(pattern, tuple(s - 1 for s in dsq.shape))
-            h1 += h ** (N - 2) * float(np.sum(dsq * wd))
-    return l2, h1
+    l2 = h1 = 0.0
+    for pattern, _, V in _ordered_cells(full):
+        mass, stiff = np.sum((V @ _corner_forms(pattern)[0]) * V, axis=(1, 2))
+        l2 += mass
+        h1 += stiff
+    return h**N * float(l2), h ** (N - 2) * float(h1)
 
 
 def simplex_potential_energy(full: np.ndarray, h: float, v_nodal: np.ndarray) -> float:
@@ -469,18 +424,9 @@ def simplex_potential_energy(full: np.ndarray, h: float, v_nodal: np.ndarray) ->
     """
     full = np.asarray(full, dtype=float)
     v_nodal = np.asarray(v_nodal, dtype=float)
-    N = full.ndim
-    n_cells = full.shape[0] - 1
     total = 0.0
-    for corner in _iter_ordered_cells(n_cells, N):
-        pattern = _cell_pattern(corner)
-        vals = _cell_corner_values(full, corner)
-        sq = _poly_square(_corner_to_poly(vals))
-        for axis in range(N):
-            vl = v_nodal[corner[axis]]
-            vr = v_nodal[corner[axis] + 1]
-            # v restricted to the cell along this axis: vl + (vr - vl) s
-            term = _poly_mul_axis_linear(sq, vl, vr - vl, axis)
-            w = _ordered_weights(pattern, tuple(s - 1 for s in term.shape))
-            total += h**N * float(np.sum(term * w))
-    return total
+    for pattern, cells, V in _ordered_cells(full):
+        v_ends = v_nodal[cells[:, :, None] + np.arange(2)]  # (cells, axis, end)
+        forms = np.einsum("cke,keab->cab", v_ends, _corner_forms(pattern)[1])
+        total += np.einsum("ca,cab,cb->", V, forms, V)
+    return h**full.ndim * float(total)

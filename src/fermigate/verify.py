@@ -34,7 +34,13 @@ from .basis import (
     _full_overlap,
     _full_stiffness,
 )
-from .manybody import classify_degeneracy, inverse_iteration_ground, solve_mb_eig
+from .manybody import (
+    REFINEMENT_MARGIN,
+    classify_degeneracy,
+    inverse_iteration_ground,
+    solve_mb_eig,
+    two_grid_verdict,
+)
 from .simplex import (
     box_norms,
     evaluate_state,
@@ -55,6 +61,7 @@ from .slater import (
     OrbitalSet,
     SampledKernel,
     WaveVector,
+    _gauss_cells,
     assemble_manybody_bruteforce,
     build_problem,
     reduced_density,
@@ -242,42 +249,36 @@ def _problem_key(v, w, bc, n_cells, n_particles):
     return (v, w, bc, n_cells, n_particles)
 
 
-def cached_problem(v, w, bc, n_cells, n_particles) -> ManyBodyProblem:
-    key = ("problem",) + _problem_key(v, w, bc, n_cells, n_particles)
+def _memo(key, build):
+    """Cached value for key, built outside the lock on a miss."""
     with _cache_lock:
         if key in _cache:
             return _cache[key]
-    prob = build_problem(v, w, bc, n_cells, n_particles)
+    value = build()
     with _cache_lock:
-        _cache.setdefault(key, prob)
-        return _cache[key]
+        return _cache.setdefault(key, value)
+
+
+def cached_problem(v, w, bc, n_cells, n_particles) -> ManyBodyProblem:
+    key = ("problem",) + _problem_key(v, w, bc, n_cells, n_particles)
+    return _memo(key, lambda: build_problem(v, w, bc, n_cells, n_particles))
 
 
 def cached_mb_eig(prob: ManyBodyProblem, k: int) -> SpectralResult:
     meta = prob.operator.metadata
     key = ("mb-eig", _problem_key(meta["v"], meta["w"], meta["bc"], meta["n_cells"], meta["n_particles"]), k)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-    res = solve_mb_eig(prob.operator, k)
-    with _cache_lock:
-        _cache.setdefault(key, res)
-        return _cache[key]
+    return _memo(key, lambda: solve_mb_eig(prob.operator, k))
 
 
 def _sp_solve(v, bc, n_cells, k) -> SpectralResult:
-    key = ("sp-eig", v, bc, n_cells, k)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-    grid = build_grid_basis(n_cells, bc)
-    K = assemble_stiffness(grid)
-    M = assemble_overlap(grid)
-    P = assemble_potential(grid, v)
-    res = solve_sp_eig(K, P, M, min(k, grid.n_dofs))
-    with _cache_lock:
-        _cache.setdefault(key, res)
-        return _cache[key]
+    def build():
+        grid = build_grid_basis(n_cells, bc)
+        K = assemble_stiffness(grid)
+        M = assemble_overlap(grid)
+        P = assemble_potential(grid, v)
+        return solve_sp_eig(K, P, M, min(k, grid.n_dofs))
+
+    return _memo(("sp-eig", v, bc, n_cells, k), build)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +361,7 @@ def _interaction_pairing(A: np.ndarray, B: np.ndarray, w: InteractionSpec, grid:
     if isinstance(w, (NoInteraction, DeltaContact)):
         return 0.0
     if isinstance(w, SampledKernel):
-        gl_x, gl_w = np.polynomial.legendre.leggauss(4)
-        gl_x = (gl_x + 1.0) / 2.0
-        gl_w = gl_w / 2.0
-        pts = (np.arange(grid.n_cells)[:, None] * grid.h + gl_x[None, :] * grid.h).ravel()
-        wts = np.tile(gl_w * grid.h, grid.n_cells)
+        pts, wts = _gauss_cells(grid, 4)
         H = grid.hat_values_at(pts)
         VA = H @ A @ H.T
         VB = H @ B @ H.T
@@ -479,7 +476,7 @@ def monotonicity_suite(
                 "to": hi["bc"],
                 "margin": margin,
                 "error_estimate": est,
-                "strict": margin > 4.0 * est,
+                "strict": margin > REFINEMENT_MARGIN * est,
             }
         )
     return pairs
@@ -522,13 +519,7 @@ def _two_grid_gap_verdicts(v, bc, n_cells: int, n_levels: int):
         gap_c = lam_c[i + 1] - lam_c[i]
         gap_f = lam_f[i + 1] - lam_f[i]
         err = max(abs(lam_c[i] - lam_f[i]), abs(lam_c[i + 1] - lam_f[i + 1]))
-        floor = 1e-9 * max(1.0, abs(lam_f[i + 1]))
-        if gap_f > 4.0 * err and gap_f > floor:
-            verdict = "strict"
-        elif gap_f <= max(floor, 0.5 * gap_c):
-            verdict = "degenerate"
-        else:
-            verdict = "inconclusive"
+        verdict = two_grid_verdict(gap_c, gap_f, err, lam_f[i + 1])
         out.append({"pair": i + 1, "gap": float(gap_f), "error": float(err), "verdict": verdict})
     return out
 
@@ -548,7 +539,7 @@ def _run_sp_gap_law(s: Scenario, seed: int) -> VerificationReport:
                     f"pair{item['pair']}_strict_margin",
                     item["gap"],
                     "gt",
-                    4.0 * item["error"],
+                    REFINEMENT_MARGIN * item["error"],
                     note=item["verdict"],
                 )
             )
@@ -610,7 +601,7 @@ def _run_nondegeneracy(s: Scenario, seed: int) -> VerificationReport:
                 "gap_margin",
                 report.gaps[1],
                 "gt",
-                4.0 * report.discretization_error_estimate,
+                REFINEMENT_MARGIN * report.discretization_error_estimate,
             )
         )
         target = s.params.get("gap_target")
@@ -708,7 +699,7 @@ def _run_monotonicity(s: Scenario, seed: int) -> VerificationReport:
     for idx, pair in enumerate(pairs):
         checks.append(_check(f"margin{idx}_absolute", pair["margin"], "ge", 0.5))
         checks.append(
-            _check(f"margin{idx}_vs_refinement", pair["margin"], "gt", 4.0 * pair["error_estimate"])
+            _check(f"margin{idx}_vs_refinement", pair["margin"], "gt", REFINEMENT_MARGIN * pair["error_estimate"])
         )
     return _finish(s, checks, {"n_cells": n_cells, "pairs": pairs})
 

@@ -5,7 +5,12 @@ import scipy.linalg as sla
 from fermigate import manybody
 from fermigate.basis import BoundarySpec, Delta, Sampled, build_grid_basis
 from fermigate.errors import ConvergenceError, ShiftError
-from fermigate.manybody import classify_degeneracy, inverse_iteration_ground, solve_mb_eig
+from fermigate.manybody import (
+    classify_degeneracy,
+    inverse_iteration_ground,
+    solve_mb_eig,
+    two_grid_verdict,
+)
 from fermigate.slater import (
     DeltaContact,
     ManyBodyOperator,
@@ -212,6 +217,20 @@ class TestClassifyDegeneracy:
     def test_bad_grid_pair_rejected(self):
         with pytest.raises(ValueError, match="2n"):
             classify_degeneracy(None, NoInteraction(), PERIODIC, 2, (12, 20))
+
+    @pytest.mark.parametrize(
+        "gap_coarse,gap_fine,error,scale,verdict",
+        [
+            (1.0, 1.0, 0.2, 10.0, "non-degenerate"),
+            (1.0, 1.0, 0.25, 10.0, "inconclusive"),  # exactly the 4x margin
+            (1.0, 0.5, 0.2, 10.0, "degenerate"),  # halved under refinement
+            (0.0, 1e-9, 0.0, 10.0, "degenerate"),  # below the floor 1e-9 * 10
+            (0.0, 2e-8, 0.0, 10.0, "non-degenerate"),
+            (0.0, 5e-10, 0.0, 0.1, "degenerate"),  # floor scale is at least 1
+        ],
+    )
+    def test_two_grid_rule(self, gap_coarse, gap_fine, error, scale, verdict):
+        assert two_grid_verdict(gap_coarse, gap_fine, error, scale) == verdict
 
 
 class TestInverseIteration:

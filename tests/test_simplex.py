@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigate.basis import BoundarySpec
+from fermigate.basis import BoundarySpec, _full_overlap, _full_sampled
 from fermigate.manybody import solve_mb_eig
 from fermigate.simplex import (
     TAG_INTERIOR,
@@ -20,11 +20,9 @@ from fermigate.simplex import (
     extend_from_simplex,
     locate_cell,
     nodal_tensor,
-    nodal_volume_estimate,
     positivity_report,
     restrict_full_tensor,
     restrict_to_simplex,
-    sample_state,
     simplex_norms,
     simplex_potential_energy,
 )
@@ -157,6 +155,41 @@ class TestExtendRestrict:
             assert abs(l2b - l2s) <= 1e-12 * l2b
             assert abs(h1b - h1s) <= 1e-12 * h1b
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda N: st.tuples(st.just(N), st.integers(1, 12 if N == 2 else 6))
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_transposes_tile_the_box(self, shape, seed):
+        # generic tensors are nonzero on ties, so every tie-pattern form
+        # counts: the ordered-region integrals of all N! coordinate
+        # transposes add up to the box integrals
+        N, n_cells = shape
+        rng = np.random.default_rng(seed)
+        full = rng.standard_normal((n_cells + 1,) * N)
+        v = rng.uniform(0.5, 2.0, n_cells + 1)
+        h = 1.0 / n_cells
+        l2 = h1 = pot = 0.0
+        for perm in itertools.permutations(range(N)):
+            l2s, h1s = simplex_norms(full.transpose(perm), h)
+            l2 += l2s
+            h1 += h1s
+            pot += simplex_potential_energy(full.transpose(perm), h, v)
+        l2b, h1b = box_norms(full, h)
+        Mf = _full_overlap(n_cells, h).toarray()
+        Vf = _full_sampled(v, n_cells, h).toarray()
+        pot_b = 0.0
+        for axis in range(N):
+            T = full
+            for k in range(N):
+                T = np.tensordot(T, Vf if k == axis else Mf, axes=([0], [0]))
+            pot_b += float(np.sum(T * full))
+        assert abs(l2 - l2b) <= 1e-12 * l2b
+        assert abs(h1 - h1b) <= 1e-12 * h1b
+        assert abs(pot - pot_b) <= 1e-12 * pot_b
+
     def test_extension_is_antisymmetric(self):
         rng = np.random.default_rng(2)
         vals = random_simplex_data(9, 3, rng)
@@ -270,48 +303,6 @@ class TestPositivity:
         sample = SimplexSample(points=pts, values=vals, tags=("interior",) * 10, spacing=0.05)
         rep = positivity_report(sample)
         assert rep.sign_consistency == 1.0
-
-
-class TestNodalVolume:
-    def test_ground_state_fractions_decrease(self, ground20):
-        prob, res = ground20
-        psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
-        rng = np.random.default_rng(23)
-        sample = sample_state(psi, prob.orbitals, 5000, rng)
-        fr = nodal_volume_estimate(sample, (1e-1, 1e-2, 1e-3))
-        assert fr[0] > fr[1] > fr[2] >= 0.0
-
-    def test_half_vanishing_state_plateaus(self):
-        rng = np.random.default_rng(3)
-        pts = np.sort(rng.uniform(0, 1, size=(4000, 2)), axis=1)
-        vals = np.where(pts[:, 0] < 0.5, 0.0, 1.0)
-        sample = SimplexSample(
-            points=pts, values=vals, tags=("interior",) * 4000, spacing=0.01
-        )
-        fr = nodal_volume_estimate(sample, (1e-2, 1e-4, 1e-6))
-        zero_frac = np.mean(vals == 0.0)
-        np.testing.assert_allclose(fr, zero_frac, atol=1e-12)
-
-    def test_constant_sample_all_zero_fractions(self):
-        pts = np.sort(np.random.default_rng(0).uniform(0, 1, size=(2000, 2)), axis=1)
-        sample = SimplexSample(
-            points=pts, values=np.ones(2000), tags=("interior",) * 2000, spacing=0.01
-        )
-        fr = nodal_volume_estimate(sample, (1e-2, 1e-4))
-        assert np.all(fr == 0.0)
-
-    def test_requires_enough_points(self):
-        pts = np.zeros((10, 2)) + 0.4
-        sample = SimplexSample(points=pts, values=np.ones(10), tags=("interior",) * 10, spacing=0.1)
-        with pytest.raises(ValueError, match="1000"):
-            nodal_volume_estimate(sample, (1e-2,))
-
-    def test_requires_descending_thresholds(self, ground20):
-        prob, res = ground20
-        psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
-        sample = sample_state(psi, prob.orbitals, 2000, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="descending"):
-            nodal_volume_estimate(sample, (1e-3, 1e-2))
 
 
 class TestEvaluation:
