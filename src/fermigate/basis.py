@@ -102,6 +102,17 @@ class BoundarySpec:
             return (self.a, self.b)
         return None
 
+    def guarantees_simple_ground(self, n_particles: int) -> bool:
+        """Parity rule: the N-particle ground state is simple under local
+        conditions (a = 0 or b = 0 counts as local) and, for a coupling
+        psi(0) = alpha psi(1) (alpha = a / b on a line), when
+        alpha (-1)^(N-1) > 0."""
+        d = self.trace_direction()
+        if d is None or d[0] == 0.0 or d[1] == 0.0:
+            return True
+        alpha_positive = (d[0] > 0.0) == (d[1] > 0.0)
+        return alpha_positive == (n_particles % 2 == 1)  # alpha (-1)^(N-1) > 0
+
 
 @dataclass(frozen=True)
 class Dof:

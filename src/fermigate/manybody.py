@@ -1,11 +1,11 @@
 """Many-body eigensolves, degeneracy classification, inverse iteration.
 
-Every solve works on the nodal pencil (H, M).  The eigensolver is LOBPCG
-(Knyazev, SIAM J. Sci. Comput. 23 (2001)) preconditioned by the exact
-inverse of the pencil's separable part: in the one-particle (A, M)
-eigenbasis the non-interacting pencil is diagonal, so its inverse is a mode
-product, a division and a mode product (fast diagonalization; Lynch, Rice
-& Thomas, Numer. Math. 6 (1964)).  The same eigenbasis gives the start
+Every solve works on the nodal pencil (H, M) and its orbitals, the (A, M)
+modes.  The eigensolver is LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001))
+preconditioned by the exact inverse of the pencil's separable part: in the
+orbital basis the non-interacting pencil is diagonal, so its inverse is a
+mode product, a division and a mode product (fast diagonalization; Lynch,
+Rice & Thomas, Numer. Math. 6 (1964)).  The orbitals also give the start
 block: the lowest separable eigenstates, which are exact for free and
 contact pencils (these return at iteration 0) and close for kernel ones,
 plus two seeded random guard columns that reach every symmetry sector.
@@ -63,14 +63,19 @@ LOBPCG_TARGET = 1e-4
 LOBPCG_SEED = 0
 
 
+def _require_orbitals(op: ManyBodyOperator) -> None:
+    if op.orbitals is None:
+        raise ValueError("the operator carries no orbitals; solve the pencil of build_problem")
+
+
 def _separable_inverse(op: ManyBodyOperator):
     """Exact inverse of N A (x) M^(N-1) - shift M_N on the wedge space.
 
     The shift sits a tenth of the level (at least one unit) below the
     lowest separable level, so the inverse is positive definite.
     """
-    basis, modes = op.basis, op.modes
-    levels = modes.values
+    basis, V = op.basis, op.orbitals.transform
+    levels = op.orbitals.levels
     total = levels
     for _ in range(basis.n_particles - 1):
         total = np.add.outer(total, levels)
@@ -84,8 +89,8 @@ def _separable_inverse(op: ManyBodyOperator):
             inverse[idx[i] == idx[j]] = 0.0
 
     def apply(R: np.ndarray) -> np.ndarray:
-        C = mode_product(wedge_tensor(basis, R), modes.vectors.T) * inverse
-        return wedge_coefficients(basis, mode_product(C, modes.vectors))
+        C = mode_product(wedge_tensor(basis, R), V.T) * inverse
+        return wedge_coefficients(basis, mode_product(C, V))
 
     return apply
 
@@ -94,22 +99,18 @@ def _start_block(op: ManyBodyOperator, k: int) -> np.ndarray:
     """LOBPCG start: the k lowest separable eigenstates and two guard columns.
 
     The separable eigenstates are the antisymmetrized products of the
-    one-particle (A, M) modes, ranked by the sum of their levels with ties
-    in tuple order; the k lowest use only modes below k + N - 1.  The guard
-    columns are seeded random, so sectors of a symmetry shared by v and w
-    that the wanted columns miss stay reachable.  Without modes every
-    column is random.
+    orbitals, ranked by the sum of their levels with ties in tuple order;
+    the k lowest use only orbitals below k + N - 1.  The guard columns are
+    seeded random, so sectors of a symmetry shared by v and w that the
+    wanted columns miss stay reachable.
     """
-    rng = np.random.default_rng(LOBPCG_SEED)
-    if op.modes is None:
-        return rng.standard_normal((op.dim, min(k + 2, op.dim)))
-    N = op.basis.n_particles
+    N, orbitals = op.basis.n_particles, op.orbitals
     products = enumerate_slater_basis(min(op.basis.n_orbitals, k + N - 1), N)
-    levels = op.modes.values[products.array].sum(axis=1)
+    levels = orbitals.levels[products.array].sum(axis=1)
     unit = np.zeros((products.dim, k))
     unit[np.argsort(levels, kind="stable")[:k], np.arange(k)] = 1.0
-    C = mode_product(wedge_tensor(products, unit), op.modes.vectors[:, : products.n_orbitals])
-    guard = rng.standard_normal((op.dim, min(2, op.dim - k)))
+    C = mode_product(wedge_tensor(products, unit), orbitals.transform[:, : products.n_orbitals])
+    guard = np.random.default_rng(LOBPCG_SEED).standard_normal((op.dim, min(2, op.dim - k)))
     return np.hstack([wedge_coefficients(op.basis, C), guard])
 
 
@@ -172,20 +173,21 @@ def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
 
     The start block holds the k lowest separable eigenstates and two seeded
     random guard columns (see _start_block).  Eigenvectors are returned as
-    Euclidean-orthonormal Slater coefficients over orthonormal orbitals;
+    Euclidean-orthonormal Slater coefficients over the operator's orbitals;
     residuals are those of the pencil at unit-norm vectors, and each must
-    meet RESIDUAL_RTOL * (|H|_1 + |lambda| |M|_1).
+    meet RESIDUAL_RTOL * (|H|_1 + |lambda| |M|_1).  Raises ValueError for
+    an operator without orbitals.
     """
+    _require_orbitals(H)
     if not 1 <= k <= H.dim:
         raise ValueError(f"k must lie in [1, {H.dim}], got {k}")
-    A, M = sp.csr_matrix(H.matrix), H.mass()
+    A, M = sp.csr_matrix(H.matrix), sp.csr_matrix(H.overlap)
     a_norm, m_norm = norm1(A), norm1(M)
 
     def bound(lam):
         return RESIDUAL_RTOL * (a_norm + np.abs(lam) * m_norm)
 
-    precond = _separable_inverse(H) if H.modes is not None else (lambda R: R)
-    lam, X, res, iterations = _lobpcg(A, M, _start_block(H, k), precond, k, bound)
+    lam, X, res, iterations = _lobpcg(A, M, _start_block(H, k), _separable_inverse(H), k, bound)
     result = SpectralResult(
         eigenvalues=lam[:k],
         eigenvectors=H.orbital_coefficients(X[:, :k]),
@@ -275,9 +277,10 @@ def inverse_iteration_ground(
     The shift must lie strictly below the lowest eigenvalue.  This is
     detected through a symmetric sparse factorization of H - shift*M without
     pivoting: its pivots are all positive exactly when the shifted pencil is
-    positive definite.
+    positive definite.  Raises ValueError for an operator without orbitals.
     """
-    A, M = sp.csc_matrix(H.matrix), H.mass()
+    _require_orbitals(H)
+    A, M = sp.csc_matrix(H.matrix), sp.csr_matrix(H.overlap)
     try:
         lu = spla.splu(
             (A - shift * M).tocsc(),

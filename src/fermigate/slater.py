@@ -13,11 +13,11 @@ unless a and c are neighbours, so a wedge couples only to wedges of
 neighbouring dofs.  A contact interaction is the null term, because
 antisymmetric P1 functions vanish on the diagonal x = y exactly.
 
-States are reported over the orthonormal orbitals chi = L^{-T} phi
-(M = LL'): a WaveVector holds Slater-determinant coefficients over the same
-index tuples as the wedges, obtained from nodal coefficients by mode
-products with L'.  An independent dense tensor-grid assembly of the N = 2
-pencil serves as an oracle.
+The orbitals are the one-particle modes, the M-orthonormal eigenvectors V
+of (A, M) from one eigensolve per problem.  A WaveVector holds Slater
+coefficients over them, indexed by the same tuples as the wedges and
+obtained from nodal coefficients by mode products with V^{-1} = V' M.  An
+independent dense tensor-grid assembly of the N = 2 pencil is the oracle.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .basis import (
     _symmetrize_exact,
 )
 from .errors import CapExceededError, IndefiniteMatrixError
+from .spectrum import solve_pencil
 
 __all__ = [
     "SlaterBasis",
@@ -53,7 +54,6 @@ __all__ = [
     "SampledKernel",
     "TwoBodyTensor",
     "OrbitalSet",
-    "NodalModes",
     "ManyBodyOperator",
     "WaveVector",
     "ManyBodyProblem",
@@ -109,16 +109,14 @@ class SlaterBasis:
         return {t: i for i, t in enumerate(self.tuples)}
 
 
-def enumerate_slater_basis(
-    n_orbitals: int, n_particles: int, cap: int = DETERMINANT_CAP
-) -> SlaterBasis:
+def enumerate_slater_basis(n_orbitals: int, n_particles: int) -> SlaterBasis:
     if not 1 <= n_particles <= n_orbitals:
         raise ValueError(
             f"need 1 <= n_particles <= n_orbitals, got ({n_orbitals}, {n_particles})"
         )
     count = comb(n_orbitals, n_particles)
-    if count > cap:
-        raise CapExceededError(f"{count} determinants exceed cap {cap}")
+    if count > DETERMINANT_CAP:
+        raise CapExceededError(f"{count} determinants exceed cap {DETERMINANT_CAP}")
     tuples = tuple(itertools.combinations(range(n_orbitals), n_particles))
     return SlaterBasis(n_orbitals=n_orbitals, n_particles=n_particles, tuples=tuples)
 
@@ -164,14 +162,18 @@ def mode_product(C: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrbitalSet:
-    """Orthonormal orbitals over a grid basis.
+    """The one-particle modes A v = lambda M v as orthonormal orbitals.
 
-    transform R satisfies R' M R = I; column a of `nodal` holds the values
-    of orbital a at the grid nodes.
+    levels ascend; column a of transform V is the M-orthonormal mode of
+    level a, so V' M V = I; inverse is V^{-1} = V' M, which maps dof
+    coefficients to orbital coefficients; column a of `nodal` holds the
+    values of orbital a at the grid nodes.
     """
 
     grid: GridBasis
+    levels: np.ndarray = field(repr=False)
     transform: np.ndarray = field(repr=False)
+    inverse: np.ndarray = field(repr=False)
     nodal: np.ndarray = field(repr=False)
 
 
@@ -184,10 +186,11 @@ def orthonormalize_orbitals(M: SymMatrix) -> np.ndarray:
     return sla.solve_triangular(L, np.eye(M.dimension), lower=True, trans="T")
 
 
-def make_orbitals(basis: GridBasis, M: SymMatrix) -> OrbitalSet:
-    R = orthonormalize_orbitals(M)
-    nodal = basis.extension.T @ R
-    return OrbitalSet(grid=basis, transform=R, nodal=np.asarray(nodal))
+def make_orbitals(grid: GridBasis, A: SymMatrix, M: SymMatrix) -> OrbitalSet:
+    """All modes of the pencil (A, M) from one eigensolve."""
+    res = solve_pencil(A, M, grid.n_dofs)
+    V, nodal = res.eigenvectors, np.asarray(grid.extension.T @ res.eigenvectors)
+    return OrbitalSet(grid, res.eigenvalues, V, inverse=(M.data @ V).T, nodal=nodal)
 
 
 def transform_one_body(A: SymMatrix, R: np.ndarray) -> SymMatrix:
@@ -295,33 +298,18 @@ def transform_two_body(w: InteractionSpec, basis: GridBasis, M: SymMatrix) -> Tw
 
 
 @dataclass(frozen=True)
-class NodalModes:
-    """One-particle data of a nodal pencil.
-
-    values and vectors are the generalized eigenpairs of (A, M), the vectors
-    M-orthonormal; to_orbitals is L' for M = LL', the map from dof
-    coefficients to orthonormal-orbital coefficients.
-    """
-
-    values: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
-    to_orbitals: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class ManyBodyOperator:
     """Symmetric pencil (H, M) over the wedges of a Slater basis.
 
-    overlap None means M = I.  modes, present on assembled nodal pencils,
-    carries the one-particle data that preconditions the eigensolve and
-    maps its eigenvectors to orbital Slater coefficients.
+    orbitals, which build_problem attaches, precondition the eigensolve and
+    map its eigenvectors to orbital Slater coefficients.  Only the oracle's
+    operator has none; it is compared, never solved.
     """
 
     matrix: object = field(repr=False)  # dense ndarray or scipy CSR
     basis: SlaterBasis
-    metadata: dict = field(default_factory=dict, compare=False)
-    overlap: object = field(default=None, repr=False, compare=False)
-    modes: NodalModes | None = field(default=None, repr=False, compare=False)
+    overlap: object = field(repr=False, compare=False)
+    orbitals: OrbitalSet | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -330,20 +318,12 @@ class ManyBodyOperator:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray() if sp.issparse(self.matrix) else self.matrix
 
-    def mass(self) -> sp.csr_matrix:
-        """M as a sparse matrix (the identity when overlap is None)."""
-        if self.overlap is None:
-            return sp.identity(self.dim, format="csr")
-        return sp.csr_matrix(self.overlap)
-
     def orbital_coefficients(self, X: np.ndarray) -> np.ndarray:
         """Orbital Slater coefficients of the pencil's coefficient columns X.
 
         M-orthonormal columns map to Euclidean-orthonormal ones.
         """
-        if self.modes is None:
-            return X
-        C = mode_product(wedge_tensor(self.basis, X), self.modes.to_orbitals)
+        C = mode_product(wedge_tensor(self.basis, X), self.orbitals.inverse)
         return wedge_coefficients(self.basis, C)
 
 
@@ -385,7 +365,7 @@ def assemble_manybody(
     if has_two and two_body.n_orbitals != n:
         raise ValueError("two-body tensor orbital count mismatch")
 
-    Ad, Md = A.dense(), M.dense()
+    Ad = A.dense()
     # slot s of dof a is the s-th nonzero of row a of M (its s-th neighbour)
     csr = M.data
     deg = np.diff(csr.indptr)
@@ -433,10 +413,8 @@ def assemble_manybody(
         mat = sp.csr_matrix((sign * vals[valid], (rows, cols)), shape=(D, D))
         return _symmetrize_exact(mat)
 
-    values, vectors = sla.eigh(Ad, Md)
-    modes = NodalModes(values=values, vectors=vectors, to_orbitals=sla.cholesky(Md))
     return ManyBodyOperator(
-        matrix=pencil_matrix(hval), basis=basis, overlap=pencil_matrix(mass_except()), modes=modes
+        matrix=pencil_matrix(hval), basis=basis, overlap=pencil_matrix(mass_except())
     )
 
 
@@ -536,8 +514,7 @@ def assemble_manybody_bruteforce(
                 val += kernel_term(CI, CJ, np.asarray(w.values))
             H[i, j] = val
             H[j, i] = val
-    meta = {"v": v, "w": w, "bc": basis.bc, "n_cells": basis.n_cells, "n_particles": 2}
-    return ManyBodyOperator(matrix=H, basis=slater, metadata=meta, overlap=G)
+    return ManyBodyOperator(matrix=H, basis=slater, overlap=G)
 
 
 # ---------------------------------------------------------------------------
@@ -655,19 +632,17 @@ def build_problem(
     bc: BoundarySpec,
     n_cells: int,
     n_particles: int,
-    det_cap: int = DETERMINANT_CAP,
 ) -> ManyBodyProblem:
     """Assemble the full pipeline from problem data to the nodal pencil."""
     grid = build_grid_basis(n_cells, bc)
+    slater = enumerate_slater_basis(grid.n_dofs, n_particles)  # over-cap fails before any solve
     M = assemble_overlap(grid)
     K = assemble_stiffness(grid)
     P = assemble_potential(grid, v)
-    orbitals = make_orbitals(grid, M)
     A = SymMatrix.from_sparse(K.data + P.data)
+    orbitals = make_orbitals(grid, A, M)
     two_body = transform_two_body(w, grid, M)
-    slater = enumerate_slater_basis(grid.n_dofs, n_particles, cap=det_cap)
-    meta = {"v": v, "w": w, "bc": bc, "n_cells": n_cells, "n_particles": n_particles}
-    op = dataclasses.replace(assemble_manybody(A, M, two_body, slater), metadata=meta)
+    op = dataclasses.replace(assemble_manybody(A, M, two_body, slater), orbitals=orbitals)
     return ManyBodyProblem(
         grid=grid,
         overlap=M,

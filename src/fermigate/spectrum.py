@@ -2,7 +2,8 @@
 
 Solves (K + P) x = lambda M x for the lowest eigenpairs with M-orthonormal
 eigenvectors.  Dense symmetric-definite reduction is used up to a dimension
-cap; above it, shift-invert Lanczos with a deterministic start vector.
+cap and for whole spectra; otherwise shift-invert Lanczos with a
+deterministic start vector.
 """
 
 from __future__ import annotations
@@ -80,12 +81,11 @@ def solve_pencil(A: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
     if not has_positive_pivots(M):
         raise IndefiniteMatrixError("overlap matrix is not positive definite")
 
-    if dim <= DENSE_DIM_CAP:
-        Ad, Md = A.dense(), M.dense()
-        if k < dim:
-            lam, X = sla.eigh(Ad, Md, subset_by_index=[0, k - 1], driver="gvx")
-        else:
-            lam, X = sla.eigh(Ad, Md, driver="gvd")
+    # ARPACK cannot return k >= dim - 1 pairs
+    if dim <= DENSE_DIM_CAP or k >= dim - 1:
+        subset = None if k == dim else [0, k - 1]
+        driver = "gvd" if subset is None else "gvx"
+        lam, X = sla.eigh(A.dense(), M.dense(), subset_by_index=subset, driver=driver)
     else:
         # shift below the spectrum via a Gershgorin bound on the pencil
         d = A.data.diagonal() / M.data.diagonal()
@@ -139,11 +139,11 @@ def solve_dense_symmetric(H, k: int) -> SpectralResult:
 class GapReport:
     """Consecutive-gap verdicts against the boundary-condition gap pattern.
 
-    For a one-dimensional coupling with alpha > 0 the odd pairs
-    (lambda_1, lambda_2), (lambda_3, lambda_4), ... must be strict; for
-    alpha < 0 the even pairs must be strict; for separable conditions every
-    consecutive pair must be strict.  Pairs not required strict may be
-    degenerate within tolerance.
+    Pair m, (lambda_m, lambda_(m+1)), must be strict exactly when the
+    parity rule guarantees a simple m-particle ground state: the odd pairs
+    for a coupling alpha > 0, the even pairs for alpha < 0, every pair for
+    local conditions.  Pairs not required strict may be degenerate within
+    tolerance.
     """
 
     gaps: tuple[float, ...]
@@ -156,26 +156,13 @@ class GapReport:
         return "violation" not in self.verdicts
 
 
-def _required_strict_pattern(bc: BoundarySpec, n_pairs: int) -> list[bool]:
-    d = bc.trace_direction()
-    if d is not None:
-        alpha = np.inf if d[1] == 0.0 else d[0] / d[1]
-        if alpha > 0 and np.isfinite(alpha):
-            return [(i % 2 == 1) for i in range(1, n_pairs + 1)]
-        if alpha < 0:
-            return [(i % 2 == 0) for i in range(1, n_pairs + 1)]
-        # alpha in {0, inf}: separable (one endpoint pinned to zero)
-        return [True] * n_pairs
-    return [True] * n_pairs
-
-
 def gap_report(result: SpectralResult, bc: BoundarySpec, deg_tol: float = 1e-6) -> GapReport:
     """Classify consecutive eigenvalue gaps as strict/degenerate/violation."""
     lam = result.eigenvalues
     if lam.size < 2:
         raise ValueError("need at least two eigenvalues")
     n_pairs = lam.size - 1
-    required = _required_strict_pattern(bc, n_pairs)
+    required = [bc.guarantees_simple_ground(m) for m in range(1, n_pairs + 1)]
     gaps, verdicts = [], []
     for i in range(n_pairs):
         gap = float(lam[i + 1] - lam[i])

@@ -58,14 +58,16 @@ from .slater import (
     InteractionSpec,
     ManyBodyProblem,
     NoInteraction,
-    OrbitalSet,
     SampledKernel,
     WaveVector,
     _gauss_cells,
+    _trapezoid_weights,
     assemble_manybody_bruteforce,
     build_problem,
+    mode_product,
     reduced_density,
     reduced_pair_density,
+    wedge_tensor,
 )
 from .spectrum import SpectralResult, solve_sp_eig
 
@@ -228,8 +230,8 @@ def dict_to_bc(d: dict) -> BoundarySpec:
 
 
 def parity_holds(alpha: float, n_particles: int) -> bool:
-    """Non-degeneracy condition for the one-dimensional coupling constant."""
-    return alpha * (-1.0) ** (n_particles - 1) > 0.0
+    """Non-degeneracy condition for the coupling psi(0) = alpha psi(1)."""
+    return BoundarySpec.quasiperiodic(alpha).guarantees_simple_ground(n_particles)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +248,9 @@ def clear_cache() -> None:
 
 
 def _problem_key(v, w, bc, n_cells, n_particles):
+    # spinless fermions do not see a contact term: its pencil is the free one
+    if isinstance(w, DeltaContact):
+        w = NoInteraction()
     return (v, w, bc, n_cells, n_particles)
 
 
@@ -265,8 +270,8 @@ def cached_problem(v, w, bc, n_cells, n_particles) -> ManyBodyProblem:
 
 
 def cached_mb_eig(prob: ManyBodyProblem, k: int) -> SpectralResult:
-    meta = prob.operator.metadata
-    key = ("mb-eig", _problem_key(meta["v"], meta["w"], meta["bc"], meta["n_cells"], meta["n_particles"]), k)
+    ident = (prob.v, prob.w, prob.grid.bc, prob.grid.n_cells, prob.n_particles)
+    key = ("mb-eig", _problem_key(*ident), k)
     return _memo(key, lambda: solve_mb_eig(prob.operator, k))
 
 
@@ -430,12 +435,9 @@ def slater_sum_oracle(
     n_cells: int,
 ) -> tuple[float, dict]:
     """Max relative deviation of the lowest non-interacting levels from
-    sorted sums of single-particle eigenvalues (same discrete matrices)."""
+    sorted sums of the problem's orbital (single-particle) levels."""
     prob = cached_problem(v, NoInteraction(), bc, n_cells, n_particles)
-    sp_res = _sp_solve(v, bc, n_cells, prob.grid.n_dofs)
-    sums = sorted(
-        sum(c) for c in itertools.combinations(sp_res.eigenvalues, n_particles)
-    )[:k]
+    sums = sorted(sum(c) for c in itertools.combinations(prob.orbitals.levels, n_particles))[:k]
     mb_res = cached_mb_eig(prob, k)
     sums = np.asarray(sums)
     dev = np.max(np.abs(mb_res.eigenvalues - sums) / np.maximum(np.abs(sums), 1.0))
@@ -529,11 +531,11 @@ def _run_sp_gap_law(s: Scenario, seed: int) -> VerificationReport:
     v = dict_to_potential(s.params.get("v"))
     n_cells = int(s.params.get("n_cells", 200))
     k_pairs = int(s.params.get("k_pairs", 3))
-    verdicts = _two_grid_gap_verdicts(v, BoundarySpec.quasiperiodic(alpha), n_cells, 2 * k_pairs + 1)
-    required = [2 * k - 1 for k in range(1, k_pairs + 1)] if alpha > 0 else [2 * k for k in range(1, k_pairs + 1)]
+    bc = BoundarySpec.quasiperiodic(alpha)
+    verdicts = _two_grid_gap_verdicts(v, bc, n_cells, 2 * k_pairs + 1)
     checks = []
     for item in verdicts:
-        if item["pair"] in required:
+        if bc.guarantees_simple_ground(item["pair"]):
             checks.append(
                 _check(
                     f"pair{item['pair']}_strict_margin",
@@ -824,8 +826,7 @@ def _run_structural(s: Scenario, seed: int) -> VerificationReport:
     res = cached_mb_eig(prob, 1)
     psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
     rho = reduced_density(psi, prob.orbitals)
-    wts = np.full(prob.grid.n_nodes, prob.grid.h)
-    wts[0] = wts[-1] = prob.grid.h / 2
+    wts = _trapezoid_weights(prob.grid)
     checks.append(_check("density_normalization", abs(float(wts @ rho) - 2.0), "le", 1e-10))
     rho2 = reduced_pair_density(psi, prob.orbitals)
     total2 = float(wts @ rho2 @ wts)
@@ -842,11 +843,11 @@ def _run_structural(s: Scenario, seed: int) -> VerificationReport:
     vband = np.sin(2 * pi * np.linspace(0.0, 1.0, 13)) + 1.5
     prob_v = build_problem(Sampled(tuple(vband)), NoInteraction(), BoundarySpec.dirichlet_both(), 12, 2)
     op, grid = prob_v.operator, prob_v.grid
-    hats = OrbitalSet(grid=grid, transform=np.eye(grid.n_dofs), nodal=grid.extension.T.toarray())
+    hats = grid.extension.T.toarray()  # nodal values of the dof hats
     worst_pb = 0.0
     for _ in range(int(s.params.get("pullback_trials", 20))):
         x = rng.standard_normal(op.dim)
-        full = nodal_tensor(WaveVector(x, op.basis, normalized=False), hats)
+        full = mode_product(wedge_tensor(op.basis, x), hats)[0]
         l2s, h1s = simplex_norms(full, grid.h)
         lhs = (h1s + simplex_potential_energy(full, grid.h, vband)) / l2s
         rhs = float(x @ (op.matrix @ x)) / float(x @ (op.overlap @ x))
@@ -920,11 +921,7 @@ def make_scenario(name: str, overrides: dict | None = None) -> Scenario:
     For the non-local non-degeneracy family the expected flag is recomputed
     from the parity of the overridden coupling and particle count.
     """
-    base = None
-    for s in default_manifest():
-        if s.name == name:
-            base = s
-            break
+    base = next((s for s in default_manifest() if s.name == name), None)
     if base is None:
         raise ValueError(f"unknown scenario {name!r}")
     if not overrides:
@@ -933,9 +930,8 @@ def make_scenario(name: str, overrides: dict | None = None) -> Scenario:
     params.update(overrides)
     expected = base.expected
     if base.kind == "nondegeneracy" and params.get("bc", {}).get("kind") == "quasiperiodic":
-        alpha = float(params["bc"]["alpha"])
-        n_particles = int(params["n_particles"])
-        expected = "pass" if parity_holds(alpha, n_particles) else "negative-control"
+        simple = dict_to_bc(params["bc"]).guarantees_simple_ground(int(params["n_particles"]))
+        expected = "pass" if simple else "negative-control"
     return Scenario(name=base.name, kind=base.kind, params=params, expected=expected)
 
 

@@ -13,7 +13,6 @@ from fermigate.manybody import (
 )
 from fermigate.slater import (
     DeltaContact,
-    ManyBodyOperator,
     NoInteraction,
     SampledKernel,
     WaveVector,
@@ -131,7 +130,7 @@ class TestSolveMbEig:
 
 
 def dense_levels(op, k):
-    return sla.eigh(op.dense(), op.mass().toarray(), eigvals_only=True)[:k]
+    return sla.eigh(op.dense(), op.overlap.toarray(), eigvals_only=True)[:k]
 
 
 def assert_levels_match(lam, dense):
@@ -170,11 +169,13 @@ class TestSeparableStart:
         for k in (1, 2, 7):
             assert_levels_match(solve_mb_eig(op, k).eigenvalues, dense_levels(op, k))
 
-    def test_operator_without_modes_starts_random(self):
+    def test_operator_without_orbitals_rejected(self):
+        # only the oracle's operator has no orbitals; it is compared, never solved
         oracle = assemble_manybody_bruteforce(None, NoInteraction(), build_grid_basis(7, DIRICHLET))
-        res = solve_mb_eig(oracle, 3)
-        assert res.iterations > 0
-        assert_levels_match(res.eigenvalues, dense_levels(oracle, 3))
+        with pytest.raises(ValueError, match="orbitals"):
+            solve_mb_eig(oracle, 3)
+        with pytest.raises(ValueError, match="orbitals"):
+            inverse_iteration_ground(oracle, 0.0)
 
     def test_block_edge_splits_a_degenerate_pair(self):
         op = build_problem(None, NoInteraction(), PERIODIC, 12, 2).operator
@@ -233,9 +234,22 @@ class TestClassifyDegeneracy:
         assert two_grid_verdict(gap_coarse, gap_fine, error, scale) == verdict
 
 
+class TestOrbitalBasis:
+    @pytest.mark.parametrize("n_particles", [2, 3])
+    def test_free_ground_state_is_one_determinant(self, n_particles):
+        # the orbitals are the one-particle modes, so a free non-degenerate
+        # ground state is the determinant of the lowest N of them
+        prob = build_problem(Delta(0.3, -4.0), NoInteraction(), DIRICHLET, 16, n_particles)
+        c = solve_mb_eig(prob.operator, 1).eigenvectors[:, 0]
+        lowest = prob.slater.index()[tuple(range(n_particles))]
+        assert abs(c[lowest]) == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(np.delete(c, lowest))) <= 1e-10
+
+
 class TestInverseIteration:
-    def test_diagonal_converges_to_first_axis(self):
-        H = ManyBodyOperator(np.diag([1.0, 2.0, 3.0]), enumerate_slater_basis(3, 1))
+    def test_one_particle_converges_to_lowest_orbital(self):
+        # orbitals are the one-particle modes, so the ground state is the first
+        H = build_problem(Delta(0.3, -4.0), NoInteraction(), DIRICHLET, 8, 1).operator
         psi = inverse_iteration_ground(H, 0.0)
         assert abs(psi.coefficients[0]) == pytest.approx(1.0, abs=1e-8)
 
@@ -265,7 +279,7 @@ class TestInverseIteration:
     def test_reports_iteration_count_on_stagnation(self):
         from fermigate.errors import ConvergenceError
 
-        H = ManyBodyOperator(np.diag([1.0, 2.0]), enumerate_slater_basis(2, 1))
+        H = build_problem(None, NoInteraction(), DIRICHLET, 8, 1).operator
         with pytest.raises(ConvergenceError) as err:
             inverse_iteration_ground(H, 0.0, tol=1e-16, max_iter=5)
         assert err.value.iterations == 5

@@ -340,16 +340,16 @@ class TestPullback:
         # the pencil's Rayleigh quotient equals the ordered-region form of
         # the restriction, including a sampled multiplicative potential
         from fermigate.basis import Sampled
-        from fermigate.slater import OrbitalSet
+        from fermigate.slater import mode_product, wedge_tensor
 
         vband = np.cos(np.pi * np.linspace(0.0, 1.0, 11)) + 2.0
         prob = build_problem(Sampled(tuple(vband)), NoInteraction(), DIRICHLET, 10, 2)
         op, grid = prob.operator, prob.grid
-        hats = OrbitalSet(grid=grid, transform=np.eye(grid.n_dofs), nodal=grid.extension.T.toarray())
+        hats = grid.extension.T.toarray()  # nodal values of the dof hats
         rng = np.random.default_rng(37)
         for _ in range(20):
             x = rng.standard_normal(op.dim)
-            full = nodal_tensor(WaveVector(x, op.basis, normalized=False), hats)
+            full = mode_product(wedge_tensor(op.basis, x), hats)[0]
             l2s, h1s = simplex_norms(full, grid.h)
             pot = simplex_potential_energy(full, grid.h, vband)
             lhs = (h1s + pot) / l2s

@@ -82,7 +82,40 @@ class TestEnumerate:
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            enumerate_slater_basis(60, 8, cap=100_000)
+            enumerate_slater_basis(60, 8)
+
+    def test_cap_enforced_before_any_solve(self, monkeypatch):
+        from fermigate import slater
+
+        def no_solve(*args):
+            raise AssertionError("solved before the cap check")
+
+        monkeypatch.setattr(slater, "solve_pencil", no_solve)
+        with pytest.raises(CapExceededError):
+            build_problem(None, NoInteraction(), DIRICHLET, 60, 8)
+
+
+class TestOrbitals:
+    @pytest.mark.parametrize("bc", [DIRICHLET, BoundarySpec.free(), BoundarySpec.quasiperiodic(-0.5)], ids=str)
+    def test_orbitals_are_the_one_particle_modes(self, monkeypatch, bc):
+        from fermigate import slater
+
+        calls = []
+        solve = slater.solve_pencil
+        monkeypatch.setattr(
+            slater, "solve_pencil", lambda *args: calls.append(args) or solve(*args)
+        )
+        prob = build_problem(Delta(0.3, -4.0), cos_kernel(build_grid_basis(9, bc)), bc, 9, 2)
+        assert len(calls) == 1
+        orb = prob.orbitals
+        assert prob.operator.orbitals is orb
+        V, A, M = orb.transform, prob.one_body.dense(), prob.overlap.dense()
+        scale = np.abs(A).sum(axis=0).max()
+        assert np.max(np.abs(A @ V - M @ V * orb.levels)) <= 1e-12 * scale
+        assert np.max(np.abs(V.T @ M @ V - np.eye(len(V)))) <= 1e-12
+        assert np.max(np.abs(orb.inverse @ V - np.eye(len(V)))) <= 1e-12
+        assert np.all(np.diff(orb.levels) >= 0)
+        np.testing.assert_allclose(orb.nodal, prob.grid.extension.T @ V, atol=1e-15)
 
 
 class TestOrthonormalize:

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
+from fermigate import spectrum
 from fermigate.basis import (
     BoundarySpec,
     Delta,
@@ -13,7 +14,7 @@ from fermigate.basis import (
     build_grid_basis,
 )
 from fermigate.errors import IndefiniteMatrixError
-from fermigate.spectrum import gap_report, solve_sp_eig
+from fermigate.spectrum import gap_report, solve_pencil, solve_sp_eig
 
 PI2 = np.pi**2
 
@@ -142,6 +143,47 @@ class TestSolveSpEig:
         _, K, P, M = free_problem(8, BoundarySpec.dirichlet_both())
         res = solve_sp_eig(K, P, M, 7)
         assert res.eigenvalues.size == 7
+
+    @pytest.mark.parametrize("k", [11, 12])
+    def test_whole_spectrum_above_dense_cap(self, monkeypatch, k):
+        # ARPACK cannot return k >= dim - 1 pairs; the dense branch does
+        monkeypatch.setattr(spectrum, "DENSE_DIM_CAP", 4)
+        _, K, _, M = free_problem(13, BoundarySpec.dirichlet_both())
+        res = solve_pencil(K, M, k)
+        exact = solve_pencil(K, M, 12).eigenvalues[:k]
+        assert res.eigenvalues.size == k
+        np.testing.assert_allclose(res.eigenvalues, exact, rtol=1e-12)
+
+
+# the strict-pair patterns gap_report used before the rule lived on
+# BoundarySpec: odd pairs for alpha > 0, even pairs for alpha < 0, every pair
+# for local conditions (alpha = a / b on a line, a = 0 or b = 0 local)
+ALL, ODD, EVEN = [True] * 8, [m % 2 == 1 for m in range(1, 9)], [m % 2 == 0 for m in range(1, 9)]
+PARITY_PATTERNS = [
+    (BoundarySpec.dirichlet_both(), ALL),
+    (BoundarySpec.dirichlet_left(), ALL),
+    (BoundarySpec.dirichlet_right(), ALL),
+    (BoundarySpec.free(), ALL),
+    (BoundarySpec.quasiperiodic(1.0), ODD),
+    (BoundarySpec.quasiperiodic(2.5), ODD),
+    (BoundarySpec.quasiperiodic(-1.0), EVEN),
+    (BoundarySpec.quasiperiodic(-0.5), EVEN),
+    (BoundarySpec.line(1.0, 0.5), ODD),
+    (BoundarySpec.line(-1.0, -0.5), ODD),
+    (BoundarySpec.line(-1.0, 0.5), EVEN),
+    (BoundarySpec.line(1.0, -2.0), EVEN),
+    (BoundarySpec.line(0.0, 1.0), ALL),
+    (BoundarySpec.line(1.0, 0.0), ALL),
+]
+
+
+@pytest.mark.parametrize(
+    "bc, pattern", PARITY_PATTERNS, ids=[f"{bc.kind}{bc.trace_direction() or ''}" for bc, _ in PARITY_PATTERNS]
+)
+def test_parity_rule_gives_the_strict_pair_pattern(bc, pattern):
+    assert [bc.guarantees_simple_ground(m) for m in range(1, 9)] == pattern
+    res = spectrum.SpectralResult(np.arange(9.0), np.eye(9), np.zeros(9), 9)
+    assert list(gap_report(res, bc).required_strict) == pattern
 
 
 class TestGapReport:

@@ -10,6 +10,7 @@ from fermigate.simplex import nodal_tensor
 from fermigate.slater import DeltaContact, NoInteraction, WaveVector, build_problem
 from fermigate.verify import (
     Scenario,
+    cached_problem,
     clear_cache,
     default_manifest,
     make_scenario,
@@ -203,6 +204,14 @@ class TestScenarios:
         assert not parity_holds(1.0, 2)
         assert parity_holds(-1.0, 2)
         assert not parity_holds(-1.0, 3)
+
+    def test_contact_reuses_the_free_problem(self):
+        # the contact pencil is the free one, so one cache entry serves both
+        args = (DIRICHLET, 8, 2)
+        free = cached_problem(Delta(0.5, -10.0), NoInteraction(), *args)
+        assert cached_problem(Delta(0.5, -10.0), DeltaContact(5.0), *args) is free
+        assert cached_problem(Delta(0.5, -10.0), DeltaContact(-1.0), *args) is free
+        assert cached_problem(Delta(0.4, -10.0), DeltaContact(5.0), *args) is not free
 
     def test_manifest_is_well_formed(self):
         scenarios = default_manifest()
