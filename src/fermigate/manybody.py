@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -39,7 +38,7 @@ from .slater import (
     wedge_coefficients,
     wedge_tensor,
 )
-from .spectrum import RESIDUAL_RTOL, SpectralResult, norm1
+from .spectrum import RESIDUAL_RTOL, SpectralResult, _dense_pencil_eigh, norm1
 
 __all__ = [
     "DegeneracyReport",
@@ -132,7 +131,7 @@ def _orthonormalize(Z: np.ndarray, MZ: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _rayleigh_ritz(S, HS, MS, m: int):
     GH, GM = S.T @ HS, S.T @ MS
-    return sla.eigh((GH + GH.T) / 2, (GM + GM.T) / 2, subset_by_index=[0, m - 1])
+    return _dense_pencil_eigh((GH + GH.T) / 2, (GM + GM.T) / 2, m)
 
 
 def _lobpcg(H, M, X, precond, k: int, bound):

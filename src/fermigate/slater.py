@@ -29,7 +29,6 @@ from functools import cached_property
 from math import comb, factorial
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .basis import (
@@ -180,10 +179,10 @@ class OrbitalSet:
 def orthonormalize_orbitals(M: SymMatrix) -> np.ndarray:
     """Triangular transform R with R' M R = identity (deterministic)."""
     try:
-        L = sla.cholesky(M.dense(), lower=True)
+        L = np.linalg.cholesky(M.dense())
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMatrixError("overlap matrix is not positive definite") from exc
-    return sla.solve_triangular(L, np.eye(M.dimension), lower=True, trans="T")
+    return np.linalg.inv(L).T
 
 
 def make_orbitals(grid: GridBasis, A: SymMatrix, M: SymMatrix) -> OrbitalSet:

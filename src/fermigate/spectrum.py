@@ -1,9 +1,13 @@
 """Generalized symmetric eigensolves and spectral gap classification.
 
 Solves (K + P) x = lambda M x for the lowest eigenpairs with M-orthonormal
-eigenvectors.  Dense symmetric-definite reduction is used up to a dimension
-cap and for whole spectra; otherwise shift-invert Lanczos with a
-deterministic start vector.
+eigenvectors.  Up to a dimension cap and for whole spectra the pencil is
+reduced to standard form through the Cholesky factor of M and solved by
+numpy.linalg.eigh; otherwise by shift-invert Lanczos with a deterministic
+start vector.  Every dense factorization and eigensolve goes through
+numpy.linalg, so a solve uses numpy's BLAS alone (scipy bundles a second
+BLAS with its own thread pool, and alternating between the two pools
+stalls both).
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -71,22 +74,45 @@ def _residuals(A, M, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.linalg.norm(R, axis=0)
 
 
+def _dense_pencil_eigh(A, M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of a symmetric-definite pencil with dense M.
+
+    With M = L L', the pencil's eigenvectors are L^-T Y for the eigenvectors
+    Y of the standard problem L^-1 A L^-T; A may be dense or sparse.  The
+    Cholesky factorization is the definiteness check: it raises
+    IndefiniteMatrixError when M is not positive definite.
+    """
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise IndefiniteMatrixError("overlap matrix is not positive definite") from exc
+    Linv = np.linalg.inv(L)
+    del L  # one n^2 factor less while eigh holds its workspace
+    lam, Y = np.linalg.eigh(Linv @ (A @ Linv.T))
+    return lam[:k], Linv.T @ Y[:, :k]
+
+
 def solve_pencil(A: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
-    """Lowest k eigenpairs of the symmetric-definite pencil (A, M)."""
+    """Lowest k eigenpairs of the symmetric-definite pencil (A, M).
+
+    Up to DENSE_DIM_CAP, and whenever k >= dim - 1 (ARPACK cannot return
+    that many pairs), the pencil is solved densely by numpy.linalg, the
+    Cholesky factorization of M serving as its definiteness check; larger
+    problems go to shift-invert ARPACK after a pivot check of M.  Raises
+    IndefiniteMatrixError for an M that is not positive definite and
+    ConvergenceError when a residual misses its bound.
+    """
     dim = A.dimension
     if M.dimension != dim:
         raise ValueError("dimension mismatch between A and M")
     if not 1 <= k <= dim:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
-    if not has_positive_pivots(M):
-        raise IndefiniteMatrixError("overlap matrix is not positive definite")
 
-    # ARPACK cannot return k >= dim - 1 pairs
     if dim <= DENSE_DIM_CAP or k >= dim - 1:
-        subset = None if k == dim else [0, k - 1]
-        driver = "gvd" if subset is None else "gvx"
-        lam, X = sla.eigh(A.dense(), M.dense(), subset_by_index=subset, driver=driver)
+        lam, X = _dense_pencil_eigh(A.data, M.dense(), k)
     else:
+        if not has_positive_pivots(M):
+            raise IndefiniteMatrixError("overlap matrix is not positive definite")
         # shift below the spectrum via a Gershgorin bound on the pencil
         d = A.data.diagonal() / M.data.diagonal()
         sigma = float(np.min(d)) - abs(float(np.min(d))) - 1.0
@@ -118,11 +144,12 @@ def solve_sp_eig(K: SymMatrix, P: SymMatrix, M: SymMatrix, k: int) -> SpectralRe
 
 
 def solve_dense_symmetric(H, k: int) -> SpectralResult:
-    """Lowest k eigenpairs of a small symmetric matrix (M = I), dense LAPACK."""
+    """Lowest k eigenpairs of a small symmetric matrix (M = I), numpy.linalg.eigh."""
     H = H.toarray() if sp.issparse(H) else np.asarray(H)
     if not 1 <= k <= H.shape[0]:
         raise ValueError(f"k must lie in [1, {H.shape[0]}], got {k}")
-    lam, X = sla.eigh(H, subset_by_index=[0, k - 1])
+    lam, X = np.linalg.eigh(H)
+    lam, X = lam[:k], X[:, :k]
     result = SpectralResult(
         eigenvalues=lam, eigenvectors=X, residuals=_residuals(H, np.eye(len(H)), lam, X),
         k_requested=k,

@@ -739,6 +739,9 @@ def _run_neumann_mb(s: Scenario, seed: int) -> VerificationReport:
     lam = float(res.eigenvalues[0])
     psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
     nodal = nodal_tensor(psi, prob.orbitals)
+    # fix phase: positive in the interior of the ordered region x1 < x2
+    if nodal[n_cells // 4, 3 * n_cells // 4] < 0:
+        nodal = -nodal
     grid = prob.grid
     f_nodal = np.sin(pi * grid.nodes)
     weak1 = neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", f_nodal, 1)

@@ -1,0 +1,80 @@
+"""Solves run every dense factorization and eigensolve on numpy.linalg.
+
+numpy and scipy each bundle their own OpenBLAS, and each library keeps its
+own pool of worker threads.  A solve that alternates between numpy's GEMMs
+and scipy's LAPACK hands the cores back and forth between the two pools and
+stalls both, so the solve path uses numpy.linalg alone.  These tests make
+the scipy LAPACK wrappers raise and run whole requests through.
+"""
+
+import types
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from fermigate import manybody, slater, spectrum
+from fermigate.basis import (
+    BoundarySpec,
+    Delta,
+    assemble_overlap,
+    assemble_potential,
+    assemble_stiffness,
+    build_grid_basis,
+)
+from fermigate.manybody import solve_mb_eig
+from fermigate.simplex import restrict_to_simplex
+from fermigate.slater import SampledKernel, WaveVector, build_problem, reduced_density
+from fermigate.spectrum import solve_sp_eig
+
+FORBIDDEN = ("eigh", "cholesky", "solve_triangular", "inv")
+
+
+@pytest.fixture
+def no_scipy_lapack(monkeypatch):
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"scipy.linalg.{name} called in the solve path")
+
+        return call
+
+    for name in FORBIDDEN:
+        monkeypatch.setattr(scipy.linalg, name, refuse(name))
+
+
+def _gaussian_kernel(n_cells: int) -> SampledKernel:
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    return SampledKernel(tuple(map(tuple, 3.0 * np.exp(-np.subtract.outer(x, x) ** 2 / 0.02))))
+
+
+@pytest.mark.parametrize("module", [spectrum, manybody, slater], ids=lambda m: m.__name__)
+def test_solver_modules_bind_nothing_from_scipy_linalg(module):
+    for name, value in vars(module).items():
+        if isinstance(value, types.ModuleType):
+            assert not value.__name__.startswith("scipy.linalg"), name
+        else:
+            assert not str(getattr(value, "__module__", "")).startswith("scipy.linalg"), name
+
+
+@pytest.mark.parametrize(
+    "bc,n_cells,n_particles",
+    [(BoundarySpec.dirichlet_both(), 24, 2), (BoundarySpec.quasiperiodic(1.0), 12, 3)],
+    ids=["n2-dirichlet", "n3-periodic"],
+)
+def test_kernel_request_without_scipy_lapack(no_scipy_lapack, bc, n_cells, n_particles):
+    prob = build_problem(Delta(0.4, -5.0), _gaussian_kernel(n_cells), bc, n_cells, n_particles)
+    res = solve_mb_eig(prob.operator, 4)
+    assert res.iterations > 0  # the kernel interacts, so Rayleigh-Ritz ran repeatedly
+    psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
+    rho = reduced_density(psi, prob.orbitals)
+    assert np.trapezoid(rho, prob.grid.nodes) == pytest.approx(n_particles, rel=1e-10)
+    sample = restrict_to_simplex(psi, prob.orbitals)
+    assert np.all(np.isfinite(sample.values))
+
+
+def test_single_particle_solve_without_scipy_lapack(no_scipy_lapack):
+    basis = build_grid_basis(200, BoundarySpec.dirichlet_both())
+    res = solve_sp_eig(
+        assemble_stiffness(basis), assemble_potential(basis, None), assemble_overlap(basis), 3
+    )
+    assert res.eigenvalues[0] == pytest.approx(np.pi**2, rel=1e-4)

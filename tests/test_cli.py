@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermigate
 from fermigate.cli import (
     RunConfig,
     emit_report,
@@ -296,6 +301,41 @@ class TestMain:
         out = tmp_path / "o.json"
         assert main(["solve-single", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
         assert out.exists()
+
+
+def _verify_in_subprocess(out: Path, blas_threads: int) -> dict:
+    """Run `fermigate verify` on two scenarios with a fixed OpenBLAS thread count.
+
+    OpenBLAS reads its thread count when numpy loads, so each count needs
+    its own process.
+    """
+    src = str(Path(fermigate.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cmd = [sys.executable, "-m", "fermigate.cli", "verify", "--scenario", "slater_sum_dirichlet_n2_free",
+           "--scenario", "nondegeneracy_local", "--out", str(out)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(out.read_text())
+
+
+def test_reports_agree_across_blas_thread_counts(tmp_path):
+    # round-off moves with the thread count, so bytes may differ; verdicts may not
+    one, two = (_verify_in_subprocess(tmp_path / f"r{t}.json", t) for t in (1, 2))
+    assert one["overall"] and one["overall"] == two["overall"]
+    assert [s["name"] for s in one["scenarios"]] == [s["name"] for s in two["scenarios"]]
+    for a, b in zip(one["scenarios"], two["scenarios"]):
+        assert a["overall"] == b["overall"] and a["error"] is None and b["error"] is None
+        assert [(c["name"], c["passed"], c["note"]) for c in a["checks"]] == [
+            (c["name"], c["passed"], c["note"]) for c in b["checks"]
+        ]
+    envs = {s["name"]: (s["environment"], t["environment"])
+            for s, t in zip(one["scenarios"], two["scenarios"])}
+    for name, key in (("slater_sum_dirichlet_n2_free", "many_body"),
+                      ("slater_sum_dirichlet_n2_free", "orbital_sums"),
+                      ("nondegeneracy_local", "lambda1")):
+        a, b = (np.asarray(e[key]) for e in envs[name])
+        np.testing.assert_allclose(b, a, rtol=1e-10, atol=0)
 
 
 class TestNegativeControlAutoSet:

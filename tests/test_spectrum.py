@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from fermigate import spectrum
@@ -241,3 +243,56 @@ class TestGapReport:
         res = solve_sp_eig(K, P, M, 1)
         with pytest.raises(ValueError):
             gap_report(res, BoundarySpec.dirichlet_both())
+
+
+# ---------------------------------------------------------------------------
+# the spectrum does not depend on the dof basis
+
+
+BASIS_BCS = [
+    BoundarySpec.dirichlet_both(),
+    BoundarySpec.dirichlet_left(),
+    BoundarySpec.free(),
+    BoundarySpec.quasiperiodic(1.0),
+    BoundarySpec.quasiperiodic(-1.0),
+]
+
+
+def _well_conditioned(rng, n):
+    """Random T = Q diag(s) with Q orthogonal and s in [1/2, 2]: cond(T) <= 4."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n))
+
+
+def _congruence(X, T) -> SymMatrix:
+    Y = T.T @ (X @ T)
+    return SymMatrix.from_sparse((Y + Y.T) / 2)  # exactly symmetric
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(4, 40),
+    bc=st.sampled_from(BASIS_BCS),
+    well=st.floats(-20.0, 20.0),
+)
+def test_spectrum_invariant_under_change_of_dof_basis(seed, n_cells, bc, well):
+    basis = build_grid_basis(n_cells, bc)
+    A = SymMatrix.from_sparse(
+        assemble_stiffness(basis).data + assemble_potential(basis, Delta(0.37, well)).data
+    )
+    M = assemble_overlap(basis)
+    rng = np.random.default_rng(seed)
+    T = _well_conditioned(rng, basis.n_dofs)
+    k = basis.n_dofs
+    ref = solve_pencil(A, M, k).eigenvalues
+    lam = solve_pencil(_congruence(A.dense(), T), _congruence(M.dense(), T), k).eigenvalues
+    scale = np.maximum(np.abs(ref), 1.0)
+    assert np.all(np.abs(lam - ref) <= 1e-10 * scale)
+
+    # an indefinite overlap is caught by the dense branch's Cholesky factorization
+    signs = np.ones(basis.n_dofs)
+    signs[rng.integers(basis.n_dofs)] = -1.0
+    indefinite = _congruence(np.diag(signs * rng.uniform(0.5, 2.0, basis.n_dofs)), T)
+    with pytest.raises(IndefiniteMatrixError):
+        solve_pencil(A, indefinite, 1)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fermigate import cli
+from fermigate import cli, verify
 from fermigate.basis import BoundarySpec, Delta, build_grid_basis
 from fermigate.manybody import solve_mb_eig
 from fermigate.simplex import nodal_tensor
@@ -196,6 +197,21 @@ class TestNeumannTraceTwoParticles:
         f_ref = np.sin(np.pi * grid.nodes)
         ref, _ = neumann_trace_limit(nodal, grid, "left", f_ref, [4 * h, 2 * h, h])
         assert abs(limit) <= 1e-10 * abs(ref)
+
+    def test_scenario_environment_ignores_eigenvector_sign(self, monkeypatch):
+        s = make_scenario("neumann_trace_mb", {"n_cells": 40})
+        plain = run_scenario(s)
+
+        def negated(prob, k):
+            res = solve_mb_eig(prob.operator, k)
+            return dataclasses.replace(res, eigenvectors=-res.eigenvectors)
+
+        monkeypatch.setattr(verify, "cached_mb_eig", negated)
+        flipped = run_scenario(s)
+        assert plain.error is None and flipped.error is None
+        assert flipped.environment == plain.environment
+        # the state is positive on x1 < x2, so its outward flux is negative
+        assert plain.environment["weak"] < 0
 
 
 class TestScenarios:
