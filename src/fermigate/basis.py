@@ -7,11 +7,17 @@ psi(0) = alpha*psi(1), or a general line span{(a,b)}) are realised exactly
 by a single coupled degree of freedom combining the two endpoint half-hats.
 All element integrals are closed-form, so assembled matrices carry no
 quadrature error.
+
+Every full-grid element matrix is symmetric tridiagonal and is built as its
+main and off diagonal.  Each dof is one node, or the one coupled endpoint
+pair, so a dof matrix is read off those diagonals straight into CSR, with
+no sparse products and no symmetrization step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,13 +193,11 @@ def build_grid_basis(n_cells: int, bc: BoundarySpec) -> GridBasis:
         a, b = bc.trace_direction()
         dofs = interior + [Dof((0, n), (a, b), (a, b))]
 
-    rows, cols, vals = [], [], []
-    for r, dof in enumerate(dofs):
-        for node, coeff in zip(dof.nodes, dof.coeffs):
-            rows.append(r)
-            cols.append(node)
-            vals.append(coeff)
-    ext = sp.csr_matrix((vals, (rows, cols)), shape=(len(dofs), n + 1))
+    # each dof's nodes ascend, so its row of the extension is already sorted
+    indptr = np.cumsum([0] + [len(dof.nodes) for dof in dofs])
+    cols = [node for dof in dofs for node in dof.nodes]
+    vals = [coeff for dof in dofs for coeff in dof.coeffs]
+    ext = sp.csr_matrix((vals, cols, indptr), shape=(len(dofs), n + 1))
     return GridBasis(n_cells=n, h=1.0 / n, bc=bc, dofs=tuple(dofs), extension=ext)
 
 
@@ -256,16 +260,23 @@ class SymMatrix:
 
     @staticmethod
     def from_sparse(mat) -> "SymMatrix":
-        mat = sp.csr_matrix(mat)
+        if not isinstance(mat, sp.csr_matrix):
+            mat = sp.csr_matrix(mat)
         mat.sum_duplicates()
         mat.sort_indices()
         dim = mat.shape[0]
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        if (mat != mat.T).nnz != 0:
+        # the CSC arrays of a matrix are the CSR arrays of its transpose
+        t = mat.tocsc()
+        if not (
+            np.array_equal(t.indptr, mat.indptr)
+            and np.array_equal(t.indices, mat.indices)
+            and np.array_equal(t.data, mat.data)
+        ):
             raise ValueError("matrix must be exactly symmetric")
-        coo = mat.tocoo()
-        bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
+        rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+        bw = int(np.max(np.abs(rows - mat.indices))) if mat.nnz else 0
         return SymMatrix(data=mat, dimension=dim, bandwidth=bw)
 
     def dense(self) -> np.ndarray:
@@ -278,32 +289,33 @@ class SymMatrix:
         return self.data @ other
 
 
-def _symmetrize_exact(mat: sp.spmatrix) -> sp.csr_matrix:
-    """Mirror the upper triangle so (i,j) and (j,i) are bit-for-bit equal."""
-    mat = sp.csr_matrix(mat)
-    upper = sp.triu(mat, k=0)
-    return (upper + sp.triu(mat, k=1).T).tocsr()
-
-
 # ---------------------------------------------------------------------------
 # full-grid (unconstrained hat) element matrices
 
 
-def _full_overlap(n: int, h: float) -> sp.csr_matrix:
+class _Tridiag(NamedTuple):
+    """Symmetric tridiagonal matrix over the n + 1 grid nodes."""
+
+    main: np.ndarray  # (n + 1,)
+    off: np.ndarray  # (n,), both the sub- and the superdiagonal
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.main) + np.diag(self.off, 1) + np.diag(self.off, -1)
+
+
+def _full_overlap(n: int, h: float) -> _Tridiag:
     main = np.full(n + 1, 2.0 * h / 3.0)
     main[0] = main[-1] = h / 3.0
-    off = np.full(n, h / 6.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return _Tridiag(main, np.full(n, h / 6.0))
 
 
-def _full_stiffness(n: int, h: float) -> sp.csr_matrix:
+def _full_stiffness(n: int, h: float) -> _Tridiag:
     main = np.full(n + 1, 2.0 / h)
     main[0] = main[-1] = 1.0 / h
-    off = np.full(n, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return _Tridiag(main, np.full(n, -1.0 / h))
 
 
-def _full_sampled(values: np.ndarray, n: int, h: float) -> sp.csr_matrix:
+def _full_sampled(values: np.ndarray, n: int, h: float) -> _Tridiag:
     """Exact integral of (piecewise-linear v) * phi_i * phi_j.
 
     Per cell with endpoint potential values (vl, vr):
@@ -315,40 +327,89 @@ def _full_sampled(values: np.ndarray, n: int, h: float) -> sp.csr_matrix:
     diag = np.zeros(n + 1)
     diag[:-1] += h * (vl / 4.0 + vr / 12.0)
     diag[1:] += h * (vl / 12.0 + vr / 4.0)
-    off = h * (vl + vr) / 12.0
-    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    return _Tridiag(diag, h * (vl + vr) / 12.0)
 
 
-def _full_delta(x0: float, strength: float, n: int, h: float) -> sp.csr_matrix:
+def _full_delta(x0: float, strength: float, n: int, h: float) -> _Tridiag:
     c = x0 / h
     k = min(int(np.floor(c)), n - 1)
     t = c - k
-    vals = np.zeros(n + 1)
-    vals[k] = 1.0 - t
-    vals[k + 1] = t
-    nz = np.nonzero(vals)[0]
-    block = strength * np.outer(vals[nz], vals[nz])
-    mat = sp.lil_matrix((n + 1, n + 1))
-    mat[np.ix_(nz, nz)] = block
-    return mat.tocsr()
+    vk, vk1 = 1.0 - t, t  # hat values of nodes k and k + 1 at x0
+    main, off = np.zeros(n + 1), np.zeros(n)
+    main[k] = strength * (vk * vk)
+    main[k + 1] = strength * (vk1 * vk1)
+    off[k] = strength * (vk * vk1)
+    return _Tridiag(main, off)
 
 
-def _full_hminusone(alpha: float, V: np.ndarray, n: int, h: float) -> sp.csr_matrix:
+def _full_hminusone(alpha: float, V: np.ndarray, n: int, h: float) -> _Tridiag:
     # int_cell (phi_i phi_j)' telescopes to endpoint products, which for hat
     # functions is e_{k+1}e_{k+1}' - e_k e_k' per cell.
     diag = np.zeros(n + 1)
     diag[1:] += V
     diag[:-1] -= V
-    return (alpha * _full_overlap(n, h) + sp.diags(diag)).tocsr()
+    overlap = _full_overlap(n, h)
+    return _Tridiag(alpha * overlap.main + diag, alpha * overlap.off)
+
+
+def _full_potential(v: PotentialSpec | None, n: int, h: float) -> _Tridiag:
+    """Full-grid matrix v(phi_i phi_j) of the hats; v None is zero."""
+    if v is None:
+        return _Tridiag(np.zeros(n + 1), np.zeros(n))
+    if isinstance(v, Delta):
+        return _full_delta(v.x0, v.strength, n, h)
+    if isinstance(v, Sampled):
+        values = np.asarray(v.values, dtype=float)
+        if values.size != n + 1:
+            raise ValueError(
+                f"sampled potential needs {n + 1} nodal values, got {values.size}"
+            )
+        return _full_sampled(values, n, h)
+    if isinstance(v, HMinusOnePair):
+        V = np.asarray(v.V, dtype=float)
+        if V.size != n:
+            raise ValueError(f"per-cell V needs {n} entries, got {V.size}")
+        return _full_hminusone(v.alpha, V, n, h)
+    raise TypeError(f"unsupported potential {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # assembly in the boundary-restricted basis
 
 
-def _project(basis: GridBasis, full: sp.spmatrix) -> SymMatrix:
-    e = basis.extension
-    return SymMatrix.from_sparse(_symmetrize_exact(e @ full @ e.T))
+def _project(basis: GridBasis, full: _Tridiag) -> SymMatrix:
+    """The dof matrix E F E' of a full-grid tridiagonal F, built as CSR.
+
+    Every dof is one node, and the nodes of consecutive dofs are
+    consecutive, except a coupled dof, which comes last and combines the
+    endpoint nodes 0 and n.  So the dof matrix is tridiagonal, plus one
+    corner pair coupling the first and the last dof.  Exact zeros are
+    not stored.
+    """
+    d, o = full
+    n = basis.n_cells
+    last = basis.dofs[-1]
+    if len(last.nodes) == 1:
+        lo, hi = basis.dofs[0].nodes[0], last.nodes[0]
+        main, off, corner = d[lo : hi + 1], o[lo:hi], 0.0
+    else:  # interior nodes 1..n-1, then a * phi_0 + b * phi_n
+        a, b = last.coeffs
+        main = np.append(d[1:n], a * d[0] * a + b * d[n] * b)
+        off = np.append(o[1 : n - 1], b * o[n - 1])
+        corner = a * o[0]
+    m = main.size
+    i = np.arange(m, dtype=np.int32)
+    ends = np.array([0, m - 1], dtype=np.int32)
+    rows = np.concatenate([i, i[:-1], i[1:], ends])
+    cols = np.concatenate([i, i[1:], i[:-1], ends[::-1]])
+    vals = np.concatenate([main, off, off, [corner, corner]])
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=(m, m))
+    return SymMatrix.from_sparse(mat)
 
 
 def assemble_overlap(basis: GridBasis) -> SymMatrix:
@@ -363,26 +424,7 @@ def assemble_stiffness(basis: GridBasis) -> SymMatrix:
 
 def assemble_potential(basis: GridBasis, v: PotentialSpec | None) -> SymMatrix:
     """Potential matrix P_ij = v(phi_i phi_j); v None is the zero potential."""
-    n, h = basis.n_cells, basis.h
-    if v is None:
-        full = sp.csr_matrix((n + 1, n + 1))
-    elif isinstance(v, Delta):
-        full = _full_delta(v.x0, v.strength, n, h)
-    elif isinstance(v, Sampled):
-        values = np.asarray(v.values, dtype=float)
-        if values.size != basis.n_nodes:
-            raise ValueError(
-                f"sampled potential needs {basis.n_nodes} nodal values, got {values.size}"
-            )
-        full = _full_sampled(values, n, h)
-    elif isinstance(v, HMinusOnePair):
-        V = np.asarray(v.V, dtype=float)
-        if V.size != n:
-            raise ValueError(f"per-cell V needs {n} entries, got {V.size}")
-        full = _full_hminusone(v.alpha, V, n, h)
-    else:
-        raise TypeError(f"unsupported potential {type(v).__name__}")
-    return _project(basis, full)
+    return _project(basis, _full_potential(v, basis.n_cells, basis.h))
 
 
 # ---------------------------------------------------------------------------

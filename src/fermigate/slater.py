@@ -13,11 +13,19 @@ unless a and c are neighbours, so a wedge couples only to wedges of
 neighbouring dofs.  A contact interaction is the null term, because
 antisymmetric P1 functions vanish on the diagonal x = y exactly.
 
+One assembly computes where the row sums land (the neighbour tuples, their
+sorting signs and the CSR structure) once, for both H_N and M_N.  It sums
+only the contributions to the upper triangle and mirrors them, so both
+matrices are exactly symmetric by construction.
+
 The orbitals are the one-particle modes, the M-orthonormal eigenvectors V
 of (A, M) from one eigensolve per problem.  A WaveVector holds Slater
 coefficients over them, indexed by the same tuples as the wedges and
 obtained from nodal coefficients by mode products with V^{-1} = V' M.  An
-independent dense tensor-grid assembly of the N = 2 pencil is the oracle.
+independent dense tensor-grid assembly of the N = 2 pencil is the oracle:
+it stacks the wedge states as nodal arrays and evaluates every form as
+batched matrix products from the full-grid element matrices and its own
+quadrature.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +49,9 @@ from .basis import (
     assemble_potential,
     assemble_stiffness,
     build_grid_basis,
-    _symmetrize_exact,
+    _full_overlap,
+    _full_potential,
+    _full_stiffness,
 )
 from .errors import CapExceededError, IndefiniteMatrixError
 from .spectrum import solve_pencil
@@ -102,7 +113,9 @@ class SlaterBasis:
     @cached_property
     def array(self) -> np.ndarray:
         """The tuples as a (dim, n_particles) integer array."""
-        return np.array(self.tuples, dtype=np.intp).reshape(self.dim, self.n_particles)
+        flat = itertools.chain.from_iterable(self.tuples)
+        count = self.dim * self.n_particles
+        return np.fromiter(flat, dtype=np.intp, count=count).reshape(self.dim, self.n_particles)
 
     def index(self) -> dict[tuple[int, ...], int]:
         return {t: i for i, t in enumerate(self.tuples)}
@@ -197,7 +210,7 @@ def transform_one_body(A: SymMatrix, R: np.ndarray) -> SymMatrix:
     if A.dimension != R.shape[0]:
         raise ValueError("transform shape does not match matrix dimension")
     dense = R.T @ (A.data @ R)
-    return SymMatrix.from_sparse(_symmetrize_exact(sp.csr_matrix(dense)))
+    return SymMatrix.from_sparse(np.triu(dense) + np.triu(dense, 1).T)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +358,85 @@ class WaveVector:
         object.__setattr__(self, "coefficients", c)
 
 
+class _PencilPattern(NamedTuple):
+    """Where the row sums of the pencil land, shared by H_N and M_N.
+
+    A contribution is a row J and a tuple of neighbour slots whose
+    neighbour dofs b have no ties and sort to a column K >= J.  pos[k] is
+    the position in M's CSR data of the pair (J_k, b_k), sign is the sign of
+    the sorting permutation, and entry is the upper-triangle entry (J, K)
+    the contribution adds to.  indptr and indices are the CSR structure of
+    the full symmetric matrix, and mirror names the upper entry each of its
+    entries copies.
+    """
+
+    pos: list[np.ndarray]
+    sign: np.ndarray
+    entry: np.ndarray
+    n_upper: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    mirror: np.ndarray
+
+
+def _pencil_pattern(M: sp.csr_matrix, basis: SlaterBasis) -> _PencilPattern:
+    n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
+    # slot t of dof a is the t-th nonzero of row a of M (its t-th neighbour);
+    # n stands for no neighbour
+    deg = np.diff(M.indptr)
+    width = int(deg.max())
+    ok = np.arange(width) < deg[:, None]
+    nb = np.where(ok, M.indices[np.where(ok, M.indptr[:-1, None] + np.arange(width), 0)], n)
+
+    # every ordering of every wedge tuple over (n + 1)^N flat tuple indices,
+    # with its wedge and the sign of its sorting permutation; tuples with a
+    # tie or a missing neighbour keep rank -1
+    J = basis.array
+    rank = np.full((n + 1) ** N, -1, dtype=np.int32)
+    parity = np.zeros(rank.size, dtype=np.int8)
+    for perm in itertools.permutations(range(N)):
+        at = np.ravel_multi_index(J[:, perm].T, (n + 1,) * N)
+        rank[at] = np.arange(D)
+        parity[at] = permutation_sign(perm)
+
+    slots = np.array(list(itertools.product(range(width), repeat=N)), dtype=np.int32)
+    slots = slots.reshape(-1, N)
+    flat = np.zeros((D, slots.shape[0]), dtype=np.int32)
+    for k in range(N):
+        flat = flat * (n + 1) + nb[J[:, k, None], slots[:, k]]
+    col = rank[flat]
+    keep = col >= np.arange(D, dtype=np.int32)[:, None]  # landed, and upper
+    col, sign = col[keep], parity[flat[keep]].astype(float)
+    pos_k = [(M.indptr[J[:, k], None] + slots[:, k])[keep] for k in range(N)]
+    row = np.repeat(np.arange(D, dtype=np.int64), np.count_nonzero(keep, axis=1))
+    del rank, parity, flat, keep
+
+    # number the distinct (row, column) entries in CSR order
+    key = row * D + col
+    del row, col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    entry = np.empty(key.size, dtype=np.int32)
+    entry[order] = np.cumsum(new, dtype=np.int32) - 1
+    del order
+    ur, uc = np.divmod(key[new], D)
+    del key, new
+
+    # the full matrix: every upper entry, and the mirror of each strictly upper one
+    strict = np.flatnonzero(ur != uc)
+    full_row = np.concatenate([ur, uc[strict]])
+    full_col = np.concatenate([uc, ur[strict]])
+    order = np.argsort(full_row * D + full_col, kind="stable")
+    mirror = np.concatenate([np.arange(ur.size), strict])[order].astype(np.int32)
+    indptr = np.zeros(D + 1, dtype=np.int32)
+    np.cumsum(np.bincount(full_row, minlength=D), out=indptr[1:])
+    indices = full_col[order].astype(np.int32)
+    return _PencilPattern(pos_k, sign, entry, int(ur.size), indptr, indices, mirror)
+
+
 def assemble_manybody(
     A: SymMatrix, M: SymMatrix, two_body: TwoBodyTensor | None, basis: SlaterBasis
 ) -> ManyBodyOperator:
@@ -355,7 +447,11 @@ def assemble_manybody(
     with b_k a neighbour of J_k; a tuple without ties lands on its sorted
     tuple with the sign of the sorting permutation.  Because the full
     operator commutes with coordinate permutations, these row sums equal
-    P'(.)P exactly.
+    P'(.)P exactly.  Only the contributions to the upper triangle are
+    summed, and the lower triangle mirrors them, so both matrices are
+    exactly symmetric.  They share one CSR structure, less the entries
+    that cancel to exactly zero in either; at N >= 3 the kinetic terms of
+    a uniform grid cancel in many entries of H.
     """
     n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
     if A.dimension != n or M.dimension != n:
@@ -364,26 +460,15 @@ def assemble_manybody(
     if has_two and two_body.n_orbitals != n:
         raise ValueError("two-body tensor orbital count mismatch")
 
-    Ad = A.dense()
-    # slot s of dof a is the s-th nonzero of row a of M (its s-th neighbour)
     csr = M.data
-    deg = np.diff(csr.indptr)
-    ok = np.arange(deg.max()) < deg[:, None]
-    pos = np.where(ok, csr.indptr[:-1, None] + np.arange(deg.max()), 0)
-    nb = np.where(ok, csr.indices[pos], -1)
-    mval = np.where(ok, csr.data[pos], 0.0)
-    aval = np.where(ok, Ad[np.arange(n)[:, None], np.maximum(nb, 0)], 0.0)
-
-    J = basis.array
-    slots = np.array(list(itertools.product(range(deg.max()), repeat=N)))
-
-    def per_axis(table):
-        return [table[J[:, k]][:, slots[:, k]] for k in range(N)]
-
-    mv, av = per_axis(mval), per_axis(aval)
+    pat = _pencil_pattern(csr, basis)
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    adata = A.dense()[rows, csr.indices]  # A on M's pattern
+    mv = [csr.data[p] for p in pat.pos]
+    av = [adata[p] for p in pat.pos]
 
     def mass_except(*skip):
-        out = np.ones(mv[0].shape)
+        out = np.ones(pat.sign.shape)
         for k in range(N):
             if k not in skip:
                 out = out * mv[k]
@@ -392,25 +477,16 @@ def assemble_manybody(
     hval = sum(av[k] * mass_except(k) for k in range(N))
     if has_two:
         W = two_body.pair_matrix
-        pv, okv = per_axis(pos), per_axis(ok)
         for j, k in itertools.combinations(range(N), 2):
-            hval = hval + 2.0 * W[pv[j], pv[k]] * (okv[j] & okv[k]) * mass_except(j, k)
-
-    target = np.stack(per_axis(nb), axis=-1)  # (D, slots, N)
-    valid = np.all(target >= 0, axis=-1)
-    inversions = np.zeros(valid.shape, dtype=np.intp)
-    for i, j in itertools.combinations(range(N), 2):
-        valid &= target[..., i] != target[..., j]
-        inversions += target[..., i] > target[..., j]
-    sign = np.where(inversions[valid] % 2, -1.0, 1.0)
-    rank = np.full(n**N, -1, dtype=np.intp)
-    rank[np.ravel_multi_index(J.T, (n,) * N)] = np.arange(D)
-    cols = rank[np.ravel_multi_index(np.sort(target[valid], axis=-1).T, (n,) * N)]
-    rows = np.broadcast_to(np.arange(D)[:, None], valid.shape)[valid]
+            hval = hval + 2.0 * W[pat.pos[j], pat.pos[k]] * mass_except(j, k)
 
     def pencil_matrix(vals):
-        mat = sp.csr_matrix((sign * vals[valid], (rows, cols)), shape=(D, D))
-        return _symmetrize_exact(mat)
+        upper = np.bincount(pat.entry, weights=pat.sign * vals, minlength=pat.n_upper)
+        mat = sp.csr_matrix((upper[pat.mirror], pat.indices, pat.indptr), shape=(D, D))
+        if not mat.data.all():  # entries that cancel exactly are not stored
+            mat = mat.copy()  # eliminate_zeros works in place on the shared arrays
+            mat.eliminate_zeros()
+        return mat
 
     return ManyBodyOperator(
         matrix=pencil_matrix(hval), basis=basis, overlap=pencil_matrix(mass_except())
@@ -421,14 +497,22 @@ def assemble_manybody(
 # brute-force oracle (N = 2)
 
 
-def _bilinear_at(corners: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    c00, c01, c10, c11 = corners
-    return (
-        c00 * (1 - s) * (1 - t)
-        + c01 * (1 - s) * t
-        + c10 * s * (1 - t)
-        + c11 * s * t
-    )
+def _cell_hats(n: int, t: np.ndarray) -> np.ndarray:
+    """Values of the n + 1 full-grid hats at the points t of every cell.
+
+    Row k * len(t) + q holds the hats at x = (k + t_q) / n.
+    """
+    E = np.zeros((n, t.size, n + 1))
+    k = np.arange(n)
+    E[k, :, k] = 1.0 - t
+    E[k, :, k + 1] = t
+    return E.reshape(n * t.size, n + 1)
+
+
+def _gauss_unit(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights on (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def assemble_manybody_bruteforce(
@@ -439,81 +523,51 @@ def assemble_manybody_bruteforce(
 ) -> ManyBodyOperator:
     """Direct two-particle assembly of the pencil on the tensor grid.
 
-    Builds the wedge of every pair of dof hats as a nodal array and
-    evaluates the Gram, kinetic, potential and interaction forms with
-    explicit 2D quadrature, including g * delta(x - y).  Independent of the
-    sparse assembly; used as its oracle.
+    Builds the wedge of every pair of dof hats as a nodal array S_i and
+    evaluates the Gram, kinetic and potential forms <S_i, L S_j R'> with
+    the full-grid element matrices, and the interaction with its own
+    quadrature: a 5-point rule on the diagonal cells for g * delta(x - y),
+    a 4 x 4 rule on every cell pair for a sampled kernel.  Independent of
+    the dof projection and of the sparse assembly; used as its oracle.
     """
     if n_particles != 2:
         raise ValueError("brute-force assembly is implemented for two particles only")
     if basis.n_dofs > 12:
         raise CapExceededError("brute-force oracle capped at 12 dofs")
 
-    from .basis import _full_overlap, _full_stiffness  # full-grid hat matrices
-
     n, h = basis.n_cells, basis.h
     Mf = _full_overlap(n, h).toarray()
     Kf = _full_stiffness(n, h).toarray()
-    Pf = assemble_potential(build_grid_basis(n, BoundarySpec.free()), v).dense()
+    Pf = _full_potential(v, n, h).toarray()
 
     slater = enumerate_slater_basis(basis.n_dofs, 2)
     U = basis.extension.T.toarray()  # nodal values of the dof hats
-    states = [
-        (np.outer(U[:, a], U[:, b]) - np.outer(U[:, b], U[:, a])) / np.sqrt(2.0)
-        for (a, b) in slater.tuples
-    ]
-
-    gl_t, gl_w = np.polynomial.legendre.leggauss(5)
-    gl_t = (gl_t + 1.0) / 2.0
-    gl_w = gl_w / 2.0
-
-    def contact_term(CI, CJ, g):
-        total = 0.0
-        for k in range(n):
-            cor_i = np.array([CI[k, k], CI[k, k + 1], CI[k + 1, k], CI[k + 1, k + 1]])
-            cor_j = np.array([CJ[k, k], CJ[k, k + 1], CJ[k + 1, k], CJ[k + 1, k + 1]])
-            fi = _bilinear_at(cor_i, gl_t, gl_t)
-            fj = _bilinear_at(cor_j, gl_t, gl_t)
-            total += h * np.sum(gl_w * fi * fj)
-        return 2.0 * g * total
-
-    def kernel_term(CI, CJ, wnod):
-        gx, gw = np.polynomial.legendre.leggauss(4)
-        gx = (gx + 1.0) / 2.0
-        gw = gw / 2.0
-        total = 0.0
-        ss, tt = np.meshgrid(gx, gx, indexing="ij")
-        wgt = np.outer(gw, gw)
-        for kx in range(n):
-            for ky in range(n):
-                cor_i = np.array([CI[kx, ky], CI[kx, ky + 1], CI[kx + 1, ky], CI[kx + 1, ky + 1]])
-                cor_j = np.array([CJ[kx, ky], CJ[kx, ky + 1], CJ[kx + 1, ky], CJ[kx + 1, ky + 1]])
-                cor_w = np.array(
-                    [wnod[kx, ky], wnod[kx, ky + 1], wnod[kx + 1, ky], wnod[kx + 1, ky + 1]]
-                )
-                fi = _bilinear_at(cor_i, ss, tt)
-                fj = _bilinear_at(cor_j, ss, tt)
-                fw = _bilinear_at(cor_w, ss, tt)
-                total += h * h * np.sum(wgt * fi * fj * fw)
-        return 2.0 * total
-
+    a, b = slater.array.T
+    S = np.einsum("pi,qi->ipq", U[:, a], U[:, b])
+    S = (S - S.transpose(0, 2, 1)) / np.sqrt(2.0)  # (D, n + 1, n + 1)
     D = slater.dim
-    H = np.zeros((D, D))
-    G = np.zeros((D, D))
-    for i in range(D):
-        CI = states[i]
-        for j in range(i, D):
-            CJ = states[j]
-            G[i, j] = G[j, i] = np.sum(CI * (Mf @ CJ @ Mf))
-            val = np.sum(CI * (Kf @ CJ @ Mf)) + np.sum(CI * (Mf @ CJ @ Kf))
-            val += np.sum(CI * (Pf @ CJ @ Mf)) + np.sum(CI * (Mf @ CJ @ Pf))
-            if isinstance(w, DeltaContact) and w.g != 0.0:
-                val += contact_term(CI, CJ, w.g)
-            elif isinstance(w, SampledKernel):
-                val += kernel_term(CI, CJ, np.asarray(w.values))
-            H[i, j] = val
-            H[j, i] = val
-    return ManyBodyOperator(matrix=H, basis=slater, overlap=G)
+    flat = S.reshape(D, -1)
+
+    def form(L, R):  # [i, j] = <S_i, L S_j R'>
+        return flat @ (L @ S @ R.T).reshape(D, -1).T
+
+    G = form(Mf, Mf)
+    H = form(Kf, Mf) + form(Mf, Kf) + form(Pf, Mf) + form(Mf, Pf)
+    if isinstance(w, DeltaContact) and w.g != 0.0:
+        t, wt = _gauss_unit(5)
+        E = _cell_hats(n, t)
+        F = np.sum((E @ S) * E, axis=-1)  # values on the diagonal x = y
+        H += 2.0 * w.g * (F * np.tile(h * wt, n)) @ F.T
+    elif isinstance(w, SampledKernel):
+        t, wt = _gauss_unit(4)
+        E = _cell_hats(n, t)
+        wq = np.tile(h * wt, n)
+        kernel = (E @ np.asarray(w.values) @ E.T) * np.outer(wq, wq)
+        F = (E @ S @ E.T).reshape(D, -1)  # values at the point pairs
+        H += 2.0 * (F * kernel.ravel()) @ F.T
+    return ManyBodyOperator(
+        matrix=0.5 * (H + H.T), basis=slater, overlap=0.5 * (G + G.T)
+    )
 
 
 # ---------------------------------------------------------------------------

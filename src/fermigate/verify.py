@@ -13,7 +13,7 @@ import json
 import os
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from math import factorial, pi
@@ -32,6 +32,7 @@ from .basis import (
     assemble_stiffness,
     build_grid_basis,
     _full_overlap,
+    _full_potential,
     _full_stiffness,
 )
 from .manybody import (
@@ -255,13 +256,27 @@ def _problem_key(v, w, bc, n_cells, n_particles):
 
 
 def _memo(key, build):
-    """Cached value for key, built outside the lock on a miss."""
+    """Cached value for key, built once.
+
+    The first caller stores a future under the lock and builds outside it;
+    concurrent callers of the same key wait on that future.  A failed build
+    removes its entry and raises in the builder and in every waiter.
+    """
     with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-    value = build()
-    with _cache_lock:
-        return _cache.setdefault(key, value)
+        future = _cache.get(key)
+        builder = future is None
+        if builder:
+            future = _cache[key] = Future()
+    if builder:
+        try:
+            future.set_result(build())
+        except BaseException as exc:
+            with _cache_lock:
+                if _cache.get(key) is future:
+                    del _cache[key]
+            future.set_exception(exc)
+            raise
+    return future.result()
 
 
 def cached_problem(v, w, bc, n_cells, n_particles) -> ManyBodyProblem:
@@ -332,10 +347,7 @@ def neumann_trace_weak(
     n, h = grid.n_cells, grid.h
     Kf = _full_stiffness(n, h).toarray()
     Mf = _full_overlap(n, h).toarray()
-    if v is not None:
-        Pf = assemble_potential(build_grid_basis(n, BoundarySpec.free()), v).dense()
-    else:
-        Pf = None
+    Pf = _full_potential(v, n, h).toarray() if v is not None else None
     beta = _beta_profile(grid, face, width_cells)
 
     if nodal.ndim == 1:

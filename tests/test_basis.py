@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,10 @@ from fermigate.basis import (
     Delta,
     HMinusOnePair,
     Sampled,
+    SymMatrix,
+    _full_overlap,
+    _full_potential,
+    _full_stiffness,
     assemble_overlap,
     assemble_potential,
     assemble_stiffness,
@@ -244,3 +249,91 @@ def test_quasiperiodic_constraint_exact_for_any_alpha(n_cells, alpha):
     for dof in basis.dofs:
         t0, t1 = dof.trace
         assert t0 - alpha * t1 == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the one-body matrices against the sparse product E F E'
+
+REFERENCE_BCS = [
+    BoundarySpec.dirichlet_both(),
+    BoundarySpec.dirichlet_left(),
+    BoundarySpec.dirichlet_right(),
+    BoundarySpec.free(),
+    BoundarySpec.quasiperiodic(1.0),
+    BoundarySpec.quasiperiodic(-1.0),
+    BoundarySpec.line(2.0, -3.0),
+    BoundarySpec.line(0.0, 1.5),
+]
+
+
+def _potentials(n_cells):
+    rng = np.random.default_rng(n_cells)
+    node = (n_cells // 2) / n_cells
+    return {
+        "none": None,
+        "delta-node": Delta(node, -3.0),
+        "delta-between": Delta((2 + 1 / 3) / n_cells, 2.5),
+        "delta-x0=0": Delta(0.0, 4.0),
+        "delta-x0=1": Delta(1.0, -2.0),
+        "sampled": Sampled(tuple(rng.uniform(-5.0, 5.0, n_cells + 1))),
+        "hminusone": HMinusOnePair(0.7, tuple(rng.uniform(-2.0, 2.0, n_cells))),
+    }
+
+
+def _reference(basis, full):
+    """E F E' by sparse products, F the full-grid tridiagonal matrix."""
+    F = sp.diags([full.off, full.main, full.off], [-1, 0, 1], format="csr")
+    e = basis.extension
+    return (e @ F @ e.T).toarray()
+
+
+@pytest.mark.parametrize("n_cells", [4, 5, 7, 200])
+@pytest.mark.parametrize("bc", REFERENCE_BCS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+def test_one_body_matrices_match_sparse_reference(bc, n_cells):
+    basis = build_grid_basis(n_cells, bc)
+    n, h = basis.n_cells, basis.h
+    cases = {"overlap": (assemble_overlap(basis), _full_overlap(n, h)),
+             "stiffness": (assemble_stiffness(basis), _full_stiffness(n, h))}
+    for name, v in _potentials(n_cells).items():
+        cases[name] = (assemble_potential(basis, v), _full_potential(v, n, h))
+    for name, (mat, full) in cases.items():
+        ref = _reference(basis, full)
+        csr = mat.data
+        assert mat.dimension == basis.n_dofs, name
+        assert csr.has_canonical_format, name
+        assert csr.indices.dtype == np.int32, name
+        # the stored pattern is exactly the nonzeros of the reference
+        stored = np.zeros(ref.shape, dtype=bool)
+        stored[np.repeat(np.arange(mat.dimension), np.diff(csr.indptr)), csr.indices] = True
+        assert np.array_equal(stored, ref != 0.0), name
+        scale = max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(mat.dense() - ref)) <= 1e-15 * scale, name
+        dense = mat.dense()
+        assert np.array_equal(dense, dense.T), name
+        rows, cols = np.nonzero(ref)
+        assert mat.bandwidth == (int(np.max(np.abs(rows - cols))) if rows.size else 0), name
+
+
+class TestFromSparse:
+    def test_rejects_an_asymmetric_matrix(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            SymMatrix.from_sparse(sp.csr_matrix(np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])))
+
+    def test_rejects_an_asymmetric_pattern(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            SymMatrix.from_sparse(sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0],
+                                                          [0.0, 0.0, 1.0]])))
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            SymMatrix.from_sparse(sp.csr_matrix(np.ones((2, 3))))
+
+    def test_accepts_unsorted_duplicate_entries(self):
+        # (0, 1) is given as two halves and the rows are unsorted
+        mat = sp.csr_matrix(
+            (np.array([0.5, 3.0, 0.5, 1.0, 4.0]), np.array([1, 0, 1, 0, 1]), np.array([0, 3, 5])),
+            shape=(2, 2),
+        )
+        sym = SymMatrix.from_sparse(mat)
+        np.testing.assert_array_equal(sym.dense(), [[3.0, 1.0], [1.0, 4.0]])
+        assert sym.bandwidth == 1

@@ -1,4 +1,5 @@
 import itertools
+from math import factorial
 
 import numpy as np
 import pytest
@@ -7,11 +8,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermigate import basis as basis_module
+from fermigate import slater as slater_module
 from fermigate.basis import (
     BoundarySpec,
     Delta,
+    HMinusOnePair,
     Sampled,
     SymMatrix,
+    _full_overlap,
+    _full_potential,
+    _full_stiffness,
     assemble_overlap,
     build_grid_basis,
 )
@@ -303,7 +310,71 @@ class TestSlaterCondon:
                 assert np.array_equal(mat, mat.T)
 
 
+def _bilinear_at(corners, s, t):
+    c00, c01, c10, c11 = corners
+    return c00 * (1 - s) * (1 - t) + c01 * (1 - s) * t + c10 * s * (1 - t) + c11 * s * t
+
+
+def pairwise_oracle(v, w, grid):
+    """The oracle's forms pair by pair and cell by cell, with explicit loops."""
+    n, h = grid.n_cells, grid.h
+    Mf, Kf = _full_overlap(n, h).toarray(), _full_stiffness(n, h).toarray()
+    Pf = _full_potential(v, n, h).toarray()
+    U = grid.extension.T.toarray()
+    tuples = enumerate_slater_basis(grid.n_dofs, 2).tuples
+    states = [(np.outer(U[:, a], U[:, b]) - np.outer(U[:, b], U[:, a])) / np.sqrt(2.0)
+              for a, b in tuples]
+
+    def corners(C, kx, ky):
+        return np.array([C[kx, ky], C[kx, ky + 1], C[kx + 1, ky], C[kx + 1, ky + 1]])
+
+    def interaction(CI, CJ):
+        if isinstance(w, DeltaContact):
+            t, wt = np.polynomial.legendre.leggauss(5)
+            t, wt = (t + 1) / 2, wt / 2
+            return 2.0 * w.g * sum(
+                h * np.sum(wt * _bilinear_at(corners(CI, k, k), t, t)
+                           * _bilinear_at(corners(CJ, k, k), t, t))
+                for k in range(n)
+            )
+        if isinstance(w, SampledKernel):
+            t, wt = np.polynomial.legendre.leggauss(4)
+            ss, tt = np.meshgrid((t + 1) / 2, (t + 1) / 2, indexing="ij")
+            wgt = np.outer(wt / 2, wt / 2)
+            W = np.asarray(w.values)
+            return 2.0 * sum(
+                h * h * np.sum(wgt * _bilinear_at(corners(CI, kx, ky), ss, tt)
+                               * _bilinear_at(corners(CJ, kx, ky), ss, tt)
+                               * _bilinear_at(corners(W, kx, ky), ss, tt))
+                for kx in range(n) for ky in range(n)
+            )
+        return 0.0
+
+    D = len(states)
+    H, G = np.zeros((D, D)), np.zeros((D, D))
+    for i, CI in enumerate(states):
+        for j, CJ in enumerate(states):
+            G[i, j] = np.sum(CI * (Mf @ CJ @ Mf))
+            H[i, j] = (np.sum(CI * (Kf @ CJ @ Mf)) + np.sum(CI * (Mf @ CJ @ Kf))
+                       + np.sum(CI * (Pf @ CJ @ Mf)) + np.sum(CI * (Mf @ CJ @ Pf))
+                       + interaction(CI, CJ))
+    return H, G
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("w", ["kernel", "contact"])
+    @pytest.mark.parametrize(
+        "bc", [BoundarySpec.free(), BoundarySpec.quasiperiodic(-1.0)], ids=["free", "antiperiodic"]
+    )
+    def test_batched_forms_match_pairwise_loops(self, bc, w):
+        grid = build_grid_basis(5, bc)
+        w = cos_kernel(grid) if w == "kernel" else DeltaContact(3.0)
+        v = HMinusOnePair(0.4, (1.0, -2.0, 0.5, 0.0, 3.0))
+        H, G = pairwise_oracle(v, w, grid)
+        oracle = assemble_manybody_bruteforce(v, w, grid, 2)
+        assert np.max(np.abs(oracle.dense() - H)) <= 1e-12 * np.max(np.abs(H))
+        assert np.max(np.abs(oracle.overlap - G)) <= 1e-12 * np.max(np.abs(G))
+
     def test_rejects_three_particles(self, grid7):
         with pytest.raises(ValueError):
             assemble_manybody_bruteforce(None, NoInteraction(), grid7, 3)
@@ -480,9 +551,32 @@ def small_problems(draw):
     return bc, n_cells, v, SampledKernel(tuple(map(tuple, W + W.T)))
 
 
+@st.composite
+def oracle_problems(draw):
+    """Any boundary, any potential kind and a kernel or contact, within the oracle's cap."""
+    bc = draw(BOUNDARIES)
+    extra_dofs = {"dirichlet-both": -1, "free": 1}.get(bc.kind, 0)
+    n_cells = draw(st.integers(4, 12 - extra_dofs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = draw(st.sampled_from(["none", "delta", "sampled", "hminusone"]))
+    v = {
+        "none": None,
+        "delta": Delta(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-10.0, 10.0))),
+        "sampled": Sampled(tuple(rng.uniform(-5.0, 5.0, n_cells + 1))),
+        "hminusone": HMinusOnePair(float(rng.uniform(-2.0, 2.0)),
+                                   tuple(rng.uniform(-3.0, 3.0, n_cells))),
+    }[v]
+    if draw(st.booleans()):
+        W = rng.uniform(-3.0, 3.0, (n_cells + 1, n_cells + 1))
+        w = SampledKernel(tuple(map(tuple, W + W.T)))
+    else:
+        w = DeltaContact(float(rng.uniform(-20.0, 20.0)))
+    return bc, n_cells, v, w
+
+
 class TestPencilProperties:
-    @settings(max_examples=15, deadline=None)
-    @given(small_problems())
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_problems())
     def test_n2_pencil_equals_oracle(self, problem):
         bc, n_cells, v, w = problem
         op = build_problem(v, w, bc, n_cells, 2).operator
@@ -520,6 +614,124 @@ class TestPencilProperties:
         contact = build_problem(v, DeltaContact(g), bc, n_cells, n_particles).operator
         assert np.array_equal(contact.dense(), free.dense())
         assert np.array_equal(contact.overlap.toarray(), free.overlap.toarray())
+
+
+ALL_KINDS = [
+    BoundarySpec.dirichlet_both(),
+    BoundarySpec.dirichlet_left(),
+    BoundarySpec.dirichlet_right(),
+    BoundarySpec.free(),
+    BoundarySpec.quasiperiodic(1.0),
+    BoundarySpec.quasiperiodic(-1.0),
+    BoundarySpec.line(2.0, -0.5),
+]
+
+
+def _embed(op, n, N, first):
+    """op acts on the coordinates `first`, then the rest in order; reorder to 0..N-1."""
+    order = list(first) + [k for k in range(N) if k not in first]
+    inv = np.argsort(order)
+    T = op.reshape((n,) * (2 * N)).transpose(list(inv) + [N + i for i in inv])
+    return T.reshape(n**N, n**N)
+
+
+def _kron(*mats):
+    out = np.ones((1, 1))
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def dense_pencil(prob):
+    """P'(sum_k A_(k) M_(rest) + 2 sum_{j<k} W_(jk) M_(rest))P and P' M^(N) P, densely.
+
+    P has N! entries +-1 per column, so both are divided by N! to match the
+    pencil's wedge normalization.
+    """
+    n, N = prob.grid.n_dofs, prob.n_particles
+    A, M = prob.one_body.dense(), prob.overlap.dense()
+    P = wedge_tensor(prob.slater, np.eye(prob.slater.dim)).reshape(prob.slater.dim, -1).T
+    H = sum(_embed(_kron(A, *[M] * (N - 1)), n, N, (k,)) for k in range(N))
+    if not prob.two_body.is_null:
+        # Wd[(a, b), (c, d)] = int int phi_a phi_c (x) w phi_b phi_d (y)
+        coo = prob.overlap.data.tocoo()
+        pair = {(a, c): p for p, (a, c) in enumerate(zip(coo.row, coo.col))}
+        Wd = np.zeros((n * n, n * n))
+        for (a, c), p in pair.items():
+            for (b, d), q in pair.items():
+                Wd[a * n + b, c * n + d] = prob.two_body.pair_matrix[p, q]
+        for j, k in itertools.combinations(range(N), 2):
+            H = H + 2.0 * _embed(_kron(Wd, *[M] * (N - 2)), n, N, (j, k))
+    scale = factorial(N)
+    return P.T @ H @ P / scale, P.T @ _kron(*[M] * N) @ P / scale
+
+
+class TestPencilAgainstDenseReference:
+    @pytest.mark.parametrize("n_particles", [2, 3, 4])
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @pytest.mark.parametrize("kernel", [False, True], ids=["free", "kernel"])
+    def test_pencil_matches_kron_reference(self, bc, n_particles, kernel):
+        n_cells = 5
+        rng = np.random.default_rng(n_particles)
+        v = Sampled(tuple(rng.uniform(-5.0, 5.0, n_cells + 1)))
+        w = NoInteraction()
+        if kernel:
+            Wn = rng.uniform(-3.0, 3.0, (n_cells + 1, n_cells + 1))
+            w = SampledKernel(tuple(map(tuple, Wn + Wn.T)))
+        prob = build_problem(v, w, bc, n_cells, n_particles)
+        H_ref, M_ref = dense_pencil(prob)
+        H, M = prob.operator.matrix, prob.operator.overlap
+        scale = max(np.max(np.abs(H_ref)), 1.0)
+        assert np.max(np.abs(H.toarray() - H_ref)) <= 1e-12 * scale
+        assert np.max(np.abs(M.toarray() - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+
+    @pytest.mark.parametrize("n_particles", [2, 3, 4])
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    def test_pencil_structure(self, bc, n_particles):
+        n_cells = 6
+        nodes = np.linspace(0.0, 1.0, n_cells + 1)
+        kernel = SampledKernel(tuple(map(tuple, np.exp(-np.subtract.outer(nodes, nodes) ** 2))))
+        for w in (NoInteraction(), kernel):
+            prob = build_problem(Delta(0.4, 3.0), w, bc, n_cells, n_particles)
+            H, M = prob.operator.matrix, prob.operator.overlap
+            pattern = slater_module._pencil_pattern(prob.overlap.data, prob.slater)
+            full = sp.csr_matrix(
+                (np.ones(pattern.indices.size), pattern.indices, pattern.indptr), shape=H.shape
+            ).toarray()
+            for mat in (H, M):
+                assert mat.has_canonical_format
+                assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int32
+                dense = mat.toarray()
+                assert np.array_equal(dense, dense.T)
+                # the shared structure, less the entries that cancel exactly
+                assert np.all(mat.data != 0.0)
+                assert not np.any(dense[full == 0.0])
+            if H.nnz == M.nnz == pattern.indices.size:
+                assert np.shares_memory(H.indices, M.indices)
+                assert np.shares_memory(H.indptr, M.indptr)
+        # nothing cancels in a kernel pencil at N = 2
+        if n_particles == 2:
+            assert np.shares_memory(H.indices, M.indices)
+
+
+class TestOracleIndependence:
+    def test_oracle_runs_without_the_sparse_assembly(self, monkeypatch, grid7):
+        nodes = grid7.nodes
+        kernel = SampledKernel(tuple(map(tuple, np.cos(np.subtract.outer(nodes, nodes)))))
+        cases = [(Delta(0.3, 4.0), kernel), (HMinusOnePair(0.5, (1.0,) * 7), DeltaContact(2.0))]
+        pencils = [build_problem(v, w, DIRICHLET, 7, 2).operator for v, w in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not use the assembly it checks")
+
+        monkeypatch.setattr(basis_module, "_project", forbidden)
+        for name in ("assemble_manybody", "_pencil_pattern", "wedge_tensor",
+                     "assemble_overlap", "assemble_stiffness", "assemble_potential"):
+            monkeypatch.setattr(slater_module, name, forbidden)
+        for (v, w), op in zip(cases, pencils):
+            oracle = assemble_manybody_bruteforce(v, w, grid7, 2)
+            assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
+            assert np.max(np.abs(op.overlap.toarray() - oracle.overlap)) <= 1e-10
 
 
 class TestWaveVector:

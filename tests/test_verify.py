@@ -1,5 +1,10 @@
+import collections
 import dataclasses
 import json
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -212,6 +217,99 @@ class TestNeumannTraceTwoParticles:
         assert flipped.environment == plain.environment
         # the state is positive on x1 < x2, so its outward flux is negative
         assert plain.environment["weak"] < 0
+
+
+class TestMemo:
+    """verify's cache builds each key once, also under concurrent callers."""
+
+    @pytest.fixture(autouse=True)
+    def _drop_test_keys(self):
+        yield
+        with verify._cache_lock:
+            for key in [k for k in verify._cache if k[0] == "memo-test"]:
+                del verify._cache[key]
+
+    @staticmethod
+    def _two_callers(key, build, entered):
+        # the second caller starts while the first is inside build
+        outcomes = []
+
+        def call():
+            try:
+                outcomes.append(verify._memo(key, build))
+            except Exception as exc:  # noqa: BLE001 - the outcome is the point
+                outcomes.append(exc)
+
+        first = threading.Thread(target=call)
+        first.start()
+        assert entered.wait(5.0)
+        second = threading.Thread(target=call)
+        second.start()
+        return first, second, outcomes
+
+    def test_concurrent_callers_share_one_build(self):
+        entered, release, calls = threading.Event(), threading.Event(), []
+
+        def build():
+            calls.append(1)
+            entered.set()
+            release.wait(5.0)
+            return object()
+
+        first, second, outcomes = self._two_callers(("memo-test", "once"), build, entered)
+        time.sleep(0.1)  # let the second caller reach the pending entry
+        release.set()
+        first.join(5.0)
+        second.join(5.0)
+        assert not first.is_alive() and not second.is_alive()
+        assert len(calls) == 1
+        assert len(outcomes) == 2 and outcomes[0] is outcomes[1]
+        assert verify._memo(("memo-test", "once"), build) is outcomes[0]
+        assert len(calls) == 1
+
+    def test_failed_build_reaches_every_caller_and_leaves_no_entry(self):
+        entered, release = threading.Event(), threading.Event()
+        key = ("memo-test", "fails")
+
+        def build():
+            entered.set()
+            release.wait(5.0)
+            raise RuntimeError("build failed")
+
+        first, second, outcomes = self._two_callers(key, build, entered)
+        time.sleep(0.1)
+        release.set()
+        first.join(5.0)
+        second.join(5.0)
+        assert not first.is_alive() and not second.is_alive()
+        assert len(outcomes) == 2
+        assert all(isinstance(o, RuntimeError) and str(o) == "build failed" for o in outcomes)
+        assert key not in verify._cache
+        assert verify._memo(key, lambda: 7) == 7  # the next caller builds afresh
+
+    def test_many_threads_build_each_key_once(self):
+        keys = [("memo-test", i) for i in range(16)]
+        counts, lock = collections.Counter(), threading.Lock()
+
+        def builder(key):
+            def build():
+                with lock:
+                    counts[key] += 1
+                time.sleep(0.001)
+                return key
+
+            return build
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(verify._memo, k, builder(k)) for _ in range(8) for k in keys]
+                results = [f.result(timeout=30.0) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [k for _ in range(8) for k in keys]
+        assert all(counts[k] == 1 for k in keys)
 
 
 class TestScenarios:
