@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "BoundarySpec",
@@ -35,7 +34,6 @@ __all__ = [
     "assemble_overlap",
     "assemble_stiffness",
     "assemble_potential",
-    "has_positive_pivots",
 ]
 
 
@@ -250,6 +248,14 @@ class HMinusOnePair(PotentialSpec):
 # symmetric matrices
 
 
+def norm1(X) -> float:
+    """Largest absolute column sum of a dense or sparse matrix."""
+    if sp.issparse(X):
+        X = sp.csr_matrix(X)
+        return float(np.bincount(X.indices, np.abs(X.data), X.shape[1]).max(initial=0.0))
+    return float(np.abs(X).sum(axis=0).max())
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """Exactly symmetric sparse real matrix with a bandwidth hint."""
@@ -283,7 +289,7 @@ class SymMatrix:
         return self.data.toarray()
 
     def norm1(self) -> float:
-        return float(spla.norm(self.data, 1)) if self.data.nnz else 0.0
+        return norm1(self.data)
 
     def __matmul__(self, other):
         return self.data @ other
@@ -425,35 +431,3 @@ def assemble_stiffness(basis: GridBasis) -> SymMatrix:
 def assemble_potential(basis: GridBasis, v: PotentialSpec | None) -> SymMatrix:
     """Potential matrix P_ij = v(phi_i phi_j); v None is the zero potential."""
     return _project(basis, _full_potential(v, basis.n_cells, basis.h))
-
-
-# ---------------------------------------------------------------------------
-# structure checks
-
-
-def has_positive_pivots(mat: SymMatrix) -> bool:
-    """Symmetric factorization check: all diagonal pivots strictly positive.
-
-    Uses banded Cholesky when the matrix is tridiagonal; otherwise an LU
-    with natural ordering (valid because positive definite matrices need no
-    pivoting and the coupled boundary dof sits last, keeping fill minimal).
-    """
-    import scipy.linalg as sla
-
-    a = mat.data
-    if mat.bandwidth <= 1:
-        ab = np.zeros((2, mat.dimension))
-        ab[0, 1:] = a.diagonal(1)
-        ab[1, :] = a.diagonal(0)
-        try:
-            sla.cholesky_banded(ab)
-            return True
-        except np.linalg.LinAlgError:
-            return False
-    try:
-        lu = spla.splu(a.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    except RuntimeError:
-        return False
-    if not np.array_equal(lu.perm_r, np.arange(mat.dimension)):
-        return False
-    return bool(np.all(lu.U.diagonal() > 0.0))

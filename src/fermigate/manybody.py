@@ -1,14 +1,14 @@
 """Many-body eigensolves, degeneracy classification, inverse iteration.
 
 Every solve works on the nodal pencil (H, M) and its orbitals, the (A, M)
-modes.  The eigensolver is LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001))
-preconditioned by the exact inverse of the pencil's separable part: in the
-orbital basis the non-interacting pencil is diagonal, so its inverse is a
-mode product, a division and a mode product (fast diagonalization; Lynch,
-Rice & Thomas, Numer. Math. 6 (1964)).  The orbitals also give the start
-block: the lowest separable eigenstates, which are exact for free and
-contact pencils (these return at iteration 0) and close for kernel ones,
-plus two seeded random guard columns that reach every symmetry sector.
+modes.  The eigensolver is the LOBPCG of spectrum, preconditioned here by
+the exact inverse of the pencil's separable part: in the orbital basis the
+non-interacting pencil is diagonal, so its inverse is a mode product, a
+division and a mode product (fast diagonalization; Lynch, Rice & Thomas,
+Numer. Math. 6 (1964)).  The orbitals also give the start block: the
+lowest separable eigenstates, which are exact for free and contact
+pencils (these return at iteration 0) and close for kernel ones, plus two
+seeded random guard columns that reach every symmetry sector.
 
 Ground-state degeneracy is never judged from a single grid: the spectral
 gap is tracked under one refinement step and the verdict compares the gap
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import BoundarySpec, PotentialSpec
 from .errors import ConvergenceError, ShiftError
@@ -38,7 +37,7 @@ from .slater import (
     wedge_coefficients,
     wedge_tensor,
 )
-from .spectrum import RESIDUAL_RTOL, SpectralResult, _dense_pencil_eigh, norm1
+from .spectrum import LOBPCG_SEED, SpectralResult, _definite_factor, _lobpcg, norm1
 
 __all__ = [
     "DegeneracyReport",
@@ -53,13 +52,6 @@ GAP_FLOOR_RTOL = 1e-9
 # a gap or ordering is established only when it exceeds this multiple of
 # the measured discretization error
 REFINEMENT_MARGIN = 4.0
-
-LOBPCG_MAX_ITER = 500
-# LOBPCG iterates until every wanted residual is this fraction of its
-# RESIDUAL_RTOL bound, so eigenvalues (quadratic in the residual) reach
-# round-off even where the bound alone would leave them at 1e-10
-LOBPCG_TARGET = 1e-4
-LOBPCG_SEED = 0
 
 
 def _require_orbitals(op: ManyBodyOperator) -> None:
@@ -113,60 +105,6 @@ def _start_block(op: ManyBodyOperator, k: int) -> np.ndarray:
     return np.hstack([wedge_coefficients(op.basis, C), guard])
 
 
-def _orthonormalize(Z: np.ndarray, MZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M-orthonormal basis of span(Z) by SVQB, dropping dependent directions.
-
-    Z has no zero columns; MZ = M Z is transformed along, so the products
-    are not recomputed.
-    """
-    for _ in range(2):
-        G = Z.T @ MZ
-        d = np.sqrt(np.diag(G))
-        theta, U = np.linalg.eigh(G / np.outer(d, d))
-        keep = theta > 1e-12 * theta[-1]
-        T = U[:, keep] / (d[:, None] * np.sqrt(theta[keep]))
-        Z, MZ = Z @ T, MZ @ T
-    return Z, MZ
-
-
-def _rayleigh_ritz(S, HS, MS, m: int):
-    GH, GM = S.T @ HS, S.T @ MS
-    return _dense_pencil_eigh((GH + GH.T) / 2, (GM + GM.T) / 2, m)
-
-
-def _lobpcg(H, M, X, precond, k: int, bound):
-    """Block LOBPCG for the lowest columns of X; returns (lam, X, res, iterations).
-
-    X stays M-orthonormal; each step runs Rayleigh-Ritz on [X, T R, P], the
-    conjugate block P being the part of the new X outside the old one.
-    res holds residual norms at unit-norm vectors.
-    """
-    m = X.shape[1]
-    X, MX = _orthonormalize(X, M @ X)
-    HX = H @ X
-    lam, C = _rayleigh_ritz(X, HX, MX, m)
-    X, HX, MX = X @ C, HX @ C, MX @ C
-    P = X[:, :0]
-    for it in range(LOBPCG_MAX_ITER + 1):
-        R = HX - MX * lam
-        res = np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
-        if np.all(res[:k] <= LOBPCG_TARGET * bound(lam[:k])) or it == LOBPCG_MAX_ITER:
-            return lam, X, res, it
-        Z = np.hstack([precond(R), P])
-        size = np.linalg.norm(Z, axis=0)
-        for _ in range(2):
-            Z = Z - X @ (MX.T @ Z)
-        # directions that lay in span(X) up to round-off carry no information
-        Z = Z[:, np.linalg.norm(Z, axis=0) > 1e-10 * size]
-        if Z.shape[1] == 0:
-            return lam, X, res, it
-        Z, MZ = _orthonormalize(Z, M @ Z)
-        S, HS, MS = np.hstack([X, Z]), np.hstack([HX, H @ Z]), np.hstack([MX, MZ])
-        lam, C = _rayleigh_ritz(S, HS, MS, m)
-        P = Z @ C[m:]
-        X, HX, MX = S @ C, HS @ C, MS @ C
-
-
 def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
     """Lowest k eigenpairs of the many-body pencil by preconditioned LOBPCG.
 
@@ -182,18 +120,10 @@ def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
         raise ValueError(f"k must lie in [1, {H.dim}], got {k}")
     A, M = sp.csr_matrix(H.matrix), sp.csr_matrix(H.overlap)
     a_norm, m_norm = norm1(A), norm1(M)
-
-    def bound(lam):
-        return RESIDUAL_RTOL * (a_norm + np.abs(lam) * m_norm)
-
-    lam, X, res, iterations = _lobpcg(A, M, _start_block(H, k), _separable_inverse(H), k, bound)
-    result = SpectralResult(
-        eigenvalues=lam[:k],
-        eigenvectors=H.orbital_coefficients(X[:, :k]),
-        residuals=res[:k],
-        k_requested=k,
-        iterations=iterations,
+    lam, X, res, iterations = _lobpcg(
+        A, M, _start_block(H, k), _separable_inverse(H), k, a_norm, m_norm
     )
+    result = SpectralResult(lam, H.orbital_coefficients(X), res, k, iterations)
     result.check(a_norm, m_norm)
     return result
 
@@ -279,18 +209,9 @@ def inverse_iteration_ground(
     positive definite.  Raises ValueError for an operator without orbitals.
     """
     _require_orbitals(H)
-    A, M = sp.csc_matrix(H.matrix), sp.csr_matrix(H.overlap)
-    try:
-        lu = spla.splu(
-            (A - shift * M).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        definite = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
-    except RuntimeError:  # exactly singular
-        definite = False
-    if not definite:
+    A, M = sp.csr_matrix(H.matrix), sp.csr_matrix(H.overlap)
+    lu = _definite_factor(A - shift * M)
+    if lu is None:
         raise ShiftError(
             f"shift {shift} is not below the lowest eigenvalue (indefinite factorization)"
         )

@@ -18,8 +18,8 @@ from fermigate.basis import (
     assemble_potential,
     assemble_stiffness,
     build_grid_basis,
-    has_positive_pivots,
 )
+from fermigate.spectrum import _definite_factor
 
 ALL_BCS = [
     BoundarySpec.dirichlet_both(),
@@ -106,16 +106,27 @@ class TestOverlap:
     @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
     def test_positive_definite(self, bc):
         M = assemble_overlap(build_grid_basis(16, bc))
-        assert has_positive_pivots(M)
+        assert _definite_factor(M.data) is not None
+        assert _definite_factor(-M.data) is None
 
     @pytest.mark.parametrize(
         "bc",
-        [BoundarySpec.dirichlet_both(), BoundarySpec.free(), BoundarySpec.quasiperiodic(-1.0)],
-        ids=["dirichlet", "free", "antiperiodic"],
+        [
+            BoundarySpec.dirichlet_both(),
+            BoundarySpec.free(),
+            BoundarySpec.quasiperiodic(-1.0),
+            BoundarySpec.dirichlet_left(),
+            BoundarySpec.dirichlet_right(),
+            BoundarySpec.quasiperiodic(1.0),
+            BoundarySpec.quasiperiodic(0.7),
+            BoundarySpec.line(2.0, 3.0),
+        ],
+        ids=["dirichlet", "free", "antiperiodic", "dirichlet-left", "dirichlet-right",
+             "periodic", "quasiperiodic0.7", "line"],
     )
     def test_positive_definite_large(self, bc):
         M = assemble_overlap(build_grid_basis(10_000, bc))
-        assert has_positive_pivots(M)
+        assert _definite_factor(M.data) is not None
 
     @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
     def test_exact_symmetry(self, bc):

@@ -27,7 +27,7 @@ from fermigate.simplex import restrict_to_simplex
 from fermigate.slater import SampledKernel, WaveVector, build_problem, reduced_density
 from fermigate.spectrum import solve_sp_eig
 
-FORBIDDEN = ("eigh", "cholesky", "solve_triangular", "inv")
+FORBIDDEN = ("eigh", "cholesky", "cholesky_banded", "solve_triangular", "inv")
 
 
 @pytest.fixture
@@ -72,9 +72,11 @@ def test_kernel_request_without_scipy_lapack(no_scipy_lapack, bc, n_cells, n_par
     assert np.all(np.isfinite(sample.values))
 
 
-def test_single_particle_solve_without_scipy_lapack(no_scipy_lapack):
-    basis = build_grid_basis(200, BoundarySpec.dirichlet_both())
+@pytest.mark.parametrize("n_cells", [200, 2000])  # dense and LOBPCG branch
+def test_single_particle_solve_without_scipy_lapack(no_scipy_lapack, n_cells):
+    basis = build_grid_basis(n_cells, BoundarySpec.dirichlet_both())
     res = solve_sp_eig(
         assemble_stiffness(basis), assemble_potential(basis, None), assemble_overlap(basis), 3
     )
+    assert (res.iterations is None) == (basis.n_dofs <= spectrum.DENSE_DIM_CAP)
     assert res.eigenvalues[0] == pytest.approx(np.pi**2, rel=1e-4)

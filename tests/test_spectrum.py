@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -9,6 +9,8 @@ from fermigate import spectrum
 from fermigate.basis import (
     BoundarySpec,
     Delta,
+    HMinusOnePair,
+    Sampled,
     SymMatrix,
     assemble_overlap,
     assemble_potential,
@@ -16,7 +18,8 @@ from fermigate.basis import (
     build_grid_basis,
 )
 from fermigate.errors import IndefiniteMatrixError
-from fermigate.spectrum import gap_report, solve_pencil, solve_sp_eig
+from fermigate.manybody import GAP_FLOOR_RTOL
+from fermigate.spectrum import RESIDUAL_RTOL, gap_report, solve_pencil, solve_sp_eig
 
 PI2 = np.pi**2
 
@@ -148,13 +151,110 @@ class TestSolveSpEig:
 
     @pytest.mark.parametrize("k", [11, 12])
     def test_whole_spectrum_above_dense_cap(self, monkeypatch, k):
-        # ARPACK cannot return k >= dim - 1 pairs; the dense branch does
+        # a whole or near-whole spectrum, 3 (k + 2) >= dim, stays dense above the cap
         monkeypatch.setattr(spectrum, "DENSE_DIM_CAP", 4)
         _, K, _, M = free_problem(13, BoundarySpec.dirichlet_both())
         res = solve_pencil(K, M, k)
-        exact = solve_pencil(K, M, 12).eigenvalues[:k]
+        assert res.iterations is None
+        # the P1 Dirichlet pencil is diagonalized by the sine modes
+        h, c = 1.0 / 13, np.cos(np.arange(1, k + 1) * np.pi / 13)
+        exact = 6.0 * (1.0 - c) / (h**2 * (2.0 + c))
         assert res.eigenvalues.size == k
         np.testing.assert_allclose(res.eigenvalues, exact, rtol=1e-12)
+
+    def test_few_pairs_of_a_large_pencil_skip_dense_factorizations(self, monkeypatch):
+        # LOBPCG factors and diagonalizes nothing wider than its 3 (k + 2) Ritz basis
+        k = 4
+        for name in ("eigh", "cholesky", "inv"):
+            def narrow(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                assert np.shape(a)[-1] <= 3 * (k + 2), f"np.linalg.{_name} of shape {np.shape(a)}"
+                return _call(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, narrow)
+        n = 4000
+        _, K, P, M = free_problem(n, BoundarySpec.quasiperiodic(-1.0))
+        res = solve_sp_eig(K, P, M, k)
+        # the antiperiodic P1 levels, each twice: 6 (1 - cos t) / (h^2 (2 + cos t)),
+        # t = (2 m + 1) pi h, with 1 - cos t = 2 sin^2(t / 2); the levels carried
+        # through LOBPCG's block updates were off by 3e-9
+        s2 = 2.0 * np.sin(np.pi * np.array([1, 1, 3, 3]) / (2 * n)) ** 2
+        np.testing.assert_allclose(res.eigenvalues, 6.0 * n**2 * s2 / (3.0 - s2), rtol=1e-11)
+
+    def test_indefinite_overlap_signalled_above_dense_cap(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "DENSE_DIM_CAP", 4)
+        _, K, _, M = free_problem(40, BoundarySpec.free())
+        bad = M.data.tolil()
+        bad[7, 7] = -bad[7, 7]
+        with pytest.raises(IndefiniteMatrixError):
+            solve_pencil(K, SymMatrix.from_sparse(bad), 2)
+
+
+# ---------------------------------------------------------------------------
+# the LOBPCG branch against the dense reference
+
+
+LOBPCG_BCS = [
+    BoundarySpec.dirichlet_both(),
+    BoundarySpec.dirichlet_left(),
+    BoundarySpec.dirichlet_right(),
+    BoundarySpec.free(),
+    BoundarySpec.quasiperiodic(1.0),
+    BoundarySpec.quasiperiodic(-1.0),
+    BoundarySpec.quasiperiodic(0.6),
+    BoundarySpec.line(2.0, -3.0),
+    BoundarySpec.line(0.0, 1.5),
+]
+
+
+def _potential(kind, n_cells, strength, rng):
+    if kind == "delta":
+        return Delta(rng.uniform(0.0, 1.0), strength)
+    if kind == "sampled":
+        return Sampled(tuple(strength * rng.uniform(-1.0, 1.0, n_cells + 1)))
+    if kind == "h-minus-one":
+        return HMinusOnePair(strength, tuple(strength * rng.uniform(-1.0, 1.0, n_cells)))
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(40, 160),
+    bc=st.sampled_from(LOBPCG_BCS),
+    kind=st.sampled_from(["none", "delta", "sampled", "h-minus-one"]),
+    strength=st.floats(-60.0, 60.0),
+    k=st.integers(1, 8),
+)
+# wells far below the first shift, -1: lambda_0 is about -strength^2 / 4
+@example(seed=1, n_cells=80, bc=BoundarySpec.dirichlet_both(), kind="delta", strength=-40.0, k=3)
+@example(seed=2, n_cells=150, bc=BoundarySpec.quasiperiodic(1.0), kind="delta", strength=-60.0, k=8)
+@example(seed=3, n_cells=100, bc=BoundarySpec.quasiperiodic(1.0), kind="none", strength=0.0, k=8)
+@example(seed=4, n_cells=100, bc=BoundarySpec.quasiperiodic(-1.0), kind="none", strength=0.0, k=7)
+def test_lobpcg_branch_matches_dense_reference(seed, n_cells, bc, kind, strength, k):
+    basis = build_grid_basis(n_cells, bc)
+    v = _potential(kind, n_cells, strength, np.random.default_rng(seed))
+    A = SymMatrix.from_sparse(assemble_stiffness(basis).data + assemble_potential(basis, v).data)
+    M = assemble_overlap(basis)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "DENSE_DIM_CAP", 4)
+        res = solve_pencil(A, M, k)
+    assert res.iterations is not None
+    ref, _ = spectrum._dense_pencil_eigh(A.data, M.dense(), k)
+    lam, X = res.eigenvalues, res.eigenvectors
+    assert np.all(np.abs(lam - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+    R = A.data @ X - (M.data @ X) * lam
+    bound = RESIDUAL_RTOL * (A.norm1() + np.abs(lam) * M.norm1())
+    assert np.all(np.linalg.norm(R, axis=0) <= bound)
+    assert np.max(np.abs(X.T @ (M.data @ X) - np.eye(k))) <= 1e-10
+
+    if v is None and bc.kind == "quasiperiodic" and abs(bc.alpha) == 1.0:
+        # the free (anti)periodic pencil pairs every level above the first
+        # periodic one: pairs (1, 2), (3, 4), ... or (0, 1), (2, 3), ...
+        first = 1 if bc.alpha > 0 else 0
+        for j in range(first, k - 1, 2):
+            floor = GAP_FLOOR_RTOL * max(1.0, abs(lam[j + 1]))
+            assert lam[j + 1] - lam[j] <= 1e-2 * floor
 
 
 # the strict-pair patterns gap_report used before the rule lived on
