@@ -273,6 +273,8 @@ class SymMatrix:
         dim = mat.shape[0]
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.all(np.isfinite(mat.data)):
+            raise ValueError("matrix entries must be finite")
         # the CSC arrays of a matrix are the CSR arrays of its transpose
         t = mat.tocsc()
         if not (

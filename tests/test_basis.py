@@ -339,6 +339,13 @@ class TestFromSparse:
         with pytest.raises(ValueError, match="square"):
             SymMatrix.from_sparse(sp.csr_matrix(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_entry(self, bad):
+        # no shift makes such a pencil definite: the LOBPCG branch of
+        # solve_pencil would lower its shift forever
+        with pytest.raises(ValueError, match="finite"):
+            SymMatrix.from_sparse(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, bad]])))
+
     def test_accepts_unsorted_duplicate_entries(self):
         # (0, 1) is given as two halves and the rows are unsorted
         mat = sp.csr_matrix(
