@@ -175,8 +175,8 @@ class TestSolveSpEig:
         _, K, P, M = free_problem(n, BoundarySpec.quasiperiodic(-1.0))
         res = solve_sp_eig(K, P, M, k)
         # the antiperiodic P1 levels, each twice: 6 (1 - cos t) / (h^2 (2 + cos t)),
-        # t = (2 m + 1) pi h, with 1 - cos t = 2 sin^2(t / 2); the levels carried
-        # through LOBPCG's block updates were off by 3e-9
+        # t = (2 m + 1) pi h, with 1 - cos t = 2 sin^2(t / 2); rtol 1e-11 needs
+        # the closing Rayleigh-Ritz step on fresh products
         s2 = 2.0 * np.sin(np.pi * np.array([1, 1, 3, 3]) / (2 * n)) ** 2
         np.testing.assert_allclose(res.eigenvalues, 6.0 * n**2 * s2 / (3.0 - s2), rtol=1e-11)
 
@@ -228,6 +228,7 @@ def _potential(kind, n_cells, strength, rng):
 # wells far below the first shift, -1: lambda_0 is about -strength^2 / 4
 @example(seed=1, n_cells=80, bc=BoundarySpec.dirichlet_both(), kind="delta", strength=-40.0, k=3)
 @example(seed=2, n_cells=150, bc=BoundarySpec.quasiperiodic(1.0), kind="delta", strength=-60.0, k=8)
+# free pencils with degenerate pairs up to the block edge
 @example(seed=3, n_cells=100, bc=BoundarySpec.quasiperiodic(1.0), kind="none", strength=0.0, k=8)
 @example(seed=4, n_cells=100, bc=BoundarySpec.quasiperiodic(-1.0), kind="none", strength=0.0, k=7)
 def test_lobpcg_branch_matches_dense_reference(seed, n_cells, bc, kind, strength, k):
