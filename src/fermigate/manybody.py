@@ -19,6 +19,7 @@ mesh size.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +75,10 @@ def _separable_inverse(op: ManyBodyOperator):
     shift = lowest - max(1.0, 0.1 * abs(lowest))
     inverse = 1.0 / (total - shift)
     # tied mode indices carry no antisymmetric weight; keep round-off there out
-    idx = np.indices(total.shape)
-    for i in range(basis.n_particles):
-        for j in range(i + 1, basis.n_particles):
-            inverse[idx[i] == idx[j]] = 0.0
+    N, index = basis.n_particles, np.arange(levels.size)
+    for i, j in itertools.combinations(range(N), 2):
+        tie = index.reshape((-1,) + (1,) * (N - 1 - i)) == index.reshape((-1,) + (1,) * (N - 1 - j))
+        np.copyto(inverse, 0.0, where=tie)
 
     def apply(R: np.ndarray) -> np.ndarray:
         C = mode_product(wedge_tensor(basis, R), V.T) * inverse

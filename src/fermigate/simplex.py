@@ -114,11 +114,28 @@ def _tie_mask(n_nodes: int, N: int) -> np.ndarray:
     return mask
 
 
-def _sorted_mask(n_nodes: int, N: int, strict: bool) -> np.ndarray:
+def _increasing_tuples(n_nodes: int, N: int) -> np.ndarray:
+    """Every strictly increasing N-tuple of node indices, in lexicographic order.
+
+    Built column by column: a tuple ending at l extends to l + 1, ..., n - 1.
+    The (count, N) result is the transpose of its columns, laid out as
+    argwhere lays out its indices.
+    """
+    columns = [np.arange(n_nodes)]
+    for _ in range(N - 1):
+        last = columns[-1]
+        count = n_nodes - 1 - last
+        # within the run of each tuple the new entries are last + 1, last + 2, ...
+        offset = np.repeat(np.cumsum(count) - count - last - 1, count)
+        columns = [np.repeat(c, count) for c in columns] + [np.arange(count.sum()) - offset]
+    return np.stack(columns).T
+
+
+def _sorted_mask(n_nodes: int, N: int) -> np.ndarray:
     idx = _index_grids((n_nodes,) * N)
     mask = np.ones((n_nodes,) * N, dtype=bool)
     for a in range(N - 1):
-        mask &= (idx[a] < idx[a + 1]) if strict else (idx[a] <= idx[a + 1])
+        mask &= idx[a] <= idx[a + 1]
     return mask
 
 
@@ -139,7 +156,7 @@ def extend_from_simplex(values: np.ndarray, n_particles: int) -> np.ndarray:
         raise ValueError("nodal array must be hypercubic")
     if np.any(values[_tie_mask(n_nodes, N)] != 0.0):
         raise ValueError("tied-index nodal values must be exactly zero")
-    if np.any(values[~_sorted_mask(n_nodes, N, strict=False)] != 0.0):
+    if np.any(values[~_sorted_mask(n_nodes, N)] != 0.0):
         raise ValueError("values outside the ordered index region must be zero")
     scale = 1.0 / np.sqrt(factorial(N))
     out = np.zeros_like(values)
@@ -153,7 +170,7 @@ def restrict_full_tensor(full: np.ndarray, n_particles: int) -> np.ndarray:
     full = np.asarray(full, dtype=float)
     N = n_particles
     n_nodes = full.shape[0]
-    mask = _sorted_mask(n_nodes, N, strict=False)
+    mask = _sorted_mask(n_nodes, N)
     return np.where(mask, np.sqrt(factorial(N)) * full, 0.0)
 
 
@@ -245,7 +262,7 @@ def restrict_to_simplex(psi: WaveVector, orbitals: OrbitalSet) -> SimplexSample:
     N = psi.basis.n_particles
     full = nodal_tensor(psi, orbitals)
     n_nodes = grid.n_nodes
-    tuples = np.argwhere(_sorted_mask(n_nodes, N, strict=True))
+    tuples = _increasing_tuples(n_nodes, N)
     vals = np.sqrt(factorial(N)) * full[tuple(tuples[:, k] for k in range(N))]
     points = tuples * grid.h
     return SimplexSample(
@@ -389,7 +406,7 @@ def _ordered_cells(full: np.ndarray):
     increase inside the cell.
     """
     N = full.ndim
-    corners = np.argwhere(_sorted_mask(full.shape[0] - 1, N, strict=False))
+    corners = np.argwhere(_sorted_mask(full.shape[0] - 1, N))
     ties = corners[:, 1:] == corners[:, :-1]
     offsets = np.array(list(itertools.product((0, 1), repeat=N)))
     for tie in itertools.product((False, True), repeat=N - 1):

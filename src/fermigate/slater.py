@@ -13,10 +13,14 @@ unless a and c are neighbours, so a wedge couples only to wedges of
 neighbouring dofs.  A contact interaction is the null term, because
 antisymmetric P1 functions vanish on the diagonal x = y exactly.
 
-One assembly computes where the row sums land (the neighbour tuples, their
-sorting signs and the CSR structure) once, for both H_N and M_N.  It sums
-only the contributions to the upper triangle and mirrors them, so both
-matrices are exactly symmetric by construction.
+One assembly walks the wedge rows in blocks, in row order.  A block finds
+where its row sums land (the neighbour tuples, their sorting signs and
+columns), sums its H_N and M_N contributions into its own upper-triangle
+entries and drops its index arrays, so beyond the pencil an assembly holds
+its upper entries and one block's contributions.  Both matrices share the
+full CSR structure, which mirrors the upper entries by a transpose, so they
+are exactly symmetric by construction; every entry sums the same terms in
+the same order whatever the block size.
 
 The orbitals are the one-particle modes, the M-orthonormal eigenvectors V
 of (A, M) from one eigensolve per problem.  A WaveVector holds Slater
@@ -358,28 +362,22 @@ class WaveVector:
         object.__setattr__(self, "coefficients", c)
 
 
-class _PencilPattern(NamedTuple):
-    """Where the row sums of the pencil land, shared by H_N and M_N.
-
-    A contribution is a row J and a tuple of neighbour slots whose
-    neighbour dofs b have no ties and sort to a column K >= J.  pos[k] is
-    the position in M's CSR data of the pair (J_k, b_k), sign is the sign of
-    the sorting permutation, and entry is the upper-triangle entry (J, K)
-    the contribution adds to.  indptr and indices are the CSR structure of
-    the full symmetric matrix, and mirror names the upper entry each of its
-    entries copies.
-    """
-
-    pos: list[np.ndarray]
-    sign: np.ndarray
-    entry: np.ndarray
-    n_upper: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    mirror: np.ndarray
+# rows of a block carry about this many neighbour-slot tuples between them;
+# the per-contribution index and value arrays of an assembly exist for one
+# block at a time
+_BLOCK_SLOTS = 1 << 15
 
 
-def _pencil_pattern(M: sp.csr_matrix, basis: SlaterBasis) -> _PencilPattern:
+class _Landing(NamedTuple):
+    """Where the row sums of the pencil land, shared by every row block."""
+
+    nb: np.ndarray  # nb[a, t]: the t-th neighbour of dof a, n for none
+    slots: np.ndarray  # (width^N, N) neighbour-slot tuples
+    rank: np.ndarray  # flat tuple index over (n + 1)^N -> wedge, or -1
+    parity: np.ndarray  # flat tuple index -> sign of its sorting permutation
+
+
+def _landing(M: sp.csr_matrix, basis: SlaterBasis) -> _Landing:
     n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
     # slot t of dof a is the t-th nonzero of row a of M (its t-th neighbour);
     # n stands for no neighbour
@@ -398,43 +396,88 @@ def _pencil_pattern(M: sp.csr_matrix, basis: SlaterBasis) -> _PencilPattern:
         at = np.ravel_multi_index(J[:, perm].T, (n + 1,) * N)
         rank[at] = np.arange(D)
         parity[at] = permutation_sign(perm)
-
     slots = np.array(list(itertools.product(range(width), repeat=N)), dtype=np.int32)
-    slots = slots.reshape(-1, N)
-    flat = np.zeros((D, slots.shape[0]), dtype=np.int32)
+    return _Landing(nb, slots.reshape(-1, N), rank, parity)
+
+
+def _upper_block(J, first, land, M, adata, W):
+    """Upper-triangle entries of the wedge rows J = basis.array[first:...].
+
+    A contribution is a row and a neighbour-slot tuple whose neighbour dofs
+    have no ties and sort to a column K >= the row.  Returns the entry
+    count of each row, the entry columns in CSR order and the H_N and M_N
+    entry values.
+    """
+    n, N = land.nb.shape[0], J.shape[1]
+    n_slots = land.slots.shape[0]
+    flat = np.zeros((J.shape[0], n_slots), dtype=np.int32)
     for k in range(N):
-        flat = flat * (n + 1) + nb[J[:, k, None], slots[:, k]]
-    col = rank[flat]
-    keep = col >= np.arange(D, dtype=np.int32)[:, None]  # landed, and upper
-    col, sign = col[keep], parity[flat[keep]].astype(float)
-    pos_k = [(M.indptr[J[:, k], None] + slots[:, k])[keep] for k in range(N)]
-    row = np.repeat(np.arange(D, dtype=np.int64), np.count_nonzero(keep, axis=1))
-    del rank, parity, flat, keep
+        flat *= n + 1
+        flat += np.take(np.take(land.nb, J[:, k], axis=0), land.slots[:, k], axis=1)
+    col = land.rank[flat]
 
-    # number the distinct (row, column) entries in CSR order
-    key = row * D + col
-    del row, col
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.empty(key.size, dtype=bool)
+    # sort the contributions of each row by column, then slot; -1 marks a
+    # tuple that does not land or lands below the diagonal
+    key = col * n_slots + np.arange(n_slots, dtype=np.int32)
+    key[col < np.arange(first, first + J.shape[0], dtype=np.int32)[:, None]] = -1
+    del col
+    key.sort(axis=1)
+    at = np.flatnonzero(key >= 0)
+    row = at // n_slots
+    col, slot = np.divmod(key.ravel()[at], n_slots)
+    del key, at
+    # number the distinct (row, column) entries; an entry's contributions
+    # are adjacent and in slot order, the order bincount sums them in
+    new = np.empty(col.size, dtype=bool)
     new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    entry = np.empty(key.size, dtype=np.int32)
-    entry[order] = np.cumsum(new, dtype=np.int32) - 1
-    del order
-    ur, uc = np.divmod(key[new], D)
-    del key, new
+    new[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1])
+    counts = np.bincount(row[new], minlength=J.shape[0])
+    ucol = col[new]
+    entry = np.cumsum(new, dtype=np.int32) - 1
+    del col, new
 
-    # the full matrix: every upper entry, and the mirror of each strictly upper one
-    strict = np.flatnonzero(ur != uc)
-    full_row = np.concatenate([ur, uc[strict]])
-    full_col = np.concatenate([uc, ur[strict]])
-    order = np.argsort(full_row * D + full_col, kind="stable")
-    mirror = np.concatenate([np.arange(ur.size), strict])[order].astype(np.int32)
+    # pos[k] is the position in M's CSR data of the pair (J_k, b_k)
+    sign = land.parity[flat.ravel()[row * n_slots + slot]].astype(float)
+    pos = [M.indptr[J[:, k]][row] + land.slots[:, k][slot] for k in range(N)]
+    del flat, row, slot
+    mv = [M.data[p] for p in pos]
+    av = [adata[p] for p in pos]
+
+    def mass_except(*skip):
+        out = np.ones(sign.shape)
+        for k in range(N):
+            if k not in skip:
+                out = out * mv[k]
+        return out
+
+    hval = sum(av[k] * mass_except(k) for k in range(N))
+    if W is not None:
+        for j, k in itertools.combinations(range(N), 2):
+            hval = hval + 2.0 * W[pos[j], pos[k]] * mass_except(j, k)
+    hu = np.bincount(entry, weights=sign * hval, minlength=ucol.size)
+    mu = np.bincount(entry, weights=sign * mass_except(), minlength=ucol.size)
+    return counts, ucol, hu, mu
+
+
+def _symmetric_csr(counts: np.ndarray, ucol: np.ndarray) -> tuple[np.ndarray, ...]:
+    """CSR structure of the full symmetric matrix from its upper entries.
+
+    counts and ucol are the per-row entry counts and the columns of the
+    upper triangle in CSR order.  Returns indptr, indices and mirror, the
+    upper entry each full entry copies.  The lower triangle is the
+    transpose of the upper one (a counting sort) and the sum with the
+    strictly upper part merges the two; entries carry their upper entry
+    number plus one, so the diagonal entries dropped as zeros from the
+    strictly upper part come from the transpose alone.
+    """
+    D = counts.size
     indptr = np.zeros(D + 1, dtype=np.int32)
-    np.cumsum(np.bincount(full_row, minlength=D), out=indptr[1:])
-    indices = full_col[order].astype(np.int32)
-    return _PencilPattern(pos_k, sign, entry, int(ur.size), indptr, indices, mirror)
+    np.cumsum(counts, out=indptr[1:])
+    number = np.arange(1, ucol.size + 1, dtype=np.int32)
+    lower = sp.csr_matrix((number, ucol, indptr), shape=(D, D)).T.tocsr()
+    number[ucol == np.repeat(np.arange(D, dtype=np.int32), counts)] = 0
+    full = lower + sp.csr_matrix((number, ucol, indptr), shape=(D, D))
+    return full.indptr, full.indices, full.data - 1
 
 
 def assemble_manybody(
@@ -442,16 +485,24 @@ def assemble_manybody(
 ) -> ManyBodyOperator:
     """Sparse pencil (H_N, M_N) over the nodal wedges of `basis`.
 
-    A must be supported on M's pattern, as every P1 one-body matrix is.
-    Row J of the pencil sums the full tensor operator over the dof tuples b
-    with b_k a neighbour of J_k; a tuple without ties lands on its sorted
-    tuple with the sign of the sorting permutation.  Because the full
-    operator commutes with coordinate permutations, these row sums equal
-    P'(.)P exactly.  Only the contributions to the upper triangle are
-    summed, and the lower triangle mirrors them, so both matrices are
-    exactly symmetric.  They share one CSR structure, less the entries
-    that cancel to exactly zero in either; at N >= 3 the kinetic terms of
-    a uniform grid cancel in many entries of H.
+    A must be supported on M's pattern, as every P1 one-body matrix is; an
+    entry outside it above round-off (eps times the largest |A| entry)
+    raises ValueError.  Row J of the pencil sums the full tensor operator
+    over the dof tuples b with b_k a neighbour of J_k; a tuple without ties
+    lands on its sorted tuple with the sign of the sorting permutation.
+    Because the full operator commutes with coordinate permutations, these
+    row sums equal P'(.)P exactly.
+
+    The rows are assembled in blocks of about _BLOCK_SLOTS neighbour-slot
+    tuples, in row order; the sort keys, positions, signs and products of
+    the individual contributions exist for one block at a time, so beyond
+    the result an assembly needs its upper-triangle entries (20 bytes
+    each) and one block.  Only the contributions to the upper triangle
+    are summed, each entry in slot order whatever the block size, and the
+    lower triangle mirrors them, so both matrices are exactly symmetric.
+    They share one CSR structure, less the entries that cancel to exactly
+    zero in either; at N >= 3 the kinetic terms of a uniform grid cancel
+    in many entries of H.
     """
     n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
     if A.dimension != n or M.dimension != n:
@@ -461,36 +512,38 @@ def assemble_manybody(
         raise ValueError("two-body tensor orbital count mismatch")
 
     csr = M.data
-    pat = _pencil_pattern(csr, basis)
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    adata = A.dense()[rows, csr.indices]  # A on M's pattern
-    mv = [csr.data[p] for p in pat.pos]
-    av = [adata[p] for p in pat.pos]
+    dense = A.dense()
+    adata = dense[rows, csr.indices]  # A on M's pattern
+    # an M entry that underflows to zero leaves a round-off A entry behind
+    round_off = np.finfo(float).eps * np.abs(dense).max()
+    dense[rows, csr.indices] = 0.0
+    outside = np.abs(dense) > round_off
+    if outside.any():
+        a, b = np.argwhere(outside)[0]
+        raise ValueError(f"one-body entry at dof pair ({a}, {b}) lies outside M's pattern")
+    W = two_body.pair_matrix if has_two else None
 
-    def mass_except(*skip):
-        out = np.ones(pat.sign.shape)
-        for k in range(N):
-            if k not in skip:
-                out = out * mv[k]
-        return out
+    land = _landing(csr, basis)
+    step = max(1, _BLOCK_SLOTS // land.slots.shape[0])
+    J = basis.array
+    blocks = [
+        _upper_block(J[first : first + step], first, land, csr, adata, W)
+        for first in range(0, D, step)
+    ]
+    del land
+    counts, ucol, hu, mu = (np.concatenate(part) for part in zip(*blocks))
+    del blocks
+    indptr, indices, mirror = _symmetric_csr(counts, ucol)
 
-    hval = sum(av[k] * mass_except(k) for k in range(N))
-    if has_two:
-        W = two_body.pair_matrix
-        for j, k in itertools.combinations(range(N), 2):
-            hval = hval + 2.0 * W[pat.pos[j], pat.pos[k]] * mass_except(j, k)
-
-    def pencil_matrix(vals):
-        upper = np.bincount(pat.entry, weights=pat.sign * vals, minlength=pat.n_upper)
-        mat = sp.csr_matrix((upper[pat.mirror], pat.indices, pat.indptr), shape=(D, D))
+    def pencil_matrix(upper):
+        mat = sp.csr_matrix((upper[mirror], indices, indptr), shape=(D, D))
         if not mat.data.all():  # entries that cancel exactly are not stored
             mat = mat.copy()  # eliminate_zeros works in place on the shared arrays
             mat.eliminate_zeros()
         return mat
 
-    return ManyBodyOperator(
-        matrix=pencil_matrix(hval), basis=basis, overlap=pencil_matrix(mass_except())
-    )
+    return ManyBodyOperator(matrix=pencil_matrix(hu), basis=basis, overlap=pencil_matrix(mu))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,28 @@ class TestSeparableStart:
             assert_levels_match(solve_mb_eig(op, k).eigenvalues, dense[:k])
 
 
+class TestSeparableInverse:
+    @pytest.mark.parametrize("n_particles, n_cells", [(2, 10), (3, 8), (4, 7)])
+    def test_matches_the_index_grid_reference(self, n_particles, n_cells):
+        # the tie mask from int64 index grids, as the preconditioner built it before
+        v, w = reflection_symmetric(n_cells)
+        op = build_problem(v, w, ANTIPERIODIC, n_cells, n_particles).operator
+        levels, V = op.orbitals.levels, op.orbitals.transform
+        total = levels
+        for _ in range(n_particles - 1):
+            total = np.add.outer(total, levels)
+        lowest = float(np.sum(levels[:n_particles]))
+        inverse = 1.0 / (total - (lowest - max(1.0, 0.1 * abs(lowest))))
+        idx = np.indices(total.shape)
+        for i in range(n_particles):
+            for j in range(i + 1, n_particles):
+                inverse[idx[i] == idx[j]] = 0.0
+        R = np.random.default_rng(n_particles).standard_normal((op.dim, 3))
+        C = mode_product(wedge_tensor(op.basis, R), V.T) * inverse
+        want = wedge_coefficients(op.basis, mode_product(C, V))
+        assert np.array_equal(_separable_inverse(op)(R), want)
+
+
 class TestClassifyDegeneracy:
     def test_periodic_three_particles_non_degenerate(self):
         rep = classify_degeneracy(None, NoInteraction(), PERIODIC, 3, (12, 24))

@@ -14,6 +14,7 @@ from fermigate.simplex import (
     TAG_NEAR_OUTER,
     Permutation,
     SimplexSample,
+    _increasing_tuples,
     _tag_points,
     box_norms,
     evaluate_state,
@@ -208,6 +209,18 @@ class TestRestrictToSimplex:
         keep = np.abs(analytic) > 1e-2 * np.max(np.abs(analytic))
         ratio = sample.values[keep] / analytic[keep]
         assert np.std(ratio) <= 2e-2 * abs(np.mean(ratio))
+
+    @pytest.mark.parametrize("n_nodes, N", [(9, 1), (6, 6), (21, 2), (13, 3), (10, 4), (9, 5)])
+    def test_node_tuples_in_argwhere_order(self, n_nodes, N):
+        # the strictly increasing index region of int64 index grids, as sampled before
+        idx = np.indices((n_nodes,) * N)
+        mask = np.ones((n_nodes,) * N, dtype=bool)
+        for a in range(N - 1):
+            mask &= idx[a] < idx[a + 1]
+        tuples = _increasing_tuples(n_nodes, N)
+        assert tuples.dtype == np.intp and tuples.strides == np.argwhere(mask).strides
+        assert np.array_equal(tuples, np.argwhere(mask))
+        assert np.array_equal(tuples, list(itertools.combinations(range(n_nodes), N)))
 
     def test_diagonal_nodes_vanish(self, ground20):
         prob, res = ground20

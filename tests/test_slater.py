@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -20,6 +22,7 @@ from fermigate.basis import (
     _full_potential,
     _full_stiffness,
     assemble_overlap,
+    assemble_stiffness,
     build_grid_basis,
 )
 from fermigate.errors import CapExceededError
@@ -627,6 +630,24 @@ ALL_KINDS = [
 ]
 
 
+def neighbour_structure(M, basis):
+    """Entries (J, K) where a permutation of K is a tuple of M-neighbours of J.
+
+    The structure H_N and M_N share before exact cancellations, read off
+    M's sparsity pattern wedge pair by wedge pair.
+    """
+    rows = np.repeat(np.arange(M.dimension), np.diff(M.data.indptr))
+    adjacent = np.zeros((M.dimension, M.dimension), dtype=bool)
+    adjacent[rows, M.data.indices] = True
+    T = basis.array
+    full = np.zeros((basis.dim, basis.dim), dtype=bool)
+    for perm in itertools.permutations(range(basis.n_particles)):
+        full |= np.logical_and.reduce(
+            [adjacent[np.ix_(T[:, k], T[:, p])] for k, p in enumerate(perm)]
+        )
+    return full
+
+
 def _embed(op, n, N, first):
     """op acts on the coordinates `first`, then the rest in order; reorder to 0..N-1."""
     order = list(first) + [k for k in range(N) if k not in first]
@@ -694,10 +715,7 @@ class TestPencilAgainstDenseReference:
         for w in (NoInteraction(), kernel):
             prob = build_problem(Delta(0.4, 3.0), w, bc, n_cells, n_particles)
             H, M = prob.operator.matrix, prob.operator.overlap
-            pattern = slater_module._pencil_pattern(prob.overlap.data, prob.slater)
-            full = sp.csr_matrix(
-                (np.ones(pattern.indices.size), pattern.indices, pattern.indptr), shape=H.shape
-            ).toarray()
+            full = neighbour_structure(prob.overlap, prob.slater)
             for mat in (H, M):
                 assert mat.has_canonical_format
                 assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int32
@@ -705,13 +723,90 @@ class TestPencilAgainstDenseReference:
                 assert np.array_equal(dense, dense.T)
                 # the shared structure, less the entries that cancel exactly
                 assert np.all(mat.data != 0.0)
-                assert not np.any(dense[full == 0.0])
-            if H.nnz == M.nnz == pattern.indices.size:
+                assert not np.any(dense[~full])
+            if H.nnz == M.nnz == np.count_nonzero(full):
                 assert np.shares_memory(H.indices, M.indices)
                 assert np.shares_memory(H.indptr, M.indptr)
         # nothing cancels in a kernel pencil at N = 2
         if n_particles == 2:
             assert np.shares_memory(H.indices, M.indices)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n_particles", [2, 3, 4])
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @pytest.mark.parametrize("kernel", [False, True], ids=["free", "kernel"])
+    def test_blocks_of_a_few_rows_match_one_block(self, monkeypatch, bc, n_particles, kernel):
+        n_cells = 7
+        rng = np.random.default_rng(10 + n_particles)
+        v = Sampled(tuple(rng.uniform(-5.0, 5.0, n_cells + 1)))
+        w = NoInteraction()
+        if kernel:
+            Wn = rng.uniform(-3.0, 3.0, (n_cells + 1, n_cells + 1))
+            w = SampledKernel(tuple(map(tuple, Wn + Wn.T)))
+        prob = build_problem(v, w, bc, n_cells, n_particles)
+        args = (prob.one_body, prob.overlap, prob.two_body, prob.slater)
+        full = neighbour_structure(prob.overlap, prob.slater)
+        calls = []
+        upper_block = slater_module._upper_block
+
+        def counted(J, *rest):
+            calls.append(len(J))
+            return upper_block(J, *rest)
+
+        monkeypatch.setattr(slater_module, "_upper_block", counted)
+        monkeypatch.setattr(slater_module, "_BLOCK_SLOTS", 1 << 62)
+        whole = assemble_manybody(*args)
+        assert calls == [prob.slater.dim]
+        n_slots = 3**n_particles  # every dof has at most three neighbours
+        for rows in (1, 2, 5):
+            calls.clear()
+            monkeypatch.setattr(slater_module, "_BLOCK_SLOTS", rows * n_slots)
+            op = assemble_manybody(*args)
+            assert len(calls) == -(-prob.slater.dim // rows) and max(calls) == rows
+            for got, want in ((op.matrix, whole.matrix), (op.overlap, whole.overlap)):
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+            H, M = op.matrix, op.overlap
+            if H.nnz == M.nnz == np.count_nonzero(full):  # nothing cancels
+                assert np.shares_memory(H.indices, M.indices)
+                assert np.shares_memory(H.indptr, M.indptr)
+
+    def test_one_body_entry_outside_the_mass_pattern_rejected(self):
+        grid = build_grid_basis(8, DIRICHLET)
+        K = assemble_stiffness(grid).data.tolil()
+        K[0, 3] = K[3, 0] = 1.0
+        A = SymMatrix.from_sparse(K.tocsr())
+        basis = enumerate_slater_basis(grid.n_dofs, 2)
+        with pytest.raises(ValueError, match=r"dof pair \(0, 3\)"):
+            assemble_manybody(A, assemble_overlap(grid), None, basis)
+
+    @pytest.mark.parametrize(
+        "bc", [BoundarySpec.line(1.0, 5e-324), BoundarySpec.quasiperiodic(5e-324)], ids=["line", "qp"]
+    )
+    def test_underflowed_mass_entry_leaves_no_outside_entry(self, bc):
+        # M's coupling entry rounds to zero while K's stays a subnormal -2e-323
+        grid = build_grid_basis(4, bc)
+        op = build_problem(None, DeltaContact(14.3), bc, 4, 2).operator
+        oracle = assemble_manybody_bruteforce(None, DeltaContact(14.3), grid, 2)
+        assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
+        assert np.max(np.abs(op.overlap.toarray() - oracle.overlap)) <= 1e-10
+
+    def test_peak_memory_is_a_few_pencils(self):
+        # the transient arrays of one row block, not of every contribution
+        prob = build_problem(None, NoInteraction(), BoundarySpec.quasiperiodic(1.0), 40, 3)
+        args = (prob.one_body, prob.overlap, prob.two_body, prob.slater)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            op = assemble_manybody(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = {id(a): a for m in (op.matrix, op.overlap) for a in (m.data, m.indices, m.indptr)}
+        pencil = sum(a.nbytes for a in arrays.values())  # shared arrays count once
+        assert op.dim == 9880
+        assert peak <= 3.0 * pencil, (peak, pencil)
 
 
 class TestOracleIndependence:
@@ -725,8 +820,8 @@ class TestOracleIndependence:
             raise AssertionError("the oracle must not use the assembly it checks")
 
         monkeypatch.setattr(basis_module, "_project", forbidden)
-        for name in ("assemble_manybody", "_pencil_pattern", "wedge_tensor",
-                     "assemble_overlap", "assemble_stiffness", "assemble_potential"):
+        for name in ("assemble_manybody", "_landing", "_upper_block", "_symmetric_csr",
+                     "wedge_tensor", "assemble_overlap", "assemble_stiffness", "assemble_potential"):
             monkeypatch.setattr(slater_module, name, forbidden)
         for (v, w), op in zip(cases, pencils):
             oracle = assemble_manybody_bruteforce(v, w, grid7, 2)

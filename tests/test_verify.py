@@ -409,6 +409,31 @@ class TestScenarios:
             assert a == b
         assert cli.emit_report(seq) == cli.emit_report(par)
 
+    def test_kernel_positivity_report_identical_across_thread_caps(self, monkeypatch):
+        # a sampled-kernel positivity scenario and its free twin, each cap on a cold cache
+        n_cells = 16
+        x = np.linspace(0.0, 1.0, n_cells + 1)
+        kernel_w = {"kind": "sampled-kernel",
+                    "values": (40.0 * np.exp(-np.subtract.outer(x, x) ** 2 / 0.02)).tolist()}
+        free = make_scenario("simplex_positivity_local", {"n_cells": n_cells, "w": {"kind": "none"}})
+        kernel = dataclasses.replace(
+            make_scenario("simplex_positivity_local", {"n_cells": n_cells, "w": kernel_w}),
+            name="simplex_positivity_local_kernel",
+        )
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FERMIGATE_THREADS", threads)
+            clear_cache()
+            reports.append(cli.emit_report(run_manifest([kernel, free], seed=1)))
+        clear_cache()
+        assert reports[0] == reports[1]
+        assert all(s["error"] is None for s in json.loads(reports[0])["scenarios"])
+        # the kernel acts on fermions: its pencil is not the free one
+        v, bc = verify.dict_to_potential(free.params["v"]), verify.dict_to_bc(free.params["bc"])
+        H = [build_problem(v, verify.dict_to_interaction(s.params["w"]), bc, n_cells, 2).operator.matrix
+             for s in (kernel, free)]
+        assert abs(H[0] - H[1]).max() > 1e-6 * abs(H[1]).max()
+
     def test_reports_reproducible_at_fixed_seed(self):
         for name, overrides in (
             ("structural_invariants", {"tessellation_points": 20000}),
