@@ -22,6 +22,7 @@ from .errors import (
     FermigateError,
     IndefiniteMatrixError,
     ShiftError,
+    SpecError,
 )
 from .manybody import DegeneracyReport, classify_degeneracy, inverse_iteration_ground, solve_mb_eig
 from .simplex import (

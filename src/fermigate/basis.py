@@ -70,7 +70,7 @@ class BoundarySpec:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "quasiperiodic":
             if not np.isfinite(self.alpha) or self.alpha == 0.0:
-                raise ValueError("quasiperiodic alpha must be finite and nonzero")
+                raise ValueError("quasiperiodic alpha must be nonzero and finite")
         if self.kind == "line" and self.a == 0.0 and self.b == 0.0:
             raise ValueError("line boundary direction must be nonzero")
 

@@ -21,20 +21,16 @@ import numpy as np
 
 from .basis import (
     BoundarySpec,
-    Delta,
-    HMinusOnePair,
     PotentialSpec,
-    Sampled,
     assemble_overlap,
     assemble_potential,
     assemble_stiffness,
     build_grid_basis,
 )
-from .errors import ConfigError, FermigateError
+from .errors import ConfigError, FermigateError, SpecError
 from .manybody import solve_mb_eig
 from .simplex import restrict_to_simplex
 from .slater import (
-    DeltaContact,
     InteractionSpec,
     NoInteraction,
     WaveVector,
@@ -43,7 +39,9 @@ from .slater import (
 )
 from .spectrum import gap_report, solve_sp_eig
 from .verify import (
+    _SPECS,
     VerificationReport,
+    _decode,
     default_manifest,
     make_scenario,
     run_manifest,
@@ -54,21 +52,33 @@ __all__ = ["RunConfig", "parse_config", "run", "emit_report", "parse_report", "m
 
 COMMANDS = ("solve-single", "solve-many", "verify", "report")
 
-_BC_ALIASES = {
-    "dirichlet": "dirichlet-both",
-    "dirichlet-both": "dirichlet-both",
-    "dirichlet-left": "dirichlet-left",
-    "dirichlet-right": "dirichlet-right",
-    "free": "free",
-    "quasiperiodic": "quasiperiodic",
-    "line": "line",
+# The INI home of each problem spec (see verify._SPECS): its section, the INI
+# names of its keys, and the aliases of its kind ('' when the kind is unset).
+_SPEC_SECTIONS = {
+    "bc": ("problem", {"kind": "bc", "a": "line_a", "b": "line_b"},
+           {"": "dirichlet-both", "dirichlet": "dirichlet-both"}),
+    "v": ("potential", {}, {"": "none"}),
+    "w": ("interaction", {}, {"": "none"}),
 }
+_PRESETS = {
+    "zeros": lambda n: [0.0] * n,
+    "ones": lambda n: [1.0] * n,
+    "ramp": lambda n: np.linspace(0.0, 1.0, n).tolist(),
+}
+_LENGTHS = {"values": (1, "nodal values"), "cells": (0, "per-cell values")}
+
+
+def _spec_keys(param: str) -> set[str]:
+    names = _SPEC_SECTIONS[param][1]
+    keys = ["kind"] + [key for _, fields in _SPECS[param].values() for key, _, _ in fields]
+    return {names.get(key, key) for key in keys}
+
 
 _SCHEMA = {
     "run": {"command", "seed"},
-    "problem": {"bc", "alpha", "line_a", "line_b", "n_cells", "n_particles", "grids"},
-    "potential": {"kind", "x0", "strength", "values", "alpha", "cells"},
-    "interaction": {"kind", "strength"},
+    "problem": {"n_cells", "n_particles", "grids"} | _spec_keys("bc"),
+    "potential": _spec_keys("v"),
+    "interaction": _spec_keys("w"),
     "solver": {"k", "deg_tol"},
     "output": {"path", "format"},
     "verify": {"scenarios"},
@@ -113,73 +123,24 @@ def _get_typed(cp, section, key, kind, default=None, required=False):
         raise _fail(section, key, f"expected {kind.__name__}, got {raw!r}") from None
 
 
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
+def _parse_spec(cp, param: str, n_cells: int):
+    """A problem spec from its INI section, through the manifest's decoder."""
+    section, names, aliases = _SPEC_SECTIONS[param]
+    keys = {ini: key for key, ini in names.items()}
+    d = {keys.get(k, k): v.strip() for k, v in cp.items(section)} if cp.has_section(section) else {}
+    kind = d.get("kind", "").lower()
+    d["kind"] = aliases.get(kind, kind)
+    if d.get("values") in _PRESETS:
+        d["values"] = _PRESETS[d["values"]](n_cells + 1)
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise _fail(section, key, f"expected a list of reals, got {raw!r}") from None
-
-
-def _parse_bc(cp) -> BoundarySpec:
-    name = (_get_typed(cp, "problem", "bc", str, "dirichlet") or "dirichlet").lower()
-    if name not in _BC_ALIASES:
-        raise _fail("problem", "bc", f"unknown boundary condition {name!r}")
-    kind = _BC_ALIASES[name]
-    if kind == "quasiperiodic":
-        alpha = _get_typed(cp, "problem", "alpha", float, required=True)
-        if alpha == 0.0:
-            raise _fail("problem", "alpha", "alpha must be nonzero")
-        return BoundarySpec.quasiperiodic(alpha)
-    if kind == "line":
-        a = _get_typed(cp, "problem", "line_a", float, required=True)
-        b = _get_typed(cp, "problem", "line_b", float, required=True)
-        if a == 0.0 and b == 0.0:
-            raise _fail("problem", "line_a", "line direction must be nonzero")
-        return BoundarySpec.line(a, b)
-    return BoundarySpec(kind)
-
-
-def _parse_potential(cp, n_cells: int) -> PotentialSpec | None:
-    kind = (_get_typed(cp, "potential", "kind", str, "none") or "none").lower()
-    if kind == "none":
-        return None
-    if kind == "delta":
-        x0 = _get_typed(cp, "potential", "x0", float, required=True)
-        strength = _get_typed(cp, "potential", "strength", float, required=True)
-        if not 0.0 <= x0 <= 1.0:
-            raise _fail("potential", "x0", f"expected real in [0,1], got {x0!r}")
-        return Delta(x0, strength)
-    if kind == "sampled":
-        raw = _get_typed(cp, "potential", "values", str, required=True)
-        presets = {
-            "zeros": tuple(0.0 for _ in range(n_cells + 1)),
-            "ones": tuple(1.0 for _ in range(n_cells + 1)),
-            "ramp": tuple(np.linspace(0.0, 1.0, n_cells + 1)),
-        }
-        if raw in presets:
-            return Sampled(presets[raw])
-        vals = _parse_float_list("potential", "values", raw)
-        if len(vals) != n_cells + 1:
-            raise _fail("potential", "values", f"need {n_cells + 1} nodal values, got {len(vals)}")
-        return Sampled(vals)
-    if kind == "hminusone":
-        alpha = _get_typed(cp, "potential", "alpha", float, required=True)
-        raw = _get_typed(cp, "potential", "cells", str, required=True)
-        vals = _parse_float_list("potential", "cells", raw)
-        if len(vals) != n_cells:
-            raise _fail("potential", "cells", f"need {n_cells} per-cell values, got {len(vals)}")
-        return HMinusOnePair(alpha, vals)
-    raise _fail("potential", "kind", f"unknown potential kind {kind!r}")
-
-
-def _parse_interaction(cp) -> InteractionSpec:
-    kind = (_get_typed(cp, "interaction", "kind", str, "none") or "none").lower()
-    if kind == "none":
-        return NoInteraction()
-    if kind == "delta-contact":
-        g = _get_typed(cp, "interaction", "strength", float, required=True)
-        return DeltaContact(g)
-    raise _fail("interaction", "kind", f"unknown interaction kind {kind!r}")
+        spec = _decode(param, d)
+    except SpecError as exc:
+        raise _fail(section, names.get(exc.field, exc.field), exc.message) from None
+    encoded = spec_to_dict(spec)
+    for key, (extra, what) in _LENGTHS.items():
+        if key in encoded and len(encoded[key]) != n_cells + extra:
+            raise _fail(section, key, f"need {n_cells + extra} {what}, got {len(encoded[key])}")
+    return spec
 
 
 def parse_grids(raw: str) -> tuple[int, int]:
@@ -234,12 +195,12 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         command=command,
         seed=seed,
-        bc=_parse_bc(cp),
+        bc=_parse_spec(cp, "bc", n_cells),
         n_cells=n_cells,
         n_particles=n_particles,
         grids=grids,
-        potential=_parse_potential(cp, n_cells),
-        interaction=_parse_interaction(cp),
+        potential=_parse_spec(cp, "v", n_cells),
+        interaction=_parse_spec(cp, "w", n_cells),
         k=k,
         deg_tol=deg_tol,
         out_path=out_path,
@@ -318,18 +279,22 @@ def emit_report(report, fmt: str = "json") -> bytes:
         }
         return (_emit_json(doc) + "\n").encode()
     if fmt == "csv":
-        lines = ["scenario,check,measured,comparator,threshold,passed,note"]
-        for r in reports:
-            if not r.checks:
-                note = r.error or "no-checks"
-                lines.append(f"{r.scenario},,,,,{str(r.overall).lower()},{note}")
-            for c in r.checks:
-                lines.append(
-                    f"{r.scenario},{c.name},{c.measured:.12g},{c.comparator},"
-                    f"{c.threshold:.12g},{str(c.passed).lower()},{c.note}"
-                )
-        return ("\n".join(lines) + "\n").encode()
+        return _checks_csv([_report_to_dict(r) for r in reports])
     raise ConfigError(f"unknown report format {fmt!r}")
+
+
+def _checks_csv(scenarios: list[dict]) -> bytes:
+    """One CSV row per check of report dicts, as _report_to_dict makes them."""
+    lines = ["scenario,check,measured,comparator,threshold,passed,note"]
+    for r in scenarios:
+        if not r.get("checks"):
+            lines.append(f"{r['name']},,,,,{str(bool(r.get('overall'))).lower()},{r.get('error') or 'no-checks'}")
+        for c in r.get("checks", []):
+            lines.append(
+                f"{r['name']},{c['name']},{float(c['measured']):.12g},{c['comparator']},"
+                f"{float(c['threshold']):.12g},{str(c['passed']).lower()},{c.get('note', '')}"
+            )
+    return ("\n".join(lines) + "\n").encode()
 
 
 def parse_report(data: bytes) -> dict:
@@ -378,6 +343,27 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if all(r.overall for r in reports) else 2
 
 
+def _finish_solve(config: RunConfig, problem: dict, res, extra: dict) -> int:
+    """Print the spectrum and write the solve artifact (JSON, or CSV eigenvalues)."""
+    for i, lam in enumerate(res.eigenvalues):
+        print(f"PASS {config.command}/lambda{i + 1}: {lam:.6g}")
+    if config.out_format == "csv":
+        pairs = enumerate(zip(res.eigenvalues, res.residuals))
+        text = "\n".join(["k,lambda,residual"] + [f"{i + 1},{lam:.12g},{r:.12g}" for i, (lam, r) in pairs])
+    else:
+        text = _emit_json({
+            "schema": "fermigate-solve/1",
+            "command": config.command,
+            "seed": config.seed,
+            "problem": problem,
+            "eigenvalues": res.eigenvalues.tolist(),
+            "residuals": res.residuals.tolist(),
+            **extra,
+        })
+    _write_artifact((text + "\n").encode(), config.out_path)
+    return 0
+
+
 def _cmd_solve_single(config: RunConfig) -> int:
     grid = build_grid_basis(config.n_cells, config.bc)
     K = assemble_stiffness(grid)
@@ -385,33 +371,9 @@ def _cmd_solve_single(config: RunConfig) -> int:
     P = assemble_potential(grid, config.potential)
     res = solve_sp_eig(K, P, M, min(config.k, grid.n_dofs))
     gaps = gap_report(res, config.bc, config.deg_tol) if res.eigenvalues.size >= 2 else None
-    doc = {
-        "schema": "fermigate-solve/1",
-        "command": "solve-single",
-        "seed": config.seed,
-        "problem": {
-            "bc": spec_to_dict(config.bc),
-            "v": spec_to_dict(config.potential),
-            "n_cells": config.n_cells,
-        },
-        "eigenvalues": res.eigenvalues.tolist(),
-        "residuals": res.residuals.tolist(),
-    }
-    if gaps is not None:
-        doc["gaps"] = list(gaps.gaps)
-        doc["gap_verdicts"] = list(gaps.verdicts)
-    for i, lam in enumerate(res.eigenvalues):
-        print(f"PASS solve-single/lambda{i + 1}: {lam:.6g}")
-    if config.out_format == "csv":
-        lines = ["k,lambda,residual"]
-        lines += [
-            f"{i + 1},{lam:.12g},{r:.12g}"
-            for i, (lam, r) in enumerate(zip(res.eigenvalues, res.residuals))
-        ]
-        _write_artifact(("\n".join(lines) + "\n").encode(), config.out_path)
-    else:
-        _write_artifact((_emit_json(doc) + "\n").encode(), config.out_path)
-    return 0
+    extra = {"gaps": list(gaps.gaps), "gap_verdicts": list(gaps.verdicts)} if gaps is not None else {}
+    problem = {"bc": spec_to_dict(config.bc), "v": spec_to_dict(config.potential), "n_cells": config.n_cells}
+    return _finish_solve(config, problem, res, extra)
 
 
 def _cmd_solve_many(config: RunConfig) -> int:
@@ -422,19 +384,14 @@ def _cmd_solve_many(config: RunConfig) -> int:
     psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
     rho = reduced_density(psi, prob.orbitals)
     sample = restrict_to_simplex(psi, prob.orbitals)
-    doc = {
-        "schema": "fermigate-solve/1",
-        "command": "solve-many",
-        "seed": config.seed,
-        "problem": {
-            "bc": spec_to_dict(config.bc),
-            "v": spec_to_dict(config.potential),
-            "w": spec_to_dict(config.interaction),
-            "n_cells": config.n_cells,
-            "n_particles": config.n_particles,
-        },
-        "eigenvalues": res.eigenvalues.tolist(),
-        "residuals": res.residuals.tolist(),
+    problem = {
+        "bc": spec_to_dict(config.bc),
+        "v": spec_to_dict(config.potential),
+        "w": spec_to_dict(config.interaction),
+        "n_cells": config.n_cells,
+        "n_particles": config.n_particles,
+    }
+    extra = {
         "density": {"nodes": prob.grid.nodes.tolist(), "values": rho.tolist()},
         "simplex_sample": {
             "points": [list(p) for p in sample.points],
@@ -442,18 +399,7 @@ def _cmd_solve_many(config: RunConfig) -> int:
             "tags": list(sample.tags),
         },
     }
-    for i, lam in enumerate(res.eigenvalues):
-        print(f"PASS solve-many/lambda{i + 1}: {lam:.6g}")
-    if config.out_format == "csv":
-        lines = ["k,lambda,residual"]
-        lines += [
-            f"{i + 1},{lam:.12g},{r:.12g}"
-            for i, (lam, r) in enumerate(zip(res.eigenvalues, res.residuals))
-        ]
-        _write_artifact(("\n".join(lines) + "\n").encode(), config.out_path)
-    else:
-        _write_artifact((_emit_json(doc) + "\n").encode(), config.out_path)
-    return 0
+    return _finish_solve(config, problem, res, extra)
 
 
 def _cmd_report(config: RunConfig) -> int:
@@ -470,19 +416,20 @@ def _cmd_report(config: RunConfig) -> int:
             print(f"{r['name']:40s} {len(r.get('checks', [])):6d} {status:>8s}")
             for c in r.get("checks", []):
                 mark = "+" if c["passed"] else "-"
-                print(f"  {mark} {c['name']}: {c['measured']:.6g} {c['comparator']} {c['threshold']:.6g}")
-        csv = emit_report_dict_csv(data)
-        (out_dir / "checks.csv").write_bytes(csv)
+                # JSON stores infinities as strings: float() reads them back
+                measured, threshold = float(c["measured"]), float(c["threshold"])
+                print(f"  {mark} {c['name']}: {measured:.6g} {c['comparator']} {threshold:.6g}")
+        (out_dir / "checks.csv").write_bytes(_checks_csv(data.get("scenarios", [])))
         print(f"wrote {out_dir / 'checks.csv'}")
         return 0
     if schema.startswith("fermigate-solve"):
         print(f"{'k':>4s} {'lambda':>18s}")
         for i, lam in enumerate(data.get("eigenvalues", [])):
-            print(f"{i + 1:4d} {lam:18.10g}")
+            print(f"{i + 1:4d} {float(lam):18.10g}")
         if "density" in data:
             lines = ["x,rho"]
             for x, v in zip(data["density"]["nodes"], data["density"]["values"]):
-                lines.append(f"{x:.12g},{v:.12g}")
+                lines.append(f"{float(x):.12g},{float(v):.12g}")
             (out_dir / "density.csv").write_text("\n".join(lines) + "\n")
             print(f"wrote {out_dir / 'density.csv'}")
         if "simplex_sample" in data:
@@ -491,8 +438,8 @@ def _cmd_report(config: RunConfig) -> int:
             header = ",".join(f"x{i + 1}" for i in range(dim)) + ",value,tag"
             lines = [header]
             for p, v, t in zip(sample["points"], sample["values"], sample["tags"]):
-                coords = ",".join(f"{c:.12g}" for c in p)
-                lines.append(f"{coords},{v:.12g},{t}")
+                coords = ",".join(f"{float(c):.12g}" for c in p)
+                lines.append(f"{coords},{float(v):.12g},{t}")
             (out_dir / "simplex_sample.csv").write_text("\n".join(lines) + "\n")
             print(f"wrote {out_dir / 'simplex_sample.csv'}")
         return 0
@@ -516,19 +463,6 @@ def run(config: RunConfig) -> int:
     except (FermigateError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-def emit_report_dict_csv(data: dict) -> bytes:
-    lines = ["scenario,check,measured,comparator,threshold,passed,note"]
-    for r in data.get("scenarios", []):
-        if not r.get("checks"):
-            lines.append(f"{r['name']},,,,,{str(bool(r.get('overall'))).lower()},{r.get('error') or 'no-checks'}")
-        for c in r.get("checks", []):
-            lines.append(
-                f"{r['name']},{c['name']},{c['measured']:.12g},{c['comparator']},"
-                f"{c['threshold']:.12g},{str(c['passed']).lower()},{c.get('note', '')}"
-            )
-    return ("\n".join(lines) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,14 @@ from math import factorial
 
 import numpy as np
 
-from .slater import OrbitalSet, WaveVector, mode_product, permutation_sign, wedge_tensor
+from .slater import (
+    OrbitalSet,
+    WaveVector,
+    _increasing_tuples,
+    mode_product,
+    permutation_sign,
+    wedge_tensor,
+)
 
 __all__ = [
     "Permutation",
@@ -112,23 +119,6 @@ def _tie_mask(n_nodes: int, N: int) -> np.ndarray:
     for a, b in itertools.combinations(range(N), 2):
         mask |= idx[a] == idx[b]
     return mask
-
-
-def _increasing_tuples(n_nodes: int, N: int) -> np.ndarray:
-    """Every strictly increasing N-tuple of node indices, in lexicographic order.
-
-    Built column by column: a tuple ending at l extends to l + 1, ..., n - 1.
-    The (count, N) result is the transpose of its columns, laid out as
-    argwhere lays out its indices.
-    """
-    columns = [np.arange(n_nodes)]
-    for _ in range(N - 1):
-        last = columns[-1]
-        count = n_nodes - 1 - last
-        # within the run of each tuple the new entries are last + 1, last + 2, ...
-        offset = np.repeat(np.cumsum(count) - count - last - 1, count)
-        columns = [np.repeat(c, count) for c in columns] + [np.arange(count.sum()) - offset]
-    return np.stack(columns).T
 
 
 def _sorted_mask(n_nodes: int, N: int) -> np.ndarray:

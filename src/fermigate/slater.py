@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -102,27 +101,35 @@ _CUBIC = np.array([1 / 4, 1 / 12, 1 / 12, 1 / 4])
 class SlaterBasis:
     """All strictly increasing index tuples in lexicographic order.
 
-    The tuples label both the nodal wedges of the pencil (indices are grid
-    dofs) and the Slater determinants of the orthonormal orbitals.
+    The tuples, the rows of the (dim, n_particles) integer array, label both
+    the nodal wedges of the pencil (indices are grid dofs) and the Slater
+    determinants of the orthonormal orbitals.
     """
 
     n_orbitals: int
     n_particles: int
-    tuples: tuple[tuple[int, ...], ...]
+    array: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.tuples)
+        return self.array.shape[0]
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The tuples as a (dim, n_particles) integer array."""
-        flat = itertools.chain.from_iterable(self.tuples)
-        count = self.dim * self.n_particles
-        return np.fromiter(flat, dtype=np.intp, count=count).reshape(self.dim, self.n_particles)
 
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {t: i for i, t in enumerate(self.tuples)}
+def _increasing_tuples(n_nodes: int, N: int) -> np.ndarray:
+    """Every strictly increasing N-tuple of node indices, in lexicographic order.
+
+    Built column by column: a tuple ending at l extends to l + 1, ..., n - 1.
+    The (count, N) result is the transpose of its columns, laid out as
+    argwhere lays out its indices.
+    """
+    columns = [np.arange(n_nodes)]
+    for _ in range(N - 1):
+        last = columns[-1]
+        count = n_nodes - 1 - last
+        # within the run of each tuple the new entries are last + 1, last + 2, ...
+        offset = np.repeat(np.cumsum(count) - count - last - 1, count)
+        columns = [np.repeat(c, count) for c in columns] + [np.arange(count.sum()) - offset]
+    return np.stack(columns).T
 
 
 def enumerate_slater_basis(n_orbitals: int, n_particles: int) -> SlaterBasis:
@@ -133,8 +140,7 @@ def enumerate_slater_basis(n_orbitals: int, n_particles: int) -> SlaterBasis:
     count = comb(n_orbitals, n_particles)
     if count > DETERMINANT_CAP:
         raise CapExceededError(f"{count} determinants exceed cap {DETERMINANT_CAP}")
-    tuples = tuple(itertools.combinations(range(n_orbitals), n_particles))
-    return SlaterBasis(n_orbitals=n_orbitals, n_particles=n_particles, tuples=tuples)
+    return SlaterBasis(n_orbitals, n_particles, _increasing_tuples(n_orbitals, n_particles))
 
 
 # ---------------------------------------------------------------------------

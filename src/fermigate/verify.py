@@ -15,6 +15,7 @@ import threading
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from math import factorial, pi
 
@@ -35,6 +36,7 @@ from .basis import (
     _full_potential,
     _full_stiffness,
 )
+from .errors import SpecError
 from .manybody import (
     REFINEMENT_MARGIN,
     classify_degeneracy,
@@ -79,7 +81,6 @@ __all__ = [
     "run_scenario",
     "run_manifest",
     "default_manifest",
-    "scenario_names",
     "make_scenario",
     "slater_sum_oracle",
     "monotonicity_suite",
@@ -170,64 +171,84 @@ def _finish(scenario: Scenario, checks: list[CheckResult], env: dict) -> Verific
 # problem spec codecs (shared with the CLI)
 
 
+def reals(x) -> tuple[float, ...]:
+    # INI text separates the reals by commas or whitespace
+    return tuple(float(v) for v in (x.replace(",", " ").split() if isinstance(x, str) else x))
+
+
+def rows(x) -> tuple[tuple[float, ...], ...]:
+    # INI text separates the rows by ';'
+    return tuple(reals(r) for r in ([r for r in x.split(";") if r.strip()] if isinstance(x, str) else x))
+
+
+# For each manifest param, every spec kind: (constructor, fields), each field
+# (key, attribute, coercion).  Constructor errors name the kind's first field.
+_SPECS = {
+    "bc": {
+        "dirichlet-both": (partial(BoundarySpec, "dirichlet-both"), ()),
+        "dirichlet-left": (partial(BoundarySpec, "dirichlet-left"), ()),
+        "dirichlet-right": (partial(BoundarySpec, "dirichlet-right"), ()),
+        "free": (partial(BoundarySpec, "free"), ()),
+        "quasiperiodic": (partial(BoundarySpec, "quasiperiodic"), (("alpha", "alpha", float),)),
+        "line": (partial(BoundarySpec, "line"), (("a", "a", float), ("b", "b", float))),
+    },
+    "v": {
+        "none": (type(None), ()),
+        "delta": (Delta, (("x0", "x0", float), ("strength", "strength", float))),
+        "sampled": (Sampled, (("values", "values", reals),)),
+        "hminusone": (HMinusOnePair, (("alpha", "alpha", float), ("cells", "V", reals))),
+    },
+    "w": {
+        "none": (NoInteraction, ()),
+        "delta-contact": (DeltaContact, (("strength", "g", float),)),
+        "sampled-kernel": (SampledKernel, (("values", "values", rows),)),
+    },
+}
+
+
+def _plain(x):
+    return [_plain(v) for v in x] if isinstance(x, tuple) else x
+
+
 def spec_to_dict(obj) -> dict:
-    if obj is None or isinstance(obj, NoInteraction):
-        return {"kind": "none"}
-    if isinstance(obj, Delta):
-        return {"kind": "delta", "x0": obj.x0, "strength": obj.strength}
-    if isinstance(obj, Sampled):
-        return {"kind": "sampled", "values": list(obj.values)}
-    if isinstance(obj, HMinusOnePair):
-        return {"kind": "hminusone", "alpha": obj.alpha, "cells": list(obj.V)}
-    if isinstance(obj, DeltaContact):
-        return {"kind": "delta-contact", "strength": obj.g}
-    if isinstance(obj, SampledKernel):
-        return {"kind": "sampled-kernel", "values": [list(r) for r in obj.values]}
-    if isinstance(obj, BoundarySpec):
-        d = {"kind": obj.kind}
-        if obj.kind == "quasiperiodic":
-            d["alpha"] = obj.alpha
-        if obj.kind == "line":
-            d["a"], d["b"] = obj.a, obj.b
-        return d
+    for kinds in _SPECS.values():
+        for kind, (make, fields) in kinds.items():
+            if isinstance(obj, getattr(make, "func", make)) and getattr(obj, "kind", kind) == kind:
+                return {"kind": kind, **{key: _plain(getattr(obj, attr)) for key, attr, _ in fields}}
     raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
+def _decode(param: str, d: dict | None):
+    """The spec of manifest param 'bc', 'v' or 'w'; keys no field reads are ignored."""
+    d = {"kind": "none"} if d is None else d
+    if d.get("kind") not in _SPECS[param]:
+        unknown = f"unknown kind {d.get('kind')!r}, expected one of {', '.join(_SPECS[param])}"
+        raise SpecError(param, "kind", unknown if "kind" in d else "required field is missing")
+    make, fields = _SPECS[param][d["kind"]]
+    args = {}
+    for key, attr, coerce in fields:
+        try:
+            args[attr] = coerce(d[key])
+        except KeyError:
+            raise SpecError(param, key, "required field is missing") from None
+        except (TypeError, ValueError):
+            raise SpecError(param, key, f"expected {coerce.__name__}, got {d[key]!r:.60}") from None
+    try:
+        return make(**args)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(param, fields[0][0], str(exc)) from None
+
+
 def dict_to_potential(d: dict | None) -> PotentialSpec | None:
-    if d is None:
-        return None
-    kind = d["kind"]
-    if kind == "none":
-        return None
-    if kind == "delta":
-        return Delta(float(d["x0"]), float(d["strength"]))
-    if kind == "sampled":
-        return Sampled(tuple(d["values"]))
-    if kind == "hminusone":
-        return HMinusOnePair(float(d["alpha"]), tuple(d["cells"]))
-    raise ValueError(f"unknown potential kind {kind!r}")
+    return _decode("v", d)
 
 
 def dict_to_interaction(d: dict | None) -> InteractionSpec:
-    if d is None:
-        return NoInteraction()
-    kind = d["kind"]
-    if kind == "none":
-        return NoInteraction()
-    if kind == "delta-contact":
-        return DeltaContact(float(d["strength"]))
-    if kind == "sampled-kernel":
-        return SampledKernel(tuple(tuple(r) for r in d["values"]))
-    raise ValueError(f"unknown interaction kind {kind!r}")
+    return _decode("w", d)
 
 
 def dict_to_bc(d: dict) -> BoundarySpec:
-    kind = d["kind"]
-    if kind == "quasiperiodic":
-        return BoundarySpec.quasiperiodic(float(d["alpha"]))
-    if kind == "line":
-        return BoundarySpec.line(float(d["a"]), float(d["b"]))
-    return BoundarySpec(kind)
+    return _decode("bc", d)
 
 
 def parity_holds(alpha: float, n_particles: int) -> bool:
@@ -924,10 +945,6 @@ def default_manifest() -> list[Scenario]:
         )
         for e in entries
     ]
-
-
-def scenario_names() -> list[str]:
-    return [s.name for s in default_manifest()]
 
 
 def make_scenario(name: str, overrides: dict | None = None) -> Scenario:

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fermigate
@@ -19,8 +21,22 @@ from fermigate.cli import (
     parse_report,
     run,
 )
-from fermigate.errors import ConfigError
-from fermigate.verify import CheckResult, VerificationReport, clear_cache, make_scenario, run_scenario
+from fermigate.basis import BoundarySpec
+from fermigate.errors import ConfigError, SpecError
+from fermigate.manybody import solve_mb_eig
+from fermigate.slater import NoInteraction, build_problem
+from fermigate.verify import (
+    _SPECS,
+    CheckResult,
+    VerificationReport,
+    _decode,
+    clear_cache,
+    dict_to_interaction,
+    make_scenario,
+    rows,
+    run_scenario,
+    spec_to_dict,
+)
 
 PI2 = np.pi**2
 
@@ -105,6 +121,114 @@ class TestParseConfig:
             parse_grids("40,70")
         with pytest.raises(ConfigError, match="n,2n"):
             parse_grids("forty")
+
+
+# section and INI key names of each spec, as the README documents them
+_INI_HOME = {
+    "bc": ("problem", {"kind": "bc", "a": "line_a", "b": "line_b"}),
+    "v": ("potential", {}),
+    "w": ("interaction", {}),
+}
+_CONFIG_FIELD = {"bc": "bc", "v": "potential", "w": "interaction"}
+
+
+def _ini_value(x) -> str:
+    if not isinstance(x, list):
+        return repr(x) if isinstance(x, float) else x
+    if x and isinstance(x[0], list):
+        return ";\n    ".join(_ini_value(row) for row in x)  # one kernel row per line
+    return ", ".join(repr(v) for v in x)
+
+
+@st.composite
+def _spec_dict(draw, param, kind, n_cells):
+    """A dict for one table kind, its list fields sized for n_cells."""
+    real = st.floats(-2.0, 2.0, allow_nan=False)
+    d = {"kind": kind}
+    for key, _, coerce in _SPECS[param][kind][1]:
+        if coerce is float:
+            d[key] = draw(real)
+        elif coerce is rows:
+            m = n_cells + 1
+            a = np.array(draw(st.lists(real, min_size=m * m, max_size=m * m))).reshape(m, m)
+            d[key] = ((a + a.T) / 2).tolist()
+        else:
+            size = n_cells + 1 if key == "values" else n_cells
+            d[key] = draw(st.lists(real, min_size=size, max_size=size))
+    return d
+
+
+@pytest.mark.parametrize("param, kind", [(p, k) for p in _SPECS for k in _SPECS[p]])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_spec_round_trip_through_table_and_ini(param, kind, data):
+    n_cells = data.draw(st.integers(4, 7))
+    d = data.draw(_spec_dict(param, kind, n_cells))
+    try:
+        spec = _decode(param, d)
+    except SpecError:  # a value the constructor rejects, e.g. Delta.x0 outside [0, 1]
+        assume(False)
+    encoded = spec_to_dict(spec)
+    assert encoded == d and list(encoded) == list(d)
+    assert _decode(param, encoded) == spec
+    section, names = _INI_HOME[param]
+    body = "".join(f"{names.get(k, k)} = {_ini_value(v)}\n" for k, v in encoded.items())
+    head = f"[run]\ncommand = solve-many\n[problem]\nn_cells = {n_cells}\n"
+    text = head + (body if section == "problem" else f"[{section}]\n{body}")
+    assert getattr(parse_config(text), _CONFIG_FIELD[param]) == spec
+
+
+def test_readme_configs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    main_config, kernel_section = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    config = parse_config(main_config)
+    assert (config.bc.kind, config.potential.x0, config.interaction.g) == ("dirichlet-both", 0.5, 5.0)
+    head = "[run]\ncommand = solve-many\n[problem]\nn_cells = 4\n"
+    assert parse_config(head + kernel_section).interaction.values[1] == (1.0, 2.0, 1.0, 0.0, 0.0)
+
+
+def _kernel_rows(n_cells):
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    return (30.0 * np.exp(-np.subtract.outer(x, x) ** 2 / 0.05)).tolist()
+
+
+def test_ini_sampled_kernel_solves_like_dict_kernel(tmp_path):
+    n_cells, values = 8, _kernel_rows(8)
+    text = f"""
+[run]
+command = solve-many
+[problem]
+n_cells = {n_cells}
+n_particles = 2
+[interaction]
+kind = sampled-kernel
+values = {_ini_value(values)}
+[solver]
+k = 3
+"""
+    config = dataclasses.replace(parse_config(text), out_path=str(tmp_path / "k.json"))
+    kernel = dict_to_interaction({"kind": "sampled-kernel", "values": values})
+    assert config.interaction == kernel
+    assert run(config) == 0
+    got = json.loads((tmp_path / "k.json").read_text())["eigenvalues"]
+    dirichlet = BoundarySpec.dirichlet_both()
+    ref = solve_mb_eig(build_problem(None, kernel, dirichlet, n_cells, 2).operator, 3).eigenvalues
+    np.testing.assert_allclose(got, ref, rtol=1e-11)
+    free = solve_mb_eig(build_problem(None, NoInteraction(), dirichlet, n_cells, 2).operator, 3).eigenvalues
+    assert abs(got[0] - free[0]) > 1.0  # the kernel was not dropped on the way
+
+
+def test_ini_sampled_kernel_errors_name_the_field():
+    head = "[run]\ncommand = solve-many\n[problem]\nn_cells = 4\n[interaction]\nkind = sampled-kernel\n"
+    asym = np.arange(25.0).reshape(5, 5).tolist()
+    with pytest.raises(ConfigError, match=r"\[interaction\] values: kernel samples must be symmetric"):
+        parse_config(head + f"values = {_ini_value(asym)}\n")
+    with pytest.raises(ConfigError, match=r"\[interaction\] values: need 5 nodal values, got 9"):
+        parse_config(head + f"values = {_ini_value(_kernel_rows(8))}\n")
+    with pytest.raises(ConfigError, match=r"\[interaction\] values: expected rows"):
+        parse_config(head + "values = 1 x; x 1\n")
+    with pytest.raises(ConfigError, match=r"\[interaction\] values: required field is missing"):
+        parse_config(head)
 
 
 def _sample_reports():
@@ -277,6 +401,25 @@ n_particles = 2
         assert (tmp_path / "fmt" / "simplex_sample.csv").exists()
         density = (tmp_path / "fmt" / "density.csv").read_text().strip().split("\n")
         assert density[0] == "x,rho"
+
+    def test_report_command_on_infinite_measured_value(self, tmp_path, capsys):
+        # JSON carries the infinity as the string "Infinity"
+        check = CheckResult("ratio", float("inf"), 1.0, "le", False, "")
+        rep = VerificationReport("unbounded", "pass", (check,), {}, False)
+        src = tmp_path / "report.json"
+        src.write_bytes(emit_report([rep], "json"))
+        config = RunConfig(command="report", report_input=str(src), out_path=str(tmp_path / "fmt"))
+        assert run(config) == 0
+        assert "- ratio: inf le 1" in capsys.readouterr().out
+        assert (tmp_path / "fmt" / "checks.csv").read_bytes() == emit_report([rep], "csv")
+
+    def test_report_checks_csv_matches_verify_csv(self, tmp_path):
+        args = ["verify", "--seed", "1", "--scenario", "sp_free_spectra",
+                "--scenario", "single_particle_gaps_antiperiodic_free"]
+        assert main(args + ["--out", str(tmp_path / "r.json")]) == 0
+        assert main(args + ["--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+        assert main(["report", str(tmp_path / "r.json"), "--out", str(tmp_path / "fmt")]) == 0
+        assert (tmp_path / "fmt" / "checks.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
 
 class TestMain:

@@ -318,7 +318,7 @@ class TestOrbitalBasis:
         # ground state is the determinant of the lowest N of them
         prob = build_problem(Delta(0.3, -4.0), NoInteraction(), DIRICHLET, 16, n_particles)
         c = solve_mb_eig(prob.operator, 1).eigenvectors[:, 0]
-        lowest = prob.slater.index()[tuple(range(n_particles))]
+        lowest = prob.slater.array.tolist().index(list(range(n_particles)))
         assert abs(c[lowest]) == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(np.delete(c, lowest))) <= 1e-10
 

@@ -14,7 +14,6 @@ from fermigate.simplex import (
     TAG_NEAR_OUTER,
     Permutation,
     SimplexSample,
-    _increasing_tuples,
     _tag_points,
     box_norms,
     evaluate_state,
@@ -27,7 +26,7 @@ from fermigate.simplex import (
     simplex_norms,
     simplex_potential_energy,
 )
-from fermigate.slater import NoInteraction, WaveVector, build_problem
+from fermigate.slater import NoInteraction, WaveVector, _increasing_tuples, build_problem
 
 DIRICHLET = BoundarySpec.dirichlet_both()
 

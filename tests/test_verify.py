@@ -378,6 +378,29 @@ class TestScenarios:
         assert doc["scenarios"][0]["error"].startswith("KeyError")
         assert doc["scenarios"][1]["overall"] is True
 
+    def test_bad_inner_field_becomes_report_error_with_its_path(self):
+        dirichlet = {"kind": "dirichlet-both"}
+        missing = Scenario(name="missing_x0", kind="slater_sum", params={
+            "v": {"kind": "delta", "strength": -4.0}, "bc": dirichlet, "n_particles": 2, "n_cells": 8})
+        mistyped = dataclasses.replace(
+            make_scenario("simplex_positivity_local", {"w": {"kind": "delta-contact", "strength": "strong"}}),
+            name="mistyped_strength")
+        rejected = dataclasses.replace(
+            make_scenario("slater_sum_dirichlet_n2_free", {"bc": {"kind": "line", "a": 0.0, "b": 0.0}}),
+            name="zero_line")
+        unknown = dataclasses.replace(
+            make_scenario("slater_sum_dirichlet_n2_free", {"v": {"kind": "gaussian"}}), name="unknown_v")
+        good = make_scenario("sp_free_spectra")
+        reports = run_manifest([missing, mistyped, rejected, unknown, good])
+        assert [r.error for r in reports[:4]] == [
+            "SpecError: v.x0: required field is missing",
+            "SpecError: w.strength: expected float, got 'strong'",
+            "SpecError: bc.a: line boundary direction must be nonzero",
+            "SpecError: v.kind: unknown kind 'gaussian', expected one of none, delta, sampled, hminusone",
+        ]
+        assert not any(r.overall for r in reports[:4])
+        assert reports[4].overall and reports[4].error is None
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario kind"):
             run_scenario(Scenario(name="x", kind="nope", params={}))
