@@ -17,6 +17,7 @@ no sparse products and no symmetrization step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -134,13 +135,12 @@ class GridBasis:
     n_cells: int
     h: float
     bc: BoundarySpec
-    dofs: tuple[Dof, ...]
     # dof-to-nodal-value extension matrix, shape (n_dofs, n_cells + 1)
     extension: sp.csr_matrix = field(repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
-        return len(self.dofs)
+        return self.extension.shape[0]
 
     @property
     def n_nodes(self) -> int:
@@ -149,6 +149,17 @@ class GridBasis:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_nodes)
+
+    @cached_property
+    def dofs(self) -> tuple[Dof, ...]:
+        """The rows of the extension as Dof records, built on first use."""
+        ext, dofs = self.extension, []
+        for i in range(self.n_dofs):
+            row = slice(ext.indptr[i], ext.indptr[i + 1])
+            coeff = dict(zip(ext.indices[row].tolist(), ext.data[row].tolist()))
+            trace = (coeff.get(0, 0.0), coeff.get(self.n_cells, 0.0))
+            dofs.append(Dof(tuple(coeff), tuple(coeff.values()), trace))
+        return tuple(dofs)
 
     def nodal_values(self, dof_coeffs: np.ndarray) -> np.ndarray:
         """Map dof coefficients to nodal values on the full grid."""
@@ -171,32 +182,25 @@ class GridBasis:
 def build_grid_basis(n_cells: int, bc: BoundarySpec) -> GridBasis:
     """Construct the P1 basis for the given boundary condition.
 
+    Every dof is one node, from the first to the last node the condition
+    keeps, except under a one-dimensional trace subspace: then the interior
+    nodes come first and one coupled dof a * phi_0 + b * phi_n last.
     Requires n_cells >= 4 so that the coupled boundary dof never overlaps
     itself and every interior pattern occurs at least once.
     """
     if n_cells < 4:
         raise ValueError(f"n_cells must be >= 4, got {n_cells}")
     n = n_cells
-    interior = [Dof((i,), (1.0,), (0.0, 0.0)) for i in range(1, n)]
-
-    if bc.kind == "dirichlet-both":
-        dofs = interior
-    elif bc.kind == "dirichlet-left":
-        dofs = interior + [Dof((n,), (1.0,), (0.0, 1.0))]
-    elif bc.kind == "dirichlet-right":
-        dofs = [Dof((0,), (1.0,), (1.0, 0.0))] + interior
-    elif bc.kind == "free":
-        dofs = [Dof((0,), (1.0,), (1.0, 0.0))] + interior + [Dof((n,), (1.0,), (0.0, 1.0))]
-    else:
-        a, b = bc.trace_direction()
-        dofs = interior + [Dof((0, n), (a, b), (a, b))]
-
-    # each dof's nodes ascend, so its row of the extension is already sorted
-    indptr = np.cumsum([0] + [len(dof.nodes) for dof in dofs])
-    cols = [node for dof in dofs for node in dof.nodes]
-    vals = [coeff for dof in dofs for coeff in dof.coeffs]
-    ext = sp.csr_matrix((vals, cols, indptr), shape=(len(dofs), n + 1))
-    return GridBasis(n_cells=n, h=1.0 / n, bc=bc, dofs=tuple(dofs), extension=ext)
+    first = 0 if bc.kind in ("dirichlet-right", "free") else 1
+    last = n if bc.kind in ("dirichlet-left", "free") else n - 1
+    cols = np.arange(first, last + 1)
+    vals, indptr = np.ones(cols.size), np.arange(cols.size + 1)
+    direction = bc.trace_direction()
+    if direction is not None:
+        cols, vals = np.append(cols, [0, n]), np.append(vals, direction)
+        indptr = np.append(indptr, cols.size)
+    ext = sp.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, n + 1))
+    return GridBasis(n_cells=n, h=1.0 / n, bc=bc, extension=ext)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +399,13 @@ def _project(basis: GridBasis, full: _Tridiag) -> SymMatrix:
     not stored.
     """
     d, o = full
-    n = basis.n_cells
-    last = basis.dofs[-1]
-    if len(last.nodes) == 1:
-        lo, hi = basis.dofs[0].nodes[0], last.nodes[0]
+    n, ext = basis.n_cells, basis.extension
+    direction = basis.bc.trace_direction()
+    if direction is None:
+        lo, hi = ext.indices[0], ext.indices[-1]
         main, off, corner = d[lo : hi + 1], o[lo:hi], 0.0
     else:  # interior nodes 1..n-1, then a * phi_0 + b * phi_n
-        a, b = last.coeffs
+        a, b = direction
         main = np.append(d[1:n], a * d[0] * a + b * d[n] * b)
         off = np.append(o[1 : n - 1], b * o[n - 1])
         corner = a * o[0]

@@ -205,14 +205,16 @@ def inverse_iteration_ground(
     """Ground-state vector of the pencil by inverse iteration with a fixed shift.
 
     The shift must lie strictly below the lowest eigenvalue.  This is
-    detected through a symmetric sparse factorization of H - shift*M without
-    pivoting: its pivots are all positive exactly when the shifted pencil is
-    positive definite.  Raises ValueError for an operator without orbitals.
+    detected through an L D L' factorization of H - shift*M without
+    pivoting (spectrum._definite_factor; block elimination over
+    breadth-first level sets for N >= 2): its pivots are all positive
+    exactly when the shifted pencil is positive definite.  Raises
+    ShiftError otherwise and ValueError for an operator without orbitals.
     """
     _require_orbitals(H)
     A, M = sp.csr_matrix(H.matrix), sp.csr_matrix(H.overlap)
-    lu = _definite_factor(A - shift * M)
-    if lu is None:
+    factor = _definite_factor(A - shift * M)
+    if factor is None:
         raise ShiftError(
             f"shift {shift} is not below the lowest eigenvalue (indefinite factorization)"
         )
@@ -221,7 +223,7 @@ def inverse_iteration_ground(
     rayleigh = x @ (A @ x)
     for it in range(1, max_iter + 1):
         Mx = M @ x
-        y = lu.solve(Mx)
+        y = factor.solve(Mx)
         y /= np.sqrt(y @ (M @ y))
         new_rayleigh = y @ (A @ y)
         drift = abs(new_rayleigh - rayleigh)

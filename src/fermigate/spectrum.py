@@ -7,18 +7,20 @@ numpy.linalg.eigh.  A few pairs of a larger pencil come from block LOBPCG
 (Knyazev, SIAM J. Sci. Comput. 23 (2001)), the one iterative solver, which
 the many-body solves share; it preconditions only the columns that have
 not converged (soft locking; Hetmaniuk & Lehoucq, J. Comput. Phys. 218
-(2006)).  Dense algebra runs on numpy.linalg alone (scipy bundles a second
-BLAS whose thread pool stalls numpy's); SuperLU is the only scipy code a
-solve calls.
+(2006)).  Sparse definiteness checks and shifted inverses are L D L'
+factorizations in numpy: odd-even reduction of the one-body paths, block
+elimination over breadth-first level sets otherwise.  All linear algebra
+runs on numpy (scipy bundles a second BLAS whose thread pool stalls
+numpy's); scipy only stores the sparse matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import BoundarySpec, SymMatrix, norm1
 from .errors import ConvergenceError, IndefiniteMatrixError
@@ -98,26 +100,236 @@ def _dense_pencil_eigh(A, M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return lam[:k], Linv.T @ Y[:, :k]
 
 
-def _definite_factor(S) -> spla.SuperLU | None:
-    """Sparse LU of the symmetric matrix S, or None unless S is positive definite.
+# ---------------------------------------------------------------------------
+# definite L D L' factorizations
+#
+# Each factors a symmetric S as P S P' = L D L' without pivoting, with D
+# diagonal or block diagonal, and yields None unless every pivot (block) is
+# positive definite: by Sylvester's law of inertia that is exactly when S is.
 
-    SuperLU in symmetric mode without threshold pivoting keeps every pivot
-    on the diagonal of a symmetrically permuted S, so its U carries the
-    pivots of an L D L' factorization; by Sylvester's law of inertia S is
-    positive definite exactly when all of them are positive.
+# odd-even reduction stops at this many dofs of a path and factors them densely
+_PATH_DENSE = 15
+
+
+class _PathFactor(NamedTuple):
+    """L D L' of a tridiagonal matrix, with the last dof optionally a border.
+
+    levels holds, per odd-even reduction level, the inverse pivots of the
+    eliminated even dofs and the multipliers of their left and right odd
+    neighbours; top is the inverse of the dense remainder.  The border dof
+    couples to both ends of the path before it: border holds its coupling
+    column u, T^-1 u for the path's matrix T, and its Schur pivot.
     """
+
+    levels: list
+    top: np.ndarray
+    size: int
+    border: tuple | None = None
+
+    def _solve_path(self, R: np.ndarray) -> np.ndarray:
+        """T^-1 applied to the rows of R, shape (columns, size)."""
+        r = np.zeros((R.shape[0], (1 << self.size.bit_length()) - 1))  # padded as factored
+        r[:, : self.size] = R
+        reduced = []
+        for _, fl, fr in self.levels:
+            reduced.append(r)
+            r = r[:, 1::2] - fl * r[:, :-1:2] - fr * r[:, 2::2]
+        x = r @ self.top
+        for (inv, fl, fr), r in zip(reversed(self.levels), reversed(reduced)):
+            out = np.empty_like(r)
+            even = out[:, 0::2]
+            np.multiply(r[:, 0::2], inv, out=even)
+            even[:, :-1] -= fl * x
+            even[:, 1:] -= fr * x
+            out[:, 1::2] = x
+            x = out
+        return x[:, : self.size]
+
+    def solve(self, R: np.ndarray) -> np.ndarray:
+        """S^-1 R for a vector or a block of columns R."""
+        R = np.asarray(R, dtype=float)
+        Rt = R.reshape(R.shape[0], -1).T
+        if self.border is None:
+            X = self._solve_path(Rt)
+        else:
+            u, w, pivot = self.border
+            y = self._solve_path(Rt[:, :-1])
+            last = (Rt[:, -1] - y @ u) / pivot
+            X = np.hstack([y - last[:, None] * w, last[:, None]])
+        return X.T.reshape(R.shape)
+
+
+def _path_factor(main: np.ndarray, off: np.ndarray, corner: float) -> _PathFactor | None:
+    """Definite L D L' of the tridiagonal (main, off) plus the corner pair S[0, -1].
+
+    A nonzero corner makes the last dof a border of the path before it.
+    The path is padded with unit pivots to 2^p - 1 dofs and reduced
+    odd-even (cyclic reduction): each level eliminates the even dofs, which
+    are mutually uncoupled, so their pivots are their diagonal entries, and
+    leaves a tridiagonal Schur complement on the odd dofs, until
+    _PATH_DENSE dofs remain for a Cholesky factorization.  The border's
+    pivot is its scalar Schur complement.  Factoring and solving take
+    O(log n) numpy calls.
+    """
+    if corner != 0.0:
+        u = np.zeros(main.size - 1)
+        u[0], u[-1] = corner, off[-1]
+        main, off, border_diag = main[:-1], off[:-1], main[-1]
+    m = main.size
+    d = np.ones((1 << m.bit_length()) - 1)
+    d[:m] = main
+    e = np.zeros(d.size - 1)
+    e[: m - 1] = off
+    levels = []
+    while d.size > _PATH_DENSE:
+        pivots = d[0::2]
+        if not np.all(pivots > 0.0):
+            return None
+        inv = 1.0 / pivots
+        fl, fr = e[0::2] * inv[:-1], e[1::2] * inv[1:]
+        levels.append((inv, fl, fr))
+        d, e = d[1::2] - fl * e[0::2] - fr * e[1::2], -fr[:-1] * e[2::2]
     try:
-        lu = spla.splu(
-            sp.csc_matrix(S),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:  # exactly singular
+        L = np.linalg.cholesky(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    except np.linalg.LinAlgError:
         return None
-    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0):
-        return lu
-    return None
+    Linv = np.linalg.inv(L)
+    factor = _PathFactor(levels, Linv.T @ Linv, m)
+    if corner == 0.0:
+        return factor
+    w = factor.solve(u)
+    pivot = border_diag - u @ w
+    return factor._replace(border=(u, w, pivot)) if pivot > 0.0 else None
+
+
+class _LevelFactor(NamedTuple):
+    """Block L D L' over chunks of breadth-first level sets.
+
+    Chunk c holds the dofs order[bounds[c]:bounds[c + 1]]; subs[c] is the
+    block S[c, c-1] (None for c = 0) and inverses[c] is D_c^-1, so chunk c's
+    multiplier is subs[c] inverses[c - 1].
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    subs: list
+    inverses: list
+
+    def solve(self, R: np.ndarray) -> np.ndarray:
+        """S^-1 R for a vector or a block of columns R."""
+        b, B, Dinv = self.bounds, self.subs, self.inverses
+        y = np.asarray(R, dtype=float)[self.order]
+        for c in range(1, len(Dinv)):
+            y[b[c] : b[c + 1]] -= B[c] @ (Dinv[c - 1] @ y[b[c - 1] : b[c]])
+        x = np.empty_like(y)
+        x[b[-2] :] = Dinv[-1] @ y[b[-2] :]
+        for c in range(len(Dinv) - 2, -1, -1):
+            x[b[c] : b[c + 1]] = Dinv[c] @ (y[b[c] : b[c + 1]] - B[c + 1].T @ x[b[c + 1] : b[c + 2]])
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
+
+def _bfs_levels(S: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Breadth-first level of every dof from dof 0.
+
+    A component the search does not reach starts at the next level from its
+    first dof; it shares no entry with the levels before it.
+    """
+    n = S.shape[0]
+    level = np.full(n, -1)
+    front = np.zeros(n, dtype=bool)
+    front[0] = True
+    for depth in range(n):
+        level[front] = depth
+        reached = np.zeros(n, dtype=bool)
+        reached[S.indices[front[rows]]] = True
+        front = reached & (level < 0)
+        if not front.any():
+            unreached = np.flatnonzero(level < 0)
+            if unreached.size == 0:
+                break
+            front[unreached[0]] = True
+    return level
+
+
+def _level_factor(S: sp.csr_matrix) -> _LevelFactor | None:
+    """Definite block L D L' of any sparse symmetric S.
+
+    Breadth-first level sets make S block tridiagonal, and so do runs of
+    consecutive levels, which are merged while a chunk stays no larger than
+    the largest level.  Each chunk's Schur complement D_c is checked by its
+    Cholesky factorization and inverted densely.
+    """
+    n = S.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(S.indptr))
+    level = _bfs_levels(S, rows)
+    order = np.argsort(level, kind="stable")
+    sizes = np.bincount(level)
+    starts, cap = np.concatenate([[0], np.cumsum(sizes)]), sizes.max()
+    chunk_of_level, bounds = np.empty(sizes.size, dtype=np.intp), [0]
+    for lv in range(sizes.size):
+        if starts[lv + 1] - bounds[-1] > cap:
+            bounds.append(starts[lv])
+        chunk_of_level[lv] = len(bounds) - 1
+    bounds = np.append(bounds, n)
+    sz = np.diff(bounds)
+
+    # scatter the diagonal and subdiagonal blocks into flat buffers
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    chunk = chunk_of_level[level]
+    cr, cc = chunk[rows], chunk[S.indices]
+    lr, lc = pos[rows] - bounds[cr], pos[S.indices] - bounds[cc]
+    doff = np.concatenate([[0], np.cumsum(sz * sz)])
+    soff = np.concatenate([[0], np.cumsum(sz[1:] * sz[:-1])])
+    diag, sub = cr == cc, cr == cc + 1
+    dbuf = np.bincount(
+        doff[cr[diag]] + lr[diag] * sz[cr[diag]] + lc[diag], S.data[diag], doff[-1]
+    )
+    sbuf = np.bincount(
+        soff[cr[sub] - 1] + lr[sub] * sz[cc[sub]] + lc[sub], S.data[sub], soff[-1]
+    )
+
+    # each Schur block, then its inverse, overwrites its diagonal block
+    B, Dinv = [None], []
+    for c in range(sz.size):
+        D = dbuf[doff[c] : doff[c + 1]].reshape(sz[c], sz[c])
+        if c:
+            B.append(sbuf[soff[c - 1] : soff[c]].reshape(sz[c], sz[c - 1]))
+            D -= (B[-1] @ Dinv[-1]) @ B[-1].T
+        try:
+            np.linalg.cholesky(D)
+        except np.linalg.LinAlgError:
+            return None
+        D[...] = np.linalg.inv(D)
+        Dinv.append(D)
+    return _LevelFactor(order, bounds, B, Dinv)
+
+
+def _tridiagonal_parts(S: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(main, off, corner) when S is tridiagonal but for the pair S[0, -1], else None."""
+    n = S.shape[0]
+    if n < 3:
+        return None
+    main, off = S.diagonal(), S.diagonal(1)
+    first = slice(S.indptr[0], S.indptr[1])
+    corner = float(S.data[first][S.indices[first] == n - 1].sum())
+    stored = np.count_nonzero(main) + 2 * np.count_nonzero(off) + 2 * (corner != 0.0)
+    return (main, off, corner) if np.count_nonzero(S.data) == stored else None
+
+
+def _definite_factor(S) -> _PathFactor | _LevelFactor | None:
+    """L D L' factorization of the sparse symmetric S, or None unless S is positive definite.
+
+    Every P1 one-body matrix is a path, tridiagonal, or a path plus one dof
+    coupled to both its ends, and goes to _path_factor; any other pattern
+    (a many-body pencil) goes to _level_factor.  The result's solve applies
+    S^-1 to a vector or a block of columns.
+    """
+    S = sp.csr_matrix(S)
+    parts = _tridiagonal_parts(S)
+    return _path_factor(*parts) if parts is not None else _level_factor(S)
 
 
 def _sq_norms(X: np.ndarray) -> np.ndarray:
@@ -205,13 +417,13 @@ def solve_pencil(A: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
     Up to DENSE_DIM_CAP, and for whole or near-whole spectra
     (3 (k + 2) >= dim), the pencil is solved densely by numpy.linalg, the
     Cholesky factorization of M serving as its definiteness check.  Larger
-    pencils go to LOBPCG with k + 2 seeded random start columns, after a
-    pivot check of M, preconditioned by the exact inverse of A - sigma M:
-    sigma starts at min(0, 2 d) - 1 for the smallest diagonal ratio d of
-    the pencil and moves twice as far below zero until every pivot of the
-    factorization is positive, which puts it below the spectrum.  Raises
-    IndefiniteMatrixError for an M that is not positive definite and
-    ConvergenceError when a residual misses its bound.
+    pencils go to LOBPCG with k + 2 seeded random start columns, after an
+    L D L' check of M, preconditioned by the exact inverse of A - sigma M
+    (see _definite_factor): sigma starts at min(0, 2 d) - 1 for the
+    smallest diagonal ratio d of the pencil and moves twice as far below
+    zero until every pivot of the factorization is positive, which puts it
+    below the spectrum.  Raises IndefiniteMatrixError for an M that is not
+    positive definite and ConvergenceError when a residual misses its bound.
     """
     dim = A.dimension
     if M.dimension != dim:
@@ -227,10 +439,10 @@ def solve_pencil(A: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
             raise IndefiniteMatrixError("overlap matrix is not positive definite")
         d = float(np.min(A.data.diagonal() / M.data.diagonal()))
         sigma = min(0.0, 2.0 * d) - 1.0
-        while (lu := _definite_factor(A.data - sigma * M.data)) is None:
+        while (factor := _definite_factor(A.data - sigma * M.data)) is None:
             sigma -= max(1.0, abs(sigma))
         X = np.random.default_rng(LOBPCG_SEED).standard_normal((dim, k + 2))
-        lam, X, _, iterations = _lobpcg(A.data, M.data, X, lu.solve, k, a_norm, m_norm)
+        lam, X, _, iterations = _lobpcg(A.data, M.data, X, factor.solve, k, a_norm, m_norm)
 
     result = SpectralResult(lam, X, _residuals(A.data, M.data, lam, X), k, iterations)
     result.check(a_norm, m_norm)

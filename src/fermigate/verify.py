@@ -257,7 +257,7 @@ def parity_holds(alpha: float, n_particles: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared solve cache (scenarios reuse ground states)
+# shared solve cache (the scenarios of one run_manifest call reuse solves)
 
 
 _cache: dict = {}
@@ -979,10 +979,17 @@ def _thread_cap() -> int:
 def run_manifest(
     scenarios: list[Scenario], seed: int = 0, max_workers: int | None = None
 ) -> list[VerificationReport]:
-    """Run scenarios (concurrently up to the thread cap), results in order."""
+    """Run scenarios (concurrently up to the thread cap), results in order.
+
+    The scenarios share solves through the cache, which the run empties
+    when it ends, so no pencil or orbital set outlives its manifest.
+    """
     workers = max_workers if max_workers is not None else _thread_cap()
-    if workers <= 1 or len(scenarios) <= 1:
-        return [run_scenario(s, seed) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_scenario, s, seed) for s in scenarios]
-        return [f.result() for f in futures]
+    try:
+        if workers <= 1 or len(scenarios) <= 1:
+            return [run_scenario(s, seed) for s in scenarios]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_scenario, s, seed) for s in scenarios]
+            return [f.result() for f in futures]
+    finally:
+        clear_cache()

@@ -19,7 +19,7 @@ from fermigate.basis import (
     assemble_stiffness,
     build_grid_basis,
 )
-from fermigate.spectrum import _definite_factor
+from fermigate.spectrum import _definite_factor, _PathFactor
 
 ALL_BCS = [
     BoundarySpec.dirichlet_both(),
@@ -105,8 +105,9 @@ class TestOverlap:
 
     @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
     def test_positive_definite(self, bc):
+        # the one-body pattern takes the odd-even reduction of a path
         M = assemble_overlap(build_grid_basis(16, bc))
-        assert _definite_factor(M.data) is not None
+        assert isinstance(_definite_factor(M.data), _PathFactor)
         assert _definite_factor(-M.data) is None
 
     @pytest.mark.parametrize(
@@ -126,7 +127,10 @@ class TestOverlap:
     )
     def test_positive_definite_large(self, bc):
         M = assemble_overlap(build_grid_basis(10_000, bc))
-        assert _definite_factor(M.data) is not None
+        factor = _definite_factor(M.data)
+        assert isinstance(factor, _PathFactor)
+        x = np.random.default_rng(7).standard_normal(M.dimension)
+        assert np.linalg.norm(factor.solve(M @ x) - x) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
     def test_exact_symmetry(self, bc):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -16,9 +16,11 @@ from fermigate.basis import (
     assemble_potential,
     assemble_stiffness,
     build_grid_basis,
+    norm1,
 )
 from fermigate.errors import IndefiniteMatrixError
 from fermigate.manybody import GAP_FLOOR_RTOL
+from fermigate.slater import NoInteraction, build_problem
 from fermigate.spectrum import RESIDUAL_RTOL, gap_report, solve_pencil, solve_sp_eig
 
 PI2 = np.pi**2
@@ -397,3 +399,97 @@ def test_spectrum_invariant_under_change_of_dof_basis(seed, n_cells, bc, well):
     indefinite = _congruence(np.diag(signs * rng.uniform(0.5, 2.0, basis.n_dofs)), T)
     with pytest.raises(IndefiniteMatrixError):
         solve_pencil(A, indefinite, 1)
+
+
+# ---------------------------------------------------------------------------
+# definite L D L' factorizations against dense eigenvalues
+
+
+def _check_factor(S, seed, kind):
+    """The factor of S exists exactly when S is positive definite, and solves to 1e-12.
+
+    Matrices within 1e-8 (relative) of singular carry no verdict.
+    """
+    eigs = np.linalg.eigvalsh(S.toarray())
+    assume(abs(eigs[0]) > 1e-8 * np.abs(eigs).max())
+    factor = spectrum._definite_factor(S)
+    assert (factor is not None) == (eigs[0] > 0.0)
+    if factor is None:
+        return
+    assert isinstance(factor, kind)
+    R = np.random.default_rng(seed).standard_normal((S.shape[0], 3))
+    X = factor.solve(R)
+    residual = np.linalg.norm(S @ X - R, axis=0)
+    assert np.all(residual <= 1e-12 * norm1(S) * np.linalg.norm(X, axis=0))
+    x = factor.solve(R[:, 0])  # a vector solves like a one-column block
+    assert x.shape == (S.shape[0],)
+    np.testing.assert_allclose(x, X[:, 0], rtol=0.0, atol=1e-12 * np.abs(X[:, 0]).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(4, 160),
+    bc=st.sampled_from(LOBPCG_BCS),
+    kind=st.sampled_from(["none", "delta", "sampled", "h-minus-one"]),
+    strength=st.floats(-60.0, 60.0),
+    offset=st.floats(-2.0, 2.0),
+)
+def test_path_factor_matches_dense_verdict(seed, n_cells, bc, kind, strength, offset):
+    # every one-body pattern: a path, or a path plus the coupled dof on both its ends
+    basis = build_grid_basis(n_cells, bc)
+    v = _potential(kind, n_cells, strength, np.random.default_rng(seed))
+    A = assemble_stiffness(basis).data + assemble_potential(basis, v).data
+    M = assemble_overlap(basis)
+    lam0 = spectrum._dense_pencil_eigh(A, M.dense(), 1)[0][0]
+    _check_factor(A - (lam0 + offset * max(1.0, abs(lam0))) * M.data, seed, spectrum._PathFactor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 80),
+    corner=st.booleans(),
+    shift=st.floats(-3.0, 3.0),
+)
+def test_path_factor_matches_dense_verdict_on_any_signs(seed, n, corner, shift):
+    # indefinite diagonals put negative pivots on every reduction level, not
+    # only in the dense remainder
+    rng = np.random.default_rng(seed)
+    main, off = rng.standard_normal(n) + shift, rng.standard_normal(n - 1)
+    S = sp.diags([off, main, off], [-1, 0, 1], format="lil")
+    if corner:
+        S[0, n - 1] = S[n - 1, 0] = rng.standard_normal()
+    _check_factor(S.tocsr(), seed, spectrum._PathFactor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_particles=st.sampled_from([2, 3]),
+    n_cells=st.integers(5, 10),
+    bc=st.sampled_from(LOBPCG_BCS),
+    strength=st.floats(-40.0, 40.0),
+    offset=st.floats(-2.0, 2.0),
+)
+def test_level_factor_matches_dense_verdict(seed, n_particles, n_cells, bc, strength, offset):
+    # a many-body pencil shifted to either side of its lowest level
+    v = Delta(np.random.default_rng(seed).uniform(0.0, 1.0), strength)
+    op = build_problem(v, NoInteraction(), bc, n_cells, n_particles).operator
+    H, M = sp.csr_matrix(op.matrix), sp.csr_matrix(op.overlap)
+    lam0 = spectrum._dense_pencil_eigh(H, M.toarray(), 1)[0][0]
+    _check_factor(H - (lam0 + offset * max(1.0, abs(lam0))) * M, seed, spectrum._LevelFactor)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_level_factor_over_disconnected_components(sign):
+    # a component the breadth-first search never reaches starts a level of its own
+    block = sp.csr_matrix(np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]]))
+    S = sp.block_diag([block, sign * block, block], format="csr")
+    factor = spectrum._definite_factor(S)
+    if sign < 0.0:
+        assert factor is None
+        return
+    assert isinstance(factor, spectrum._LevelFactor)
+    r = np.arange(9.0)
+    np.testing.assert_allclose(S @ factor.solve(r), r, rtol=0.0, atol=1e-13)

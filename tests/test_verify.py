@@ -486,3 +486,41 @@ class TestTessellation:
     def test_verify_seed_302_exits_zero(self, tmp_path):
         # the derived threshold no longer fails this seed by chance
         assert cli.main(["verify", "--seed", "302", "--out", str(tmp_path / "r.json")]) == 0
+
+
+class TestCacheScope:
+    """The cache lives for one run_manifest call."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_manifest_leaves_the_cache_empty(self, workers):
+        scenarios = [
+            make_scenario("sp_free_spectra"),
+            make_scenario("nondegeneracy_local", {"grids": [12, 24]}),
+        ]
+        reports = run_manifest(scenarios, seed=1, max_workers=workers)
+        assert all(r.error is None for r in reports)
+        assert not verify._cache
+
+    def test_failing_solve_leaves_no_entry(self, monkeypatch):
+        # the problem is cached before the solve fails; the failure becomes a
+        # report-level error and the run still ends with an empty cache
+        def fail(op, k):
+            assert verify._cache  # the problem entry, at least
+            raise MemoryError("solve failed")
+
+        monkeypatch.setattr(verify, "solve_mb_eig", fail)
+        s = make_scenario("simplex_positivity_local", {"n_cells": 8})
+        (report,) = run_manifest([s], seed=1)
+        assert report.error == "MemoryError: solve failed"
+        assert not verify._cache
+
+    def test_raising_scenario_leaves_no_entry(self, monkeypatch):
+        # a scenario whose error escapes run_scenario ends the run, cache emptied
+        def interrupt(s, seed):
+            verify.cached_problem(None, NoInteraction(), DIRICHLET, 8, 2)
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(verify._RUNNERS, "nondegeneracy", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_manifest([make_scenario("nondegeneracy_local")], seed=1, max_workers=1)
+        assert not verify._cache
