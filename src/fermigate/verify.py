@@ -8,6 +8,7 @@ the opposite verdict and fail the run if it is not confirmed.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
@@ -257,7 +258,8 @@ def parity_holds(alpha: float, n_particles: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared solve cache (the scenarios of one run_manifest call reuse solves)
+# shared solve cache: scenarios reuse each other's solves, and run_manifest
+# releases every entry after the last scenario that declares its problem
 
 
 _cache: dict = {}
@@ -274,6 +276,11 @@ def _problem_key(v, w, bc, n_cells, n_particles):
     if isinstance(w, DeltaContact):
         w = NoInteraction()
     return (v, w, bc, n_cells, n_particles)
+
+
+def _entry_problem(key):
+    """The problem key of a 'problem' or 'mb-eig' cache entry, else None."""
+    return key[1:] if key[0] == "problem" else key[1] if key[0] == "mb-eig" else None
 
 
 def _memo(key, build):
@@ -586,11 +593,8 @@ def _run_sp_gap_law(s: Scenario, seed: int) -> VerificationReport:
 
 
 def _run_slater_sum(s: Scenario, seed: int) -> VerificationReport:
-    v = dict_to_potential(s.params.get("v"))
-    bc = dict_to_bc(s.params["bc"])
-    n_particles = int(s.params["n_particles"])
+    ((v, _, bc, n_cells, n_particles),) = _problems(s)
     k = int(s.params.get("k", 6))
-    n_cells = int(s.params["n_cells"])
     dev, info = slater_sum_oracle(v, bc, n_particles, k, n_cells)
     checks = [_check("max_rel_deviation", dev, "le", 1e-8)]
     env = {"n_cells": n_cells, "n_particles": n_particles, **info}
@@ -620,12 +624,10 @@ def _run_slater_condon(s: Scenario, seed: int) -> VerificationReport:
 
 
 def _run_nondegeneracy(s: Scenario, seed: int) -> VerificationReport:
-    v = dict_to_potential(s.params.get("v"))
-    w = dict_to_interaction(s.params.get("w"))
-    bc = dict_to_bc(s.params["bc"])
-    n_particles = int(s.params["n_particles"])
-    grids = tuple(int(g) for g in s.params["grids"])
-    probs = tuple(cached_problem(v, w, bc, n, n_particles) for n in grids)
+    keys = _problems(s)
+    probs = tuple(cached_problem(*key) for key in keys)
+    grids = tuple(n for _, _, _, n, _ in keys)
+    v, w, bc, _, n_particles = keys[0]
     report = classify_degeneracy(v, w, bc, n_particles, grids, problems=probs)
     checks = []
     if s.expected == "pass":
@@ -664,11 +666,7 @@ def _run_nondegeneracy(s: Scenario, seed: int) -> VerificationReport:
 
 
 def _run_positivity(s: Scenario, seed: int) -> VerificationReport:
-    v = dict_to_potential(s.params.get("v"))
-    w = dict_to_interaction(s.params.get("w"))
-    bc = dict_to_bc(s.params["bc"])
-    n_particles = int(s.params["n_particles"])
-    n_cells = int(s.params["n_cells"])
+    ((v, w, bc, n_cells, n_particles),) = _problems(s)
     eps_pos = float(s.params.get("exclusion_frac", 1e-6))
     prob = cached_problem(v, w, bc, n_cells, n_particles)
     k = 2 if s.params.get("excited_control") else 1
@@ -720,16 +718,8 @@ def _trace_law_deviation(psi: WaveVector, prob: ManyBodyProblem, alpha: float) -
 
 
 def _run_monotonicity(s: Scenario, seed: int) -> VerificationReport:
-    v = dict_to_potential(s.params.get("v"))
-    w = dict_to_interaction(s.params.get("w"))
-    n_particles = int(s.params["n_particles"])
-    n_cells = int(s.params.get("n_cells", 40))
-    chain = [
-        BoundarySpec.free(),
-        BoundarySpec.dirichlet_left(),
-        BoundarySpec.dirichlet_both(),
-    ]
-    pairs = monotonicity_suite(v, w, n_particles, chain, n_cells)
+    v, w, _, n_cells, n_particles = _problems(s)[0]
+    pairs = monotonicity_suite(v, w, n_particles, list(_MONOTONE_CHAIN), n_cells)
     checks = []
     for idx, pair in enumerate(pairs):
         checks.append(_check(f"margin{idx}_absolute", pair["margin"], "ge", 0.5))
@@ -765,9 +755,9 @@ def _run_neumann_sp(s: Scenario, seed: int) -> VerificationReport:
 
 
 def _run_neumann_mb(s: Scenario, seed: int) -> VerificationReport:
-    n_cells = int(s.params.get("n_cells", 80))
-    bc = BoundarySpec.dirichlet_both()
-    prob = cached_problem(None, NoInteraction(), bc, n_cells, 2)
+    (key,) = _problems(s)
+    n_cells = key[3]
+    prob = cached_problem(*key)
     res = cached_mb_eig(prob, 1)
     lam = float(res.eigenvalues[0])
     psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
@@ -858,7 +848,8 @@ def _run_structural(s: Scenario, seed: int) -> VerificationReport:
     checks.append(_check("locate_cell_agrees", 1.0 if agree else 0.0, "ge", 1.0))
 
     # densities, antisymmetry, pullback on a reference interacting problem
-    prob = cached_problem(Delta(0.5, -10.0), DeltaContact(5.0), BoundarySpec.dirichlet_both(), 20, 2)
+    (key,) = _problems(s)
+    prob = cached_problem(*key)
     res = cached_mb_eig(prob, 1)
     psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
     rho = reduced_density(psi, prob.orbitals)
@@ -891,6 +882,65 @@ def _run_structural(s: Scenario, seed: int) -> VerificationReport:
     checks.append(_check("pullback_rayleigh", worst_pb, "le", 1e-10))
 
     return _finish(s, checks, env)
+
+
+# Each kind's problem keys (v, w, bc, n_cells, n_particles), in the order its
+# runner requests them through cached_problem; the runners read their problems
+# from here.  run_manifest orders scenarios and releases solves by these.
+# Kinds not listed build no cached problem.
+
+
+def _specs_vwb(p: dict):
+    """The decoded v, w and bc params."""
+    return dict_to_potential(p.get("v")), dict_to_interaction(p.get("w")), dict_to_bc(p["bc"])
+
+
+def _slater_sum_problems(p: dict) -> tuple:
+    v, bc, n_particles = dict_to_potential(p.get("v")), dict_to_bc(p["bc"]), int(p["n_particles"])
+    return ((v, NoInteraction(), bc, int(p["n_cells"]), n_particles),)
+
+
+def _nondegeneracy_problems(p: dict) -> tuple:
+    (v, w, bc), n_particles = _specs_vwb(p), int(p["n_particles"])
+    return tuple((v, w, bc, int(n), n_particles) for n in p["grids"])
+
+
+def _positivity_problems(p: dict) -> tuple:
+    (v, w, bc), n_particles = _specs_vwb(p), int(p["n_particles"])
+    return ((v, w, bc, int(p["n_cells"]), n_particles),)
+
+
+_MONOTONE_CHAIN = (BoundarySpec.free(), BoundarySpec.dirichlet_left(), BoundarySpec.dirichlet_both())
+
+
+def _monotonicity_problems(p: dict) -> tuple:
+    v, w = dict_to_potential(p.get("v")), dict_to_interaction(p.get("w"))
+    n_particles, n_cells = int(p["n_particles"]), int(p.get("n_cells", 40))
+    return tuple((v, w, bc, n, n_particles) for bc in _MONOTONE_CHAIN for n in (n_cells, 2 * n_cells))
+
+
+def _neumann_mb_problems(p: dict) -> tuple:
+    return ((None, NoInteraction(), BoundarySpec.dirichlet_both(), int(p.get("n_cells", 80)), 2),)
+
+
+def _structural_problems(p: dict) -> tuple:
+    # the reference interacting problem of the density and antisymmetry checks
+    return ((Delta(0.5, -10.0), DeltaContact(5.0), BoundarySpec.dirichlet_both(), 20, 2),)
+
+
+_PROBLEMS = {
+    "slater_sum": _slater_sum_problems,
+    "nondegeneracy": _nondegeneracy_problems,
+    "simplex_positivity": _positivity_problems,
+    "monotonicity": _monotonicity_problems,
+    "neumann_trace_mb": _neumann_mb_problems,
+    "structural": _structural_problems,
+}
+
+
+def _problems(s: Scenario) -> tuple:
+    declare = _PROBLEMS.get(s.kind)
+    return declare(s.params) if declare else ()
 
 
 _RUNNERS = {
@@ -976,20 +1026,69 @@ def _thread_cap() -> int:
     return max(1, cap)
 
 
+def _declared(s: Scenario) -> frozenset:
+    """The normalized problem keys s declares; none if its params are bad.
+
+    A bad entry raises again when it runs and becomes its report's error.
+    """
+    try:
+        return frozenset(_problem_key(*key) for key in _problems(s))
+    except Exception:
+        return frozenset()
+
+
+def _run_order(declared: list[frozenset]) -> list[int]:
+    """Scenario indices with those that share a problem key back to back.
+
+    Each group (a connected component of the sharing relation) sits at its
+    first member, and keeps manifest order inside.
+    """
+    root = list(range(len(declared)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i] = root[root[i]]
+        return i
+
+    first = {}
+    for i, keys in enumerate(declared):
+        for key in keys:
+            a, b = find(i), find(first.setdefault(key, i))
+            root[max(a, b)] = min(a, b)
+    return sorted(range(len(declared)), key=lambda i: (find(i), i))
+
+
 def run_manifest(
     scenarios: list[Scenario], seed: int = 0, max_workers: int | None = None
 ) -> list[VerificationReport]:
-    """Run scenarios (concurrently up to the thread cap), results in order.
+    """Run scenarios (concurrently up to the thread cap), reports in manifest order.
 
-    The scenarios share solves through the cache, which the run empties
-    when it ends, so no pencil or orbital set outlives its manifest.
+    Scenarios that declare a common problem run back to back, each group at
+    the place of its first member; every scenario seeds its generator from
+    its own name, so the order changes no result.  When a scenario ends, the
+    cache drops every solve whose problem no unfinished scenario declares,
+    so a solve lives from its first consumer to its last, and the cache is
+    empty when the run ends, also when an exception escapes.
     """
+    declared = [_declared(s) for s in scenarios]
+    pending = collections.Counter(key for keys in declared for key in keys)
+
+    def run(i: int) -> VerificationReport:
+        report = run_scenario(scenarios[i], seed)
+        with _cache_lock:
+            pending.subtract(declared[i])
+            for key in [k for k in _cache if pending[_entry_problem(k)] <= 0]:
+                del _cache[key]
+        return report
+
+    order = _run_order(declared)
     workers = max_workers if max_workers is not None else _thread_cap()
     try:
         if workers <= 1 or len(scenarios) <= 1:
-            return [run_scenario(s, seed) for s in scenarios]
+            reports = {i: run(i) for i in order}
+            return [reports[i] for i in range(len(scenarios))]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_scenario, s, seed) for s in scenarios]
-            return [f.result() for f in futures]
+            futures = {i: pool.submit(run, i) for i in order}
+            return [futures[i].result() for i in range(len(scenarios))]
     finally:
         clear_cache()

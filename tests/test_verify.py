@@ -524,3 +524,159 @@ class TestCacheScope:
         with pytest.raises(KeyboardInterrupt):
             run_manifest([make_scenario("nondegeneracy_local")], seed=1, max_workers=1)
         assert not verify._cache
+
+
+@pytest.fixture(scope="class")
+def traced_manifest():
+    """One sequential default-manifest run, watched scenario by scenario.
+
+    Records the run order, the normalized problem keys each scenario
+    requests through cached_problem, the cache keys held when each scenario
+    starts (what the scenarios before it left), and the number of
+    build_problem and solve_mb_eig calls.
+    """
+    trace = {"order": [], "requested": {}, "held": {}, "calls": collections.Counter()}
+
+    def counted(name, fn):
+        def call(*args):
+            trace["calls"][name] += 1
+            return fn(*args)
+
+        return call
+
+    def requesting(*args):
+        trace["requested"][trace["order"][-1]].add(verify._problem_key(*args))
+        return cached_problem(*args)
+
+    run = verify.run_scenario
+
+    def watched(s, seed=0):
+        # wrapped the way perfbench wraps it: through the module global
+        trace["held"][s.name] = set(verify._cache)
+        trace["order"].append(s.name)
+        trace["requested"][s.name] = set()
+        return run(s, seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "run_scenario", watched)
+        mp.setattr(verify, "cached_problem", requesting)
+        mp.setattr(verify, "build_problem", counted("build_problem", verify.build_problem))
+        mp.setattr(verify, "solve_mb_eig", counted("solve_mb_eig", verify.solve_mb_eig))
+        clear_cache()
+        trace["reports"] = run_manifest(default_manifest(), seed=1, max_workers=1)
+        trace["held_after"] = set(verify._cache)
+    return trace
+
+
+class TestCacheLifetime:
+    """Scenarios sharing a problem run back to back; each solve is released
+    after the last scenario that declares its problem."""
+
+    def test_declarations_match_requests(self, traced_manifest):
+        # covers the free pencils of monotonicity_contact (its contact term
+        # normalizes away) and the reference problem of structural_invariants
+        for s in default_manifest():
+            assert traced_manifest["requested"][s.name] == verify._declared(s), s.name
+        assert traced_manifest["requested"]["monotonicity_contact"]
+        assert traced_manifest["requested"]["structural_invariants"]
+
+    def test_release_forces_no_rebuild(self, traced_manifest):
+        # the call counts of a run that kept every entry to its end
+        assert traced_manifest["calls"] == {"build_problem": 35, "solve_mb_eig": 19}
+
+    def test_held_entries_are_declared_ahead(self, traced_manifest):
+        by_name = {s.name: s for s in default_manifest()}
+        order = traced_manifest["order"]
+        assert sorted(order) == sorted(by_name)
+        for j, name in enumerate(order):
+            ahead = set().union(*(verify._declared(by_name[n]) for n in order[j:]))
+            for key in traced_manifest["held"][name]:
+                assert verify._entry_problem(key) in ahead, (name, key)
+        assert max(len(h) for h in traced_manifest["held"].values()) > 0
+        assert not traced_manifest["held_after"]
+
+    def test_sharing_scenarios_run_back_to_back(self, traced_manifest):
+        order = traced_manifest["order"]
+        i = order.index("nondegeneracy_nonlocal_periodic_n3")
+        assert order[i + 1] == "simplex_positivity_periodic_n3"
+        assert order.index("neumann_trace_mb") == order.index("monotonicity_contact") + 1
+
+    def test_reports_in_manifest_order(self, traced_manifest):
+        reports = traced_manifest["reports"]
+        assert [r.scenario for r in reports] == [s.name for s in default_manifest()]
+        assert all(r.overall for r in reports)
+
+    def test_parallel_run_matches_and_empties_the_cache(self, traced_manifest):
+        clear_cache()
+        par = run_manifest(default_manifest(), seed=1, max_workers=2)
+        assert not verify._cache
+        assert cli.emit_report(par) == cli.emit_report(traced_manifest["reports"])
+
+    def test_groups_are_connected_components_at_their_first_member(self):
+        a, b, c = ("a",), ("b",), ("c",)
+        declared = [frozenset(k) for k in ({a}, {b}, {c}, {a, c}, set())]
+        assert verify._run_order(declared) == [0, 2, 3, 1, 4]
+
+    def test_bad_entry_gets_no_declaration_and_the_plan_goes_on(self):
+        bad = dataclasses.replace(
+            make_scenario("nondegeneracy_nonlocal_periodic_n3", {"v": {"kind": "delta", "x0": 0.5}}),
+            name="bad_v")
+        sharing = make_scenario("simplex_positivity_antiperiodic_n2", {"n_cells": 16})
+        first = make_scenario("nondegeneracy_nonlocal_antiperiodic_n2", {"grids": [8, 16]})
+        assert verify._declared(bad) == frozenset()
+        reports = run_manifest([first, bad, sharing], seed=1)
+        assert [r.scenario for r in reports] == ["nondegeneracy_nonlocal_antiperiodic_n2", "bad_v",
+                                                 "simplex_positivity_antiperiodic_n2"]
+        assert reports[1].error == "SpecError: v.strength: required field is missing"
+        assert reports[0].overall and reports[2].overall
+        assert not verify._cache
+
+    def test_undeclared_entry_goes_when_its_scenario_ends(self, monkeypatch):
+        held = []
+
+        def undeclared(s, seed):
+            verify.cached_problem(None, NoInteraction(), DIRICHLET, 8, 2)
+            verify._sp_solve(None, DIRICHLET, 8, 1)
+            held.append(set(verify._cache))
+            return verify._finish(s, [], {})
+
+        def look(s, seed):
+            held.append(set(verify._cache))
+            return verify._finish(s, [], {})
+
+        monkeypatch.setitem(verify._RUNNERS, "neumann_trace_sp", undeclared)
+        monkeypatch.setitem(verify._RUNNERS, "sp_free_spectrum", look)
+        reports = run_manifest([make_scenario("neumann_trace_sp"), make_scenario("sp_free_spectra")], seed=1)
+        assert all(r.error is None for r in reports)
+        assert [len(h) for h in held] == [2, 0]
+
+    def test_threaded_release_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: a lost update
+        # to the pending counts would release a problem early and rebuild it
+        base = [
+            make_scenario("nondegeneracy_nonlocal_antiperiodic_n2", {"grids": [8, 16]}),
+            make_scenario("simplex_positivity_antiperiodic_n2", {"n_cells": 16}),
+            make_scenario("monotonicity_free", {"n_cells": 8}),
+            make_scenario("slater_sum_dirichlet_n2_free", {"n_cells": 8}),
+            make_scenario("neumann_trace_mb", {"n_cells": 16}),
+            make_scenario("monotonicity_contact", {"n_cells": 8}),
+        ]
+        scenarios = [dataclasses.replace(s, name=f"{s.name}_{r}") for r in range(3) for s in base]
+        distinct = set().union(*map(verify._declared, scenarios))
+        builds = []
+        build = verify.build_problem
+        monkeypatch.setattr(verify, "build_problem", lambda *a: builds.append(a) or build(*a))
+        clear_cache()
+        seq = run_manifest(scenarios, seed=2, max_workers=1)
+        assert len(builds) == len(distinct)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                builds.clear()
+                par = run_manifest(scenarios, seed=2, max_workers=6)
+                assert len(builds) == len(distinct)
+                assert not verify._cache
+                assert cli.emit_report(par) == cli.emit_report(seq)
+        finally:
+            sys.setswitchinterval(interval)
