@@ -314,6 +314,15 @@ class _Tridiag(NamedTuple):
     def toarray(self) -> np.ndarray:
         return np.diag(self.main) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
+    def along(self, T: np.ndarray, axis: int) -> np.ndarray:
+        """This matrix applied along one axis of the array T, by its diagonals."""
+        S = np.moveaxis(T, axis, 0)
+        main, off = (d.reshape((-1,) + (1,) * (S.ndim - 1)) for d in self)
+        out = main * S
+        out[1:] += off * S[:-1]
+        out[:-1] += off * S[1:]
+        return np.moveaxis(out, 0, axis)
+
 
 def _full_overlap(n: int, h: float) -> _Tridiag:
     main = np.full(n + 1, 2.0 * h / 3.0)

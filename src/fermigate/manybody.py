@@ -8,7 +8,8 @@ division and a mode product (fast diagonalization; Lynch, Rice & Thomas,
 Numer. Math. 6 (1964)).  The orbitals also give the start block: the
 lowest separable eigenstates, which are exact for free and contact
 pencils (these return at iteration 0) and close for kernel ones, plus two
-seeded random guard columns that reach every symmetry sector.
+seeded random guard columns that reach every symmetry sector.  Eigenvectors
+come back in the pencil's own coordinates, the nodal wedge coefficients.
 
 Ground-state degeneracy is never judged from a single grid: the spectral
 gap is tracked under one refinement step and the verdict compares the gap
@@ -30,7 +31,6 @@ from .errors import ConvergenceError, ShiftError
 from .slater import (
     InteractionSpec,
     ManyBodyOperator,
-    ManyBodyProblem,
     WaveVector,
     build_problem,
     enumerate_slater_basis,
@@ -53,11 +53,6 @@ GAP_FLOOR_RTOL = 1e-9
 # a gap or ordering is established only when it exceeds this multiple of
 # the measured discretization error
 REFINEMENT_MARGIN = 4.0
-
-
-def _require_orbitals(op: ManyBodyOperator) -> None:
-    if op.orbitals is None:
-        raise ValueError("the operator carries no orbitals; solve the pencil of build_problem")
 
 
 def _separable_inverse(op: ManyBodyOperator):
@@ -110,13 +105,15 @@ def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
     """Lowest k eigenpairs of the many-body pencil by preconditioned LOBPCG.
 
     The start block holds the k lowest separable eigenstates and two seeded
-    random guard columns (see _start_block).  Eigenvectors are returned as
-    Euclidean-orthonormal Slater coefficients over the operator's orbitals;
-    residuals are those of the pencil at unit-norm vectors, and each must
-    meet RESIDUAL_RTOL * (|H|_1 + |lambda| |M|_1).  Raises ValueError for
-    an operator without orbitals.
+    random guard columns (see _start_block).  Eigenvectors are the pencil's
+    own coordinates, nodal wedge coefficients; residuals are those of the
+    pencil at unit-norm vectors.  Raises ConvergenceError unless each
+    residual meets RESIDUAL_RTOL * (|H|_1 + |lambda| |M|_1) and
+    max |X' M X - I| <= 1e-10, and ValueError for an operator without
+    orbitals.
     """
-    _require_orbitals(H)
+    if H.orbitals is None:
+        raise ValueError("the operator carries no orbitals; solve the pencil of build_problem")
     if not 1 <= k <= H.dim:
         raise ValueError(f"k must lie in [1, {H.dim}], got {k}")
     A, M = sp.csr_matrix(H.matrix), sp.csr_matrix(H.overlap)
@@ -124,8 +121,13 @@ def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
     lam, X, res, iterations = _lobpcg(
         A, M, _start_block(H, k), _separable_inverse(H), k, a_norm, m_norm
     )
-    result = SpectralResult(lam, H.orbital_coefficients(X), res, k, iterations)
+    result = SpectralResult(lam, X, res, k, iterations)
     result.check(a_norm, m_norm)
+    gram = float(np.max(np.abs(X.T @ (M @ X) - np.eye(k))))
+    if not gram <= 1e-10:
+        raise ConvergenceError(
+            f"eigenvectors not M-orthonormal: max |X'MX - I| = {gram:.3g}", iterations=iterations
+        )
     return result
 
 
@@ -168,19 +170,23 @@ def classify_degeneracy(
     bc: BoundarySpec,
     n_particles: int,
     grids: tuple[int, int],
-    problems: tuple[ManyBodyProblem, ManyBodyProblem] | None = None,
+    solves: tuple[SpectralResult, SpectralResult] | None = None,
 ) -> DegeneracyReport:
-    """Solve on a coarse/fine grid pair and classify the ground-state gap."""
+    """Classify the ground-state gap on a coarse/fine grid pair.
+
+    solves are solve_mb_eig results with k >= 2 on the two grids, in grid
+    order; without them both problems are built and solved with k = 2.
+    """
     n_coarse, n_fine = grids
     if n_fine != 2 * n_coarse:
         raise ValueError("grids must be (n, 2n)")
-    lam1, lam2 = [], []
-    for n_cells, prob in zip(grids, problems or (None, None)):
-        if prob is None:
-            prob = build_problem(v, w, bc, n_cells, n_particles)
-        res = solve_mb_eig(prob.operator, 2)
-        lam1.append(float(res.eigenvalues[0]))
-        lam2.append(float(res.eigenvalues[1]))
+    if solves is None:
+        solves = [
+            solve_mb_eig(build_problem(v, w, bc, n_cells, n_particles).operator, 2)
+            for n_cells in grids
+        ]
+    lam1 = [float(res.eigenvalues[0]) for res in solves]
+    lam2 = [float(res.eigenvalues[1]) for res in solves]
     gaps = (lam2[0] - lam1[0], lam2[1] - lam1[1])
     err = abs(lam1[0] - lam1[1])
     floor = GAP_FLOOR_RTOL * max(1.0, abs(lam1[1]))
@@ -204,14 +210,15 @@ def inverse_iteration_ground(
 ) -> WaveVector:
     """Ground-state vector of the pencil by inverse iteration with a fixed shift.
 
-    The shift must lie strictly below the lowest eigenvalue.  This is
+    Returns the pencil's coordinates, as solve_mb_eig does, normalized in
+    M.  The shift must lie strictly below the lowest eigenvalue.  This is
     detected through an L D L' factorization of H - shift*M without
     pivoting (spectrum._definite_factor; block elimination over
     breadth-first level sets for N >= 2): its pivots are all positive
     exactly when the shifted pencil is positive definite.  Raises
-    ShiftError otherwise and ValueError for an operator without orbitals.
+    ShiftError otherwise.  Needs no orbitals, so it also runs on the
+    oracle's operator.
     """
-    _require_orbitals(H)
     A, M = sp.csr_matrix(H.matrix), sp.csr_matrix(H.overlap)
     factor = _definite_factor(A - shift * M)
     if factor is None:
@@ -230,8 +237,7 @@ def inverse_iteration_ground(
         align = abs(float(y @ Mx))
         x, rayleigh = y, new_rayleigh
         if drift <= tol * max(1.0, abs(rayleigh)) and 1.0 - align <= tol:
-            c = H.orbital_coefficients(x[:, None])[:, 0]
-            return WaveVector(c / np.linalg.norm(c), H.basis)
+            return WaveVector(x, H.basis)
     raise ConvergenceError(
         f"inverse iteration stagnated after {max_iter} iterations", iterations=max_iter
     )

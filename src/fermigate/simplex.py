@@ -8,6 +8,11 @@ module implements the correspondence on nodal tensor data, point location
 and sampling, exact quadrature over the ordered region, and sign-statistics
 reports used by the positivity checks.
 
+A state enters as its nodal wedge coefficients (a WaveVector).  Its
+ordered-region values at the node tuples are one signed gather of them,
+and everything else (the full nodal tensor, point values, the densities of
+slater) is built from those values.
+
 The quadrature integrates a nodal tensor cell by cell over the part of each
 grid cell that lies in the ordered region.  That part is fixed by the cell's
 tie pattern (which corner indices are equal), so every pattern has its own
@@ -26,14 +31,8 @@ from math import factorial
 
 import numpy as np
 
-from .slater import (
-    OrbitalSet,
-    WaveVector,
-    _increasing_tuples,
-    mode_product,
-    permutation_sign,
-    wedge_tensor,
-)
+from .basis import GridBasis, _full_overlap, _full_stiffness
+from .slater import OrbitalSet, WaveVector, _increasing_tuples, permutation_sign
 
 __all__ = [
     "Permutation",
@@ -109,8 +108,9 @@ def locate_cell(x) -> tuple[Permutation, float]:
 # nodal extension / restriction
 
 
-def _index_grids(shape: tuple[int, ...]) -> np.ndarray:
-    return np.indices(shape)
+def _index_grids(shape: tuple[int, ...]) -> list[np.ndarray]:
+    # open grids: they broadcast against each other, so no n^N index arrays
+    return np.ogrid[tuple(slice(size) for size in shape)]
 
 
 def _tie_mask(n_nodes: int, N: int) -> np.ndarray:
@@ -168,38 +168,70 @@ def restrict_full_tensor(full: np.ndarray, n_particles: int) -> np.ndarray:
 # state evaluation
 
 
-def _antisymmetric_coefficients(psi: WaveVector) -> np.ndarray:
-    """Dense antisymmetric coefficient tensor over orbital indices."""
-    if psi.basis.n_particles > 4:
-        raise ValueError("dense evaluation supported for up to 4 particles")
-    return wedge_tensor(psi.basis, psi.coefficients)[0]
+def _ordered_values(psi: WaveVector, grid: GridBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The strictly increasing node tuples t and sqrt(N!) * Psi(t), by one signed gather.
 
-
-_EVAL_EINSUM = {
-    1: "pa,a->p",
-    2: "pa,pb,ab->p",
-    3: "pa,pb,pc,abc->p",
-    4: "pa,pb,pc,pd,abcd->p",
-}
-
-
-def evaluate_state(psi: WaveVector, orbitals: OrbitalSet, points: np.ndarray) -> np.ndarray:
-    """Values of the represented wavefunction at arbitrary points in [0,1]^N."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    N = psi.basis.n_particles
-    if points.shape[1] != N:
-        raise ValueError("point dimension does not match particle count")
-    C = _antisymmetric_coefficients(psi)
-    mats = [orbitals.grid.hat_values_at(points[:, k]) @ orbitals.nodal for k in range(N)]
-    vals = np.einsum(_EVAL_EINSUM[N], *mats, C, optimize=True)
-    return vals / np.sqrt(factorial(N))
+    With E the dof-to-node extension, sqrt(N!) Psi(t) = sum_J c_J det E[t, J]
+    over the wedges J.  A node carries at most one dof, so only the sorted
+    tuple J of the dofs of t can contribute, and only when those dofs are
+    distinct; its determinant is the sign of the sorting permutation times
+    the product of the node weights.
+    """
+    basis = psi.basis
+    if basis.n_orbitals != grid.n_dofs:
+        raise ValueError("state and grid disagree on the number of dofs")
+    n, N = basis.n_orbitals, basis.n_particles
+    tuples = _increasing_tuples(grid.n_nodes, N)
+    E = grid.extension
+    dof, weight = np.full(grid.n_nodes, -1), np.zeros(grid.n_nodes)
+    dof[E.indices], weight[E.indices] = np.repeat(np.arange(n), np.diff(E.indptr)), E.data
+    d = dof[tuples.T]  # (N, count): the dof of each node of each tuple
+    ok = d.min(axis=0) >= 0
+    det = np.prod(weight[tuples.T], axis=0)
+    below = np.zeros_like(d)  # below[k]: the place of d[k] in its sorted tuple
+    for j, k in itertools.combinations(range(N), 2):
+        ok &= d[j] != d[k]
+        swap = d[j] > d[k]
+        below[j] += swap
+        below[k] += ~swap
+        det[swap] *= -1.0
+    key = np.sum(d * n ** (N - 1 - below), axis=0)  # the raveled sorted tuple
+    table = 0  # the raveled wedge tuples, ascending
+    for column in basis.array.T:
+        table = table * n + column
+    rank = np.searchsorted(table, key[ok])
+    values = np.zeros(len(tuples))
+    values[ok] = det[ok] * psi.coefficients[rank]
+    return tuples, values
 
 
 def nodal_tensor(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
-    """Nodal values of the wavefunction on the full tensor grid."""
-    C = _antisymmetric_coefficients(psi)
-    T = mode_product(C[None], orbitals.nodal)[0]
-    return T / np.sqrt(factorial(psi.basis.n_particles))
+    """Nodal values of the state on the full tensor grid.
+
+    extend_from_simplex of its values at the increasing node tuples.
+    Reads orbitals.grid only.
+    """
+    tuples, ordered = _ordered_values(psi, orbitals.grid)
+    values = np.zeros((orbitals.grid.n_nodes,) * tuples.shape[1])
+    values[tuple(tuples.T)] = ordered
+    return extend_from_simplex(values, tuples.shape[1])
+
+
+def evaluate_state(psi: WaveVector, orbitals: OrbitalSet, points: np.ndarray) -> np.ndarray:
+    """Values of the state at arbitrary points in [0,1]^N.
+
+    The state is multilinear on every grid cell: its nodal tensor
+    contracted with the hat values of each coordinate.  Reads orbitals.grid
+    only.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != psi.basis.n_particles:
+        raise ValueError("point dimension does not match particle count")
+    full = nodal_tensor(psi, orbitals)
+    vals = np.broadcast_to(full, (len(points),) + full.shape)
+    for x in points.T:
+        vals = np.einsum("pi...,pi->p...", vals, orbitals.grid.hat_values_at(x))
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +279,16 @@ def _tag_points(points: np.ndarray, h: float) -> tuple[str, ...]:
 
 
 def restrict_to_simplex(psi: WaveVector, orbitals: OrbitalSet) -> SimplexSample:
-    """Sample sqrt(N!)*Psi at the strictly increasing grid node tuples."""
+    """Sample sqrt(N!)*Psi at the strictly increasing grid node tuples.
+
+    Reads orbitals.grid only.
+    """
     grid = orbitals.grid
-    N = psi.basis.n_particles
-    full = nodal_tensor(psi, orbitals)
-    n_nodes = grid.n_nodes
-    tuples = _increasing_tuples(n_nodes, N)
-    vals = np.sqrt(factorial(N)) * full[tuple(tuples[:, k] for k in range(N))]
+    tuples, values = _ordered_values(psi, grid)
     points = tuples * grid.h
     return SimplexSample(
         points=points,
-        values=vals,
+        values=values,
         tags=_tag_points(points, grid.h),
         spacing=grid.h,
     )
@@ -309,23 +340,15 @@ def positivity_report(sample: SimplexSample, exclusion_frac: float = 1e-6) -> Po
 def box_norms(full: np.ndarray, h: float) -> tuple[float, float]:
     """(L2^2, H1-seminorm^2) of a nodal tensor over the whole box."""
     full = np.asarray(full, dtype=float)
-    N = full.ndim
-    n_nodes = full.shape[0]
-    n = n_nodes - 1
-    from .basis import _full_overlap, _full_stiffness
+    M, K = _full_overlap(full.shape[0] - 1, h), _full_stiffness(full.shape[0] - 1, h)
 
-    Mf = _full_overlap(n, h).toarray()
-    Kf = _full_stiffness(n, h).toarray()
-
-    def contract(mats):
+    def form(stiff_axis):  # the mass matrix on every axis but stiff_axis
         T = full
-        for mat in mats:
-            T = np.tensordot(T, mat, axes=([0], [0]))
+        for axis in range(full.ndim):
+            T = (K if axis == stiff_axis else M).along(T, axis)
         return float(np.sum(T * full))
 
-    l2 = contract([Mf] * N)
-    h1 = sum(contract([Kf if k == axis else Mf for k in range(N)]) for axis in range(N))
-    return l2, h1
+    return form(None), sum(form(axis) for axis in range(full.ndim))
 
 
 def _ordered_weights(pattern: tuple[int, ...], degrees: tuple[int, ...]) -> np.ndarray:

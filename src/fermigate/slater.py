@@ -22,10 +22,12 @@ full CSR structure, which mirrors the upper entries by a transpose, so they
 are exactly symmetric by construction; every entry sums the same terms in
 the same order whatever the block size.
 
+A state is a vector of the pencil's own coordinates: a WaveVector holds
+its nodal wedge coefficients, M_N-normalized, and every post-processing
+step reads them through the grid's dof-to-node extension (see simplex).
 The orbitals are the one-particle modes, the M-orthonormal eigenvectors V
-of (A, M) from one eigensolve per problem.  A WaveVector holds Slater
-coefficients over them, indexed by the same tuples as the wedges and
-obtained from nodal coefficients by mode products with V^{-1} = V' M.  An
+of (A, M) from one eigensolve per problem; they precondition and start
+the many-body eigensolve.  An
 independent dense tensor-grid assembly of the N = 2 pencil is the oracle:
 it stacks the wedge states as nodal arrays and evaluates every form as
 batched matrix products from the full-grid element matrices and its own
@@ -37,7 +39,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from math import comb, factorial
+from functools import reduce
+from math import comb, perm
 from typing import NamedTuple
 
 import numpy as np
@@ -187,16 +190,12 @@ class OrbitalSet:
     """The one-particle modes A v = lambda M v as orthonormal orbitals.
 
     levels ascend; column a of transform V is the M-orthonormal mode of
-    level a, so V' M V = I; inverse is V^{-1} = V' M, which maps dof
-    coefficients to orbital coefficients; column a of `nodal` holds the
-    values of orbital a at the grid nodes.
+    level a, so V' M V = I.
     """
 
     grid: GridBasis
     levels: np.ndarray = field(repr=False)
     transform: np.ndarray = field(repr=False)
-    inverse: np.ndarray = field(repr=False)
-    nodal: np.ndarray = field(repr=False)
 
 
 def orthonormalize_orbitals(M: SymMatrix) -> np.ndarray:
@@ -211,8 +210,7 @@ def orthonormalize_orbitals(M: SymMatrix) -> np.ndarray:
 def make_orbitals(grid: GridBasis, A: SymMatrix, M: SymMatrix) -> OrbitalSet:
     """All modes of the pencil (A, M) from one eigensolve."""
     res = solve_pencil(A, M, grid.n_dofs)
-    V, nodal = res.eigenvectors, np.asarray(grid.extension.T @ res.eigenvectors)
-    return OrbitalSet(grid, res.eigenvalues, V, inverse=(M.data @ V).T, nodal=nodal)
+    return OrbitalSet(grid, res.eigenvalues, res.eigenvectors)
 
 
 def transform_one_body(A: SymMatrix, R: np.ndarray) -> SymMatrix:
@@ -324,8 +322,8 @@ class ManyBodyOperator:
     """Symmetric pencil (H, M) over the wedges of a Slater basis.
 
     orbitals, which build_problem attaches, precondition the eigensolve and
-    map its eigenvectors to orbital Slater coefficients.  Only the oracle's
-    operator has none; it is compared, never solved.
+    give its start block.  Only the oracle's operator has none; it is
+    never handed to solve_mb_eig.
     """
 
     matrix: object = field(repr=False)  # dense ndarray or scipy CSR
@@ -340,22 +338,18 @@ class ManyBodyOperator:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray() if sp.issparse(self.matrix) else self.matrix
 
-    def orbital_coefficients(self, X: np.ndarray) -> np.ndarray:
-        """Orbital Slater coefficients of the pencil's coefficient columns X.
-
-        M-orthonormal columns map to Euclidean-orthonormal ones.
-        """
-        C = mode_product(wedge_tensor(self.basis, X), self.orbitals.inverse)
-        return wedge_coefficients(self.basis, C)
-
 
 @dataclass(frozen=True)
 class WaveVector:
-    """Coefficients over a Slater basis, Euclidean norm 1 when normalized."""
+    """A state as its nodal wedge coefficients, one per tuple of the basis.
+
+    These are the pencil's own coordinates: the eigenvectors of
+    solve_mb_eig and inverse_iteration_ground, normalized in M_N, so the
+    state has unit L2 norm.
+    """
 
     coefficients: np.ndarray = field(repr=False)
     basis: SlaterBasis
-    normalized: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
@@ -363,8 +357,6 @@ class WaveVector:
             raise ValueError("coefficients must be finite")
         if c.shape != (self.basis.dim,):
             raise ValueError("coefficient length does not match basis size")
-        if self.normalized and abs(np.linalg.norm(c) - 1.0) > 1e-12:
-            raise ValueError("coefficients flagged normalized but norm != 1")
         object.__setattr__(self, "coefficients", c)
 
 
@@ -633,26 +625,51 @@ def assemble_manybody_bruteforce(
 # reduced densities
 
 
+def _split(psi: WaveVector, m: int) -> sp.csr_matrix:
+    """The antisymmetric coefficient tensor C[i_1..i_m, rest] as a sparse matrix.
+
+    One column per increasing rest tuple: wedge J puts sign * c_J at every
+    ordered choice of m of its indices, the sign of the permutation that
+    moves them first.  Summed over increasing rests, a product of two rows
+    is the sum over all ordered rests divided by (N - m)!.
+    """
+    J, c, n, N = psi.basis.array, psi.coefficients, psi.basis.n_orbitals, psi.basis.n_particles
+
+    def key(columns):  # the raveled index of these columns of J
+        return J[:, columns] @ n ** np.arange(len(columns))[::-1]
+
+    parts = []
+    for pick in itertools.permutations(range(N), m):
+        rest = tuple(k for k in range(N) if k not in pick)
+        parts.append((key(pick), key(rest), permutation_sign(pick + rest) * c))
+    rows, rests, vals = map(np.concatenate, zip(*parts))
+    col = np.unique(rests, return_inverse=True)[1]
+    return sp.csr_matrix((vals, (rows, col)), shape=(n**m, col.max() + 1))
+
+
 def one_body_density_matrix(psi: WaveVector) -> np.ndarray:
-    """One-particle reduced density matrix over orthonormal orbitals."""
-    basis = psi.basis
-    C = wedge_tensor(basis, psi.coefficients).reshape(basis.n_orbitals, -1)
-    return (C @ C.T) / factorial(basis.n_particles - 1)
+    """One-particle reduced density matrix of coefficients over orthonormal orbitals.
+
+    The coefficients must be Slater coefficients over an orthonormal
+    one-particle basis, not the pencil's nodal wedge coefficients.
+    """
+    S = _split(psi, 1)
+    return (S @ S.T).toarray()
 
 
 def pair_density_matrix(psi: WaveVector) -> np.ndarray:
     """Pair-space density matrix G with rho2(x, y) = b(x)' G b(y).
 
-    Here b(x)[(p, r)] = phi_p(x) phi_r(x), so G[(p, r), (q, s)] sums
+    Here b(x)[(p, r)] = phi_p(x) phi_r(x) over orthonormal orbitals phi, the
+    basis of psi's coefficients, so G[(p, r), (q, s)] sums
     C[p, q, rest] C[r, s, rest] over the antisymmetric coefficient tensor.
     """
     basis = psi.basis
     if basis.n_particles < 2:
         raise ValueError("pair density requires at least two particles")
     n = basis.n_orbitals
-    C = wedge_tensor(basis, psi.coefficients).reshape(n * n, -1)
-    G = (C @ C.T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return G / factorial(basis.n_particles - 2)
+    S = _split(psi, 2)
+    return (S @ S.T).toarray().reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def _trapezoid_weights(grid: GridBasis) -> np.ndarray:
@@ -661,56 +678,55 @@ def _trapezoid_weights(grid: GridBasis) -> np.ndarray:
     return w
 
 
-def reduced_density(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
-    """Single-particle density at the grid nodes.
+def _reduced(psi: WaveVector, orbitals: OrbitalSet, k: int) -> np.ndarray:
+    """The k-body density at the grid nodes, trapezoid-exact to N! / (N - k)!.
 
-    Nodal values are local mass averages of the piecewise-quadratic orbital
-    density, so the trapezoid rule integrates them to exactly the particle
-    count.
+    On each k-tuple of cells the state is multilinear in its corner values,
+    so the hat moments of its square need only products of corner values,
+    paired over the other coordinates of the nodal tensor through their
+    mass matrices.  Nodal values are those moments over trapezoid weights.
     """
-    gamma = one_body_density_matrix(psi)
-    U = orbitals.nodal
-    A = U @ gamma @ U.T  # nodal density matrix
-    grid = orbitals.grid
-    h = grid.h
-    d = np.diag(A)
-    r0, r2 = d[:-1], d[1:]
-    r1 = 2.0 * np.diag(A, 1)
-    moments = np.zeros(grid.n_nodes)
-    moments[:-1] += h * (r0 * _CUBIC[0] + r1 * _CUBIC[1] + r2 * _CUBIC[2])
-    moments[1:] += h * (r0 * _CUBIC[2] + r1 * _CUBIC[1] + r2 * _CUBIC[0])
-    return moments / _trapezoid_weights(grid)
+    from .simplex import nodal_tensor  # simplex builds on this module
+
+    grid, N, n = orbitals.grid, psi.basis.n_particles, orbitals.grid.n_cells
+    if N < k:
+        raise ValueError(f"a {k}-body density needs at least {k} particles")
+    T = MT = nodal_tensor(psi, orbitals)
+    mass = _full_overlap(n, grid.h)
+    for axis in range(k, N):
+        MT = mass.along(MT, axis)
+    corners = list(itertools.product((0, 1), repeat=k))
+
+    def at(e):  # corner e of every k-tuple of cells
+        return tuple(slice(a, a + n) for a in e)
+
+    # W[t, a, b] = int_cell phi_t phi_a phi_b over the cell's two hats
+    W = grid.h * _CUBIC[np.indices((2, 2, 2)).sum(axis=0)]
+    shape = (n,) * k + (-1,)  # the other coordinates flattened
+    rho = np.zeros((grid.n_nodes,) * k)
+    for e, f in itertools.product(corners, repeat=2):
+        P = np.einsum("...r,...r->...", T[at(e)].reshape(shape), MT[at(f)].reshape(shape))
+        for t in corners:
+            rho[at(t)] += np.prod(W[t, e, f]) * P
+    rho *= perm(N, k) / reduce(np.multiply.outer, [_trapezoid_weights(grid)] * k)
+    return 0.5 * (rho + rho.T)
+
+
+def reduced_density(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
+    """Single-particle density at the grid nodes, trapezoid-exact to N.
+
+    Reads orbitals.grid only.
+    """
+    return _reduced(psi, orbitals, 1)
 
 
 def reduced_pair_density(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
     """Pair density on the node grid, symmetric, trapezoid-exact to N(N-1).
 
-    On each pair of cells the state is multilinear in its corner values, so
-    the hat moments of its square need only the products of corner values
-    summed over the other coordinates: sixteen numbers per cell pair, never
-    the n^4 pair-density matrix.  The other coordinates stay in orthonormal
-    orbitals, where summing is integrating.
+    Sixteen corner products per cell pair, never the n^4 pair-density
+    matrix.  Reads orbitals.grid only.
     """
-    basis = psi.basis
-    if basis.n_particles < 2:
-        raise ValueError("pair density requires at least two particles")
-    grid = orbitals.grid
-    n = grid.n_cells
-    C = wedge_tensor(basis, psi.coefficients)[0]
-    U = orbitals.nodal
-    F = np.einsum("ip,kq,pq...->ik...", U, U, C, optimize=True)
-    # corner (a, e) of cell pair (c, d), the remaining coordinates flattened
-    G = np.stack([F[a : a + n, e : e + n].reshape(n, n, -1) for a in (0, 1) for e in (0, 1)])
-    P = np.einsum("icdr,jcdr->ijcd", G, G).reshape(2, 2, 2, 2, n, n)
-    # W[t, a, b] = int_cell phi_t phi_a phi_b over the cell's two hats
-    W = grid.h * _CUBIC[np.indices((2, 2, 2)).sum(axis=0)]
-    Z = np.einsum("tab,uef,aebfcd->tucd", W, W, P)
-    rho2 = np.zeros((grid.n_nodes, grid.n_nodes))
-    for t, u in itertools.product((0, 1), repeat=2):
-        rho2[t : t + n, u : u + n] += Z[t, u]
-    w = _trapezoid_weights(grid)
-    rho2 /= np.outer(w, w) * factorial(basis.n_particles - 2)
-    return 0.5 * (rho2 + rho2.T)
+    return _reduced(psi, orbitals, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .manybody import (
     two_grid_verdict,
 )
 from .simplex import (
+    SimplexSample,
     box_norms,
     evaluate_state,
     extend_from_simplex,
@@ -68,10 +69,8 @@ from .slater import (
     _trapezoid_weights,
     assemble_manybody_bruteforce,
     build_problem,
-    mode_product,
     reduced_density,
     reduced_pair_density,
-    wedge_tensor,
 )
 from .spectrum import SpectralResult, solve_sp_eig
 
@@ -628,7 +627,8 @@ def _run_nondegeneracy(s: Scenario, seed: int) -> VerificationReport:
     probs = tuple(cached_problem(*key) for key in keys)
     grids = tuple(n for _, _, _, n, _ in keys)
     v, w, bc, _, n_particles = keys[0]
-    report = classify_degeneracy(v, w, bc, n_particles, grids, problems=probs)
+    solves = tuple(cached_mb_eig(prob, 2) for prob in probs)
+    report = classify_degeneracy(v, w, bc, n_particles, grids, solves)
     checks = []
     if s.expected == "pass":
         ok = 1.0 if report.verdict == "non-degenerate" else 0.0
@@ -656,11 +656,10 @@ def _run_nondegeneracy(s: Scenario, seed: int) -> VerificationReport:
         "error_estimate": report.discretization_error_estimate,
     }
     if s.params.get("cross_check_inverse_iteration") and report.verdict == "non-degenerate":
-        prob = probs[0]
-        res = cached_mb_eig(prob, 2)
+        op, res = probs[0].operator, solves[0]
         shift = float(res.eigenvalues[0] - max(1.0, 0.1 * abs(res.eigenvalues[0])))
-        psi_inv = inverse_iteration_ground(prob.operator, shift)
-        overlap = abs(float(psi_inv.coefficients @ res.eigenvectors[:, 0]))
+        psi_inv = inverse_iteration_ground(op, shift)
+        overlap = abs(float(psi_inv.coefficients @ (op.overlap @ res.eigenvectors[:, 0])))
         checks.append(_check("inverse_iteration_ray_agreement", overlap, "ge", 1.0 - 1e-8))
     return _finish(s, checks, env)
 
@@ -686,33 +685,35 @@ def _run_positivity(s: Scenario, seed: int) -> VerificationReport:
         rep2 = positivity_report(restrict_to_simplex(psi2, prob.orbitals), eps_pos)
         checks.append(_check("excited_sign_consistency", rep2.sign_consistency, "le", 0.99))
     if bc.kind == "quasiperiodic":
-        dev, pairing = _trace_law_deviation(psi, prob, bc.alpha)
+        dev, pairing = _trace_law_deviation(sample, psi, prob, bc.alpha)
         checks.append(_check("quasiperiodic_trace_law_rel", dev, "le", 5e-2))
         env["face_flux_measurement"] = pairing
     return _finish(s, checks, env)
 
 
-def _trace_law_deviation(psi: WaveVector, prob: ManyBodyProblem, alpha: float) -> tuple[float, float]:
+def _trace_law_deviation(
+    sample: SimplexSample, psi: WaveVector, prob: ManyBodyProblem, alpha: float
+) -> tuple[float, float]:
     """Relative deviation of Psi(0, x') from (-1)^(N-1) alpha Psi(x', 1).
 
-    Also returns the weak flux pairing on the left face with a smooth
-    profile, recorded as a measurement only.
+    Reads the face values off the simplex sample of psi.  Also returns the
+    weak flux pairing on the left face with a smooth profile, recorded as a
+    measurement only.
     """
-    N = prob.n_particles
-    full = nodal_tensor(psi, prob.orbitals)
-    nn = prob.grid.n_nodes
-    sign = (-1.0) ** (N - 1) * alpha
-    tuples = list(itertools.combinations(range(1, nn - 1), N - 1))
-    lhs = np.array([full[(0,) + t] for t in tuples])
-    rhs = np.array([sign * full[t + (nn - 1,)] for t in tuples])
+    N, grid = prob.n_particles, prob.grid
+    last = grid.n_nodes - 1
+    node = np.rint(sample.points / grid.h).astype(int)
+    # both faces list the interior rest tuples x' in the same (lexicographic) order
+    lhs = sample.values[(node[:, 0] == 0) & (node[:, -1] < last)]
+    rhs = (-1.0) ** (N - 1) * alpha * sample.values[(node[:, -1] == last) & (node[:, 0] > 0)]
     scale = np.max(np.abs(lhs))
     dev = float(np.max(np.abs(lhs - rhs)) / scale) if scale > 0 else 0.0
     pairing = float("nan")
     if N == 2:
         lam = float(cached_mb_eig(prob, 1).eigenvalues[0])
-        f_nodal = np.sin(pi * prob.grid.nodes)
+        f_nodal = np.sin(pi * grid.nodes)
         pairing = neumann_trace_weak(
-            full, lam, prob.grid, prob.v, prob.w, "left", f_nodal
+            nodal_tensor(psi, prob.orbitals), lam, grid, prob.v, prob.w, "left", f_nodal
         )
     return dev, pairing
 
@@ -870,11 +871,10 @@ def _run_structural(s: Scenario, seed: int) -> VerificationReport:
     vband = np.sin(2 * pi * np.linspace(0.0, 1.0, 13)) + 1.5
     prob_v = build_problem(Sampled(tuple(vband)), NoInteraction(), BoundarySpec.dirichlet_both(), 12, 2)
     op, grid = prob_v.operator, prob_v.grid
-    hats = grid.extension.T.toarray()  # nodal values of the dof hats
     worst_pb = 0.0
     for _ in range(int(s.params.get("pullback_trials", 20))):
         x = rng.standard_normal(op.dim)
-        full = mode_product(wedge_tensor(op.basis, x), hats)[0]
+        full = nodal_tensor(WaveVector(x, op.basis), prob_v.orbitals)
         l2s, h1s = simplex_norms(full, grid.h)
         lhs = (h1s + simplex_potential_energy(full, grid.h, vband)) / l2s
         rhs = float(x @ (op.matrix @ x)) / float(x @ (op.overlap @ x))

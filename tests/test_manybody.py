@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from fermigate import spectrum
+from fermigate import manybody, spectrum
 from fermigate.basis import BoundarySpec, Delta, Sampled, build_grid_basis
 from fermigate.errors import ConvergenceError, ShiftError
 from fermigate.manybody import (
@@ -18,10 +18,8 @@ from fermigate.slater import (
     DeltaContact,
     NoInteraction,
     SampledKernel,
-    WaveVector,
     assemble_manybody_bruteforce,
     build_problem,
-    enumerate_slater_basis,
     mode_product,
     wedge_coefficients,
     wedge_tensor,
@@ -48,11 +46,15 @@ def norm1(X):
     return float(abs(X).sum(axis=0).max())
 
 
-def rayleigh(prob, c):
-    """Rayleigh quotient on the pencil of orbital Slater coefficients c."""
-    C = mode_product(wedge_tensor(prob.slater, c), prob.orbitals.transform)
-    x = wedge_coefficients(prob.slater, C)[:, 0]
-    return float(x @ (prob.operator.matrix @ x)) / float(x @ (prob.operator.overlap @ x))
+def rayleigh(op, x):
+    """Rayleigh quotient of the pencil at nodal wedge coefficients x."""
+    return float(x @ (op.matrix @ x)) / float(x @ (op.overlap @ x))
+
+
+def to_orbital(prob, x):
+    """Orbital Slater coefficients of nodal wedge coefficients x (V^-1 = V'M)."""
+    inverse = (prob.overlap.data @ prob.orbitals.transform).T
+    return wedge_coefficients(prob.slater, mode_product(wedge_tensor(prob.slater, x), inverse))[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +86,22 @@ class TestSolveMbEig:
         bound = RESIDUAL_RTOL * (norm1(op.matrix) + np.abs(res.eigenvalues) * norm1(op.overlap))
         assert np.all(res.residuals <= bound)
 
-    def test_euclidean_orthonormal(self, free_dirichlet_40):
-        res = solve_mb_eig(free_dirichlet_40.operator, 4)
-        G = res.eigenvectors.T @ res.eigenvectors
+    def test_m_orthonormal(self, free_dirichlet_40):
+        op = free_dirichlet_40.operator
+        res = solve_mb_eig(op, 4)
+        G = res.eigenvectors.T @ (op.overlap @ res.eigenvectors)
         assert np.max(np.abs(G - np.eye(4))) <= 1e-10
+
+    def test_mis_scaled_eigenvectors_raise(self, monkeypatch, free_dirichlet_40):
+        lobpcg = manybody._lobpcg
+
+        def scaled(*args):
+            lam, X, res, iterations = lobpcg(*args)
+            return lam, (1.0 + 1e-8) * X, res, iterations
+
+        monkeypatch.setattr(manybody, "_lobpcg", scaled)
+        with pytest.raises(ConvergenceError, match="M-orthonormal"):
+            solve_mb_eig(free_dirichlet_40.operator, 2)
 
     def test_k_out_of_range(self, free_dirichlet_40):
         with pytest.raises(ValueError):
@@ -225,12 +239,22 @@ class TestSeparableStart:
             assert_levels_match(solve_mb_eig(op, k).eigenvalues, dense_levels(op, k))
 
     def test_operator_without_orbitals_rejected(self):
-        # only the oracle's operator has no orbitals; it is compared, never solved
+        # only the oracle's operator has no orbitals; solve_mb_eig needs them
         oracle = assemble_manybody_bruteforce(None, NoInteraction(), build_grid_basis(7, DIRICHLET))
         with pytest.raises(ValueError, match="orbitals"):
             solve_mb_eig(oracle, 3)
-        with pytest.raises(ValueError, match="orbitals"):
-            inverse_iteration_ground(oracle, 0.0)
+
+    def test_inverse_iteration_on_the_oracle_matches_the_pencil(self):
+        # inverse iteration needs no orbitals: on the oracle's dense pencil it
+        # finds the sparse pencil's ground vector
+        v, grid = Delta(0.5, -10.0), build_grid_basis(7, DIRICHLET)
+        w = SampledKernel(tuple(map(tuple, 5.0 * np.exp(-np.subtract.outer(grid.nodes, grid.nodes) ** 2))))
+        op = build_problem(v, w, DIRICHLET, 7, 2).operator
+        res = solve_mb_eig(op, 1)
+        lam = float(res.eigenvalues[0])
+        oracle = assemble_manybody_bruteforce(v, w, grid, 2)
+        x = inverse_iteration_ground(oracle, lam - max(1.0, 0.1 * abs(lam))).coefficients
+        assert abs(float(x @ (op.overlap @ res.eigenvectors[:, 0]))) >= 1.0 - 1e-8
 
     def test_block_edge_splits_a_degenerate_pair(self):
         op = build_problem(None, NoInteraction(), PERIODIC, 12, 2).operator
@@ -317,7 +341,7 @@ class TestOrbitalBasis:
         # the orbitals are the one-particle modes, so a free non-degenerate
         # ground state is the determinant of the lowest N of them
         prob = build_problem(Delta(0.3, -4.0), NoInteraction(), DIRICHLET, 16, n_particles)
-        c = solve_mb_eig(prob.operator, 1).eigenvectors[:, 0]
+        c = to_orbital(prob, solve_mb_eig(prob.operator, 1).eigenvectors[:, 0])
         lowest = prob.slater.array.tolist().index(list(range(n_particles)))
         assert abs(c[lowest]) == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(np.delete(c, lowest))) <= 1e-10
@@ -326,15 +350,16 @@ class TestOrbitalBasis:
 class TestInverseIteration:
     def test_one_particle_converges_to_lowest_orbital(self):
         # orbitals are the one-particle modes, so the ground state is the first
-        H = build_problem(Delta(0.3, -4.0), NoInteraction(), DIRICHLET, 8, 1).operator
-        psi = inverse_iteration_ground(H, 0.0)
-        assert abs(psi.coefficients[0]) == pytest.approx(1.0, abs=1e-8)
+        prob = build_problem(Delta(0.3, -4.0), NoInteraction(), DIRICHLET, 8, 1)
+        psi = inverse_iteration_ground(prob.operator, 0.0)
+        assert abs(to_orbital(prob, psi.coefficients)[0]) == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_direct_solver_ray(self, free_dirichlet_40):
-        res = solve_mb_eig(free_dirichlet_40.operator, 1)
+        op = free_dirichlet_40.operator
+        res = solve_mb_eig(op, 1)
         shift = res.eigenvalues[0] - 5.0
-        psi = inverse_iteration_ground(free_dirichlet_40.operator, shift)
-        overlap = abs(float(psi.coefficients @ res.eigenvectors[:, 0]))
+        psi = inverse_iteration_ground(op, shift)
+        overlap = abs(float(psi.coefficients @ (op.overlap @ res.eigenvectors[:, 0])))
         assert overlap >= 1.0 - 1e-8
 
     def test_shift_above_ground_rejected(self, free_dirichlet_40):
@@ -348,9 +373,9 @@ class TestInverseIteration:
         prob = build_problem(None, NoInteraction(), PERIODIC, 20, 2)
         res = solve_mb_eig(prob.operator, 2)
         psi = inverse_iteration_ground(prob.operator, res.eigenvalues[0] - 5.0)
-        ray = rayleigh(prob, psi.coefficients)
+        ray = rayleigh(prob.operator, psi.coefficients)
         assert ray == pytest.approx(res.eigenvalues[0], abs=1e-6)
-        proj = res.eigenvectors[:, :2].T @ psi.coefficients
+        proj = res.eigenvectors[:, :2].T @ (prob.operator.overlap @ psi.coefficients)
         assert np.linalg.norm(proj) == pytest.approx(1.0, abs=1e-6)
 
     def test_reports_iteration_count_on_stagnation(self):
@@ -360,9 +385,3 @@ class TestInverseIteration:
         with pytest.raises(ConvergenceError) as err:
             inverse_iteration_ground(H, 0.0, tol=1e-16, max_iter=5)
         assert err.value.iterations == 5
-
-
-class TestWaveVectorFlag:
-    def test_unnormalized_allowed_when_flagged(self):
-        basis = enumerate_slater_basis(4, 2)
-        WaveVector(np.ones(6), basis, normalized=False)
