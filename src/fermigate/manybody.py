@@ -5,11 +5,14 @@ modes.  The eigensolver is the LOBPCG of spectrum, preconditioned here by
 the exact inverse of the pencil's separable part: in the orbital basis the
 non-interacting pencil is diagonal, so its inverse is a mode product, a
 division and a mode product (fast diagonalization; Lynch, Rice & Thomas,
-Numer. Math. 6 (1964)).  The orbitals also give the start block: the
-lowest separable eigenstates, which are exact for free and contact
-pencils (these return at iteration 0) and close for kernel ones, plus two
-seeded random guard columns that reach every symmetry sector.  Eigenvectors
-come back in the pencil's own coordinates, the nodal wedge coefficients.
+Numer. Math. 6 (1964)), applied as GEMMs in float32.  Only the search
+directions see that rounding; Ritz values, residuals and the
+orthonormality check stay in float64.  The orbitals also give the start
+block: the lowest separable eigenstates, which are exact for free and
+contact pencils (these return at iteration 0) and close for kernel ones,
+plus two seeded random guard columns that reach every symmetry sector.
+Eigenvectors come back in the pencil's own coordinates, the nodal wedge
+coefficients.
 
 Ground-state degeneracy is never judged from a single grid: the spectral
 gap is tracked under one refinement step and the verdict compares the gap
@@ -20,6 +23,7 @@ mesh size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -35,6 +39,7 @@ from .slater import (
     build_problem,
     enumerate_slater_basis,
     mode_product,
+    permutation_sign,
     wedge_coefficients,
     wedge_tensor,
 )
@@ -56,28 +61,67 @@ REFINEMENT_MARGIN = 4.0
 
 
 def _separable_inverse(op: ManyBodyOperator):
-    """Exact inverse of N A (x) M^(N-1) - shift M_N on the wedge space.
+    """Exact inverse of N A (x) M^(N-1) - shift M_N on the wedge space, in float32.
 
     The shift sits a tenth of the level (at least one unit) below the
-    lowest separable level, so the inverse is positive definite.
+    lowest separable level, so the inverse is positive definite.  apply
+    takes and returns float64 columns, but expands them into the
+    (m, n^N) antisymmetric tensor, changes it to the orbital basis,
+    scales it, changes it back and reads the wedges off in float32: a
+    preconditioner only steers the search, so its 1e-6 relative error
+    moves no Ritz value, residual or orthonormality check, which stay in
+    float64.  Its tables are built on the first apply, so free and contact
+    pencils, which return at iteration 0, never build them.
     """
-    basis, V = op.basis, op.orbitals.transform
-    levels = op.orbitals.levels
-    total = levels
-    for _ in range(basis.n_particles - 1):
-        total = np.add.outer(total, levels)
-    lowest = float(np.sum(levels[: basis.n_particles]))
-    shift = lowest - max(1.0, 0.1 * abs(lowest))
-    inverse = 1.0 / (total - shift)
-    # tied mode indices carry no antisymmetric weight; keep round-off there out
-    N, index = basis.n_particles, np.arange(levels.size)
-    for i, j in itertools.combinations(range(N), 2):
-        tie = index.reshape((-1,) + (1,) * (N - 1 - i)) == index.reshape((-1,) + (1,) * (N - 1 - j))
-        np.copyto(inverse, 0.0, where=tie)
+    basis, orbitals = op.basis, op.orbitals
+
+    @functools.cache
+    def tables():
+        N, D, levels, J = basis.n_particles, basis.dim, orbitals.levels, basis.array
+        n = levels.size
+        shape = (n,) * N
+        # tensor entry -> column of [R, -R, 0]: each ordering of a wedge reads
+        # it with its sign, tied entries read the zero column
+        source = np.full(n**N, 2 * D, dtype=np.int32)
+        wedge = np.arange(D, dtype=np.int32)
+        for perm in itertools.permutations(range(N)):
+            at = np.ravel_multi_index(tuple(J[:, p] for p in perm), shape)
+            source[at] = wedge if permutation_sign(perm) > 0 else wedge + D
+        gather = np.ravel_multi_index(tuple(J.T), shape).astype(np.int32)
+        lowest = float(np.sum(levels[:N]))
+        total = levels - (lowest - max(1.0, 0.1 * abs(lowest)))
+        for _ in range(N - 1):
+            total = np.add.outer(total, levels)
+        inverse = np.reciprocal(total, dtype=np.float32)
+        # tied mode indices carry no antisymmetric weight; keep round-off there out
+        index = np.arange(n)
+        for i, j in itertools.combinations(range(N), 2):
+            tie = index.reshape((-1,) + (1,) * (N - 1 - i)) == index.reshape((-1,) + (1,) * (N - 1 - j))
+            np.copyto(inverse, 0.0, where=tie)
+        V = orbitals.transform.astype(np.float32)
+        return source, gather, inverse.reshape(-1), V, np.ascontiguousarray(V.T)
+
+    def contract(C: np.ndarray, B: np.ndarray, Bt: np.ndarray) -> np.ndarray:
+        """B along every axis of the (m, n^N) tensor C, as GEMMs on reshapes.
+
+        The last axis goes as m GEMMs, not one: OpenBLAS threads a single
+        (m n^(N-1), n) x (n, n) product already at N=3, n=24, and on a
+        shared 2-core host some processes then wait 4-8 ms in every such
+        call for the second thread.
+        """
+        m, n, N = C.shape[0], B.shape[0], basis.n_particles
+        for k in range(N - 1):
+            C = np.matmul(B, C.reshape(m * n**k, n, n ** (N - k - 1)))
+        return np.matmul(C.reshape(m, -1, n), Bt).reshape(m, -1)
 
     def apply(R: np.ndarray) -> np.ndarray:
-        C = mode_product(wedge_tensor(basis, R), V.T) * inverse
-        return wedge_coefficients(basis, mode_product(C, V))
+        source, gather, inverse, V, Vt = tables()
+        r = R.T.astype(np.float32)
+        C = np.take(np.hstack([r, -r, np.zeros((r.shape[0], 1), np.float32)]), source, axis=1)
+        C = contract(C, Vt, V)
+        C *= inverse
+        C = contract(C, V, Vt)
+        return np.take(C, gather, axis=1).T.astype(np.float64)
 
     return apply
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from fermigate import manybody, spectrum
+from fermigate import manybody, slater, spectrum
 from fermigate.basis import BoundarySpec, Delta, Sampled, build_grid_basis
 from fermigate.errors import ConvergenceError, ShiftError
 from fermigate.manybody import (
@@ -265,26 +267,103 @@ class TestSeparableStart:
             assert_levels_match(solve_mb_eig(op, k).eigenvalues, dense[:k])
 
 
-class TestSeparableInverse:
-    @pytest.mark.parametrize("n_particles, n_cells", [(2, 10), (3, 8), (4, 7)])
-    def test_matches_the_index_grid_reference(self, n_particles, n_cells):
-        # the tie mask from int64 index grids, as the preconditioner built it before
-        v, w = reflection_symmetric(n_cells)
-        op = build_problem(v, w, ANTIPERIODIC, n_cells, n_particles).operator
-        levels, V = op.orbitals.levels, op.orbitals.transform
-        total = levels
-        for _ in range(n_particles - 1):
-            total = np.add.outer(total, levels)
-        lowest = float(np.sum(levels[:n_particles]))
-        inverse = 1.0 / (total - (lowest - max(1.0, 0.1 * abs(lowest))))
-        idx = np.indices(total.shape)
-        for i in range(n_particles):
-            for j in range(i + 1, n_particles):
-                inverse[idx[i] == idx[j]] = 0.0
-        R = np.random.default_rng(n_particles).standard_normal((op.dim, 3))
+def float64_separable_inverse(op):
+    """The preconditioner in float64, with its tie mask from int64 index
+    grids and tensordot mode products, as it was built before the float32
+    apply: the reference for both."""
+    N, levels, V = op.basis.n_particles, op.orbitals.levels, op.orbitals.transform
+    total = levels
+    for _ in range(N - 1):
+        total = np.add.outer(total, levels)
+    lowest = float(np.sum(levels[:N]))
+    inverse = 1.0 / (total - (lowest - max(1.0, 0.1 * abs(lowest))))
+    idx = np.indices(total.shape)
+    for i in range(N):
+        for j in range(i + 1, N):
+            inverse[idx[i] == idx[j]] = 0.0
+
+    def apply(R):
         C = mode_product(wedge_tensor(op.basis, R), V.T) * inverse
-        want = wedge_coefficients(op.basis, mode_product(C, V))
-        assert np.array_equal(_separable_inverse(op)(R), want)
+        return wedge_coefficients(op.basis, mode_product(C, V))
+
+    return apply
+
+
+def gaussian_kernel(n_cells, strength=20.0, width=0.1):
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    return SampledKernel(tuple(map(tuple, strength * np.exp(-((x[:, None] - x) ** 2) / (2 * width**2)))))
+
+
+def assert_same_solve(got, want, M):
+    """Equal eigenvalues at 1e-12, M-parallel eigenvectors, equal iteration counts."""
+    assert got.iterations == want.iterations
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues) / np.abs(want.eigenvalues)) <= 1e-12
+    overlaps = np.abs(np.sum(got.eigenvectors * (M @ want.eigenvectors), axis=0))
+    assert np.min(overlaps) >= 1.0 - 1e-10
+
+
+class TestSeparableInverse:
+    @pytest.mark.parametrize("bc", EVERY_BOUNDARY, ids=lambda bc: bc.kind)
+    @pytest.mark.parametrize("n_particles, n_cells", [(1, 10), (2, 10), (3, 8), (4, 7), (5, 7)])
+    def test_matches_the_float64_reference(self, n_particles, n_cells, bc):
+        v, w = reflection_symmetric(n_cells)
+        op = build_problem(v, w, bc, n_cells, n_particles).operator
+        R = np.random.default_rng(n_particles).standard_normal((op.dim, 3))
+        got, want = _separable_inverse(op)(R), float64_separable_inverse(op)(R)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "n_particles, n_cells, bc",
+        [
+            (2, 20, BoundarySpec.free()),
+            (2, 20, BoundarySpec.line(1.0, 0.5)),
+            (2, 18, PERIODIC),
+            (3, 12, DIRICHLET),
+            (3, 11, BoundarySpec.free()),
+            (3, 10, BoundarySpec.line(0.3, -2.0)),
+            (4, 9, ANTIPERIODIC),
+            (4, 8, BoundarySpec.free()),
+            (5, 8, PERIODIC),
+            (5, 7, BoundarySpec.line(1.0, 0.5)),
+        ],
+        ids=lambda p: getattr(p, "kind", str(p)),
+    )
+    def test_kernel_solve_matches_the_float64_preconditioner(self, monkeypatch, n_particles, n_cells, bc):
+        op = build_problem(Delta(0.3, -5.0), gaussian_kernel(n_cells), bc, n_cells, n_particles).operator
+        k = 4 if n_particles <= 3 else 2
+        got = solve_mb_eig(op, k)
+        monkeypatch.setattr(manybody, "_separable_inverse", float64_separable_inverse)
+        want = solve_mb_eig(op, k)
+        assert got.iterations > 0
+        assert_same_solve(got, want, op.overlap)
+
+    def test_tables_are_built_on_first_apply(self):
+        # free and contact pencils return at iteration 0 and never apply it
+        op = build_problem(Delta(0.3, -4.0), NoInteraction(), BoundarySpec.free(), 40, 3).operator
+        n, N = op.orbitals.levels.size, op.basis.n_particles
+        tracemalloc.start()
+        try:
+            _separable_inverse(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * n**N * 4
+
+    def test_apply_never_forms_the_float64_tensor(self, monkeypatch):
+        op = build_problem(Delta(0.3, -5.0), gaussian_kernel(10), DIRICHLET, 10, 3).operator
+        start = _start_block(op, 4)
+
+        def forbidden(*args):
+            raise AssertionError("the apply went through the float64 mode products")
+
+        for module in (manybody, slater):
+            monkeypatch.setattr(module, "wedge_tensor", forbidden)
+            monkeypatch.setattr(module, "mode_product", forbidden)
+        monkeypatch.setattr(manybody, "_start_block", lambda op_, k: start)
+        res = solve_mb_eig(op, 4)
+        assert res.iterations > 0
+        assert_levels_match(res.eigenvalues, dense_levels(op, 4))
 
 
 class TestClassifyDegeneracy:
