@@ -17,7 +17,6 @@ no sparse products and no symmetrization step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -120,15 +119,6 @@ class BoundarySpec:
 
 
 @dataclass(frozen=True)
-class Dof:
-    """One basis function: nodal support, coefficients, and trace pair."""
-
-    nodes: tuple[int, ...]
-    coeffs: tuple[float, ...]
-    trace: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class GridBasis:
     """P1 basis for a uniform grid on (0,1) restricted by a boundary condition."""
 
@@ -149,17 +139,6 @@ class GridBasis:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_nodes)
-
-    @cached_property
-    def dofs(self) -> tuple[Dof, ...]:
-        """The rows of the extension as Dof records, built on first use."""
-        ext, dofs = self.extension, []
-        for i in range(self.n_dofs):
-            row = slice(ext.indptr[i], ext.indptr[i + 1])
-            coeff = dict(zip(ext.indices[row].tolist(), ext.data[row].tolist()))
-            trace = (coeff.get(0, 0.0), coeff.get(self.n_cells, 0.0))
-            dofs.append(Dof(tuple(coeff), tuple(coeff.values()), trace))
-        return tuple(dofs)
 
     def nodal_values(self, dof_coeffs: np.ndarray) -> np.ndarray:
         """Map dof coefficients to nodal values on the full grid."""
@@ -262,11 +241,10 @@ def norm1(X) -> float:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Exactly symmetric sparse real matrix with a bandwidth hint."""
+    """Exactly symmetric sparse real matrix."""
 
     data: sp.csr_matrix = field(repr=False)
     dimension: int
-    bandwidth: int
 
     @staticmethod
     def from_sparse(mat) -> "SymMatrix":
@@ -287,9 +265,7 @@ class SymMatrix:
             and np.array_equal(t.data, mat.data)
         ):
             raise ValueError("matrix must be exactly symmetric")
-        rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
-        bw = int(np.max(np.abs(rows - mat.indices))) if mat.nnz else 0
-        return SymMatrix(data=mat, dimension=dim, bandwidth=bw)
+        return SymMatrix(data=mat, dimension=dim)
 
     def dense(self) -> np.ndarray:
         return self.data.toarray()

@@ -11,10 +11,7 @@ from __future__ import annotations
 import collections
 import itertools
 import json
-import os
-import threading
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -154,15 +151,12 @@ def _check(name: str, measured: float, comparator: str, threshold: float, note: 
 
 
 def _finish(scenario: Scenario, checks: list[CheckResult], env: dict) -> VerificationReport:
-    env = dict(env)
-    if not checks:
-        env["no_checks"] = True
     overall = all(c.passed for c in checks)
     return VerificationReport(
         scenario=scenario.name,
         expected=scenario.expected,
         checks=tuple(checks),
-        environment=env,
+        environment=dict(env),
         overall=overall,
     )
 
@@ -262,12 +256,10 @@ def parity_holds(alpha: float, n_particles: int) -> bool:
 
 
 _cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+    _cache.clear()
 
 
 def _problem_key(v, w, bc, n_cells, n_particles):
@@ -283,27 +275,10 @@ def _entry_problem(key):
 
 
 def _memo(key, build):
-    """Cached value for key, built once.
-
-    The first caller stores a future under the lock and builds outside it;
-    concurrent callers of the same key wait on that future.  A failed build
-    removes its entry and raises in the builder and in every waiter.
-    """
-    with _cache_lock:
-        future = _cache.get(key)
-        builder = future is None
-        if builder:
-            future = _cache[key] = Future()
-    if builder:
-        try:
-            future.set_result(build())
-        except BaseException as exc:
-            with _cache_lock:
-                if _cache.get(key) is future:
-                    del _cache[key]
-            future.set_exception(exc)
-            raise
-    return future.result()
+    """Cached value for key, built once; a failed build stores nothing."""
+    if key not in _cache:
+        _cache[key] = build()
+    return _cache[key]
 
 
 def cached_problem(v, w, bc, n_cells, n_particles) -> ManyBodyProblem:
@@ -1000,8 +975,8 @@ def default_manifest() -> list[Scenario]:
 def make_scenario(name: str, overrides: dict | None = None) -> Scenario:
     """Look up a manifest scenario, optionally overriding problem fields.
 
-    For the non-local non-degeneracy family the expected flag is recomputed
-    from the parity of the overridden coupling and particle count.
+    For the non-degeneracy family the expected flag is recomputed from the
+    overridden boundary condition and particle count by the parity rule.
     """
     base = next((s for s in default_manifest() if s.name == name), None)
     if base is None:
@@ -1011,19 +986,10 @@ def make_scenario(name: str, overrides: dict | None = None) -> Scenario:
     params = dict(base.params)
     params.update(overrides)
     expected = base.expected
-    if base.kind == "nondegeneracy" and params.get("bc", {}).get("kind") == "quasiperiodic":
+    if base.kind == "nondegeneracy":
         simple = dict_to_bc(params["bc"]).guarantees_simple_ground(int(params["n_particles"]))
         expected = "pass" if simple else "negative-control"
     return Scenario(name=base.name, kind=base.kind, params=params, expected=expected)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FERMIGATE_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, cap)
 
 
 def _declared(s: Scenario) -> frozenset:
@@ -1058,10 +1024,8 @@ def _run_order(declared: list[frozenset]) -> list[int]:
     return sorted(range(len(declared)), key=lambda i: (find(i), i))
 
 
-def run_manifest(
-    scenarios: list[Scenario], seed: int = 0, max_workers: int | None = None
-) -> list[VerificationReport]:
-    """Run scenarios (concurrently up to the thread cap), reports in manifest order.
+def run_manifest(scenarios: list[Scenario], seed: int = 0) -> list[VerificationReport]:
+    """Run scenarios one after another, reports in manifest order.
 
     Scenarios that declare a common problem run back to back, each group at
     the place of its first member; every scenario seeds its generator from
@@ -1072,23 +1036,13 @@ def run_manifest(
     """
     declared = [_declared(s) for s in scenarios]
     pending = collections.Counter(key for keys in declared for key in keys)
-
-    def run(i: int) -> VerificationReport:
-        report = run_scenario(scenarios[i], seed)
-        with _cache_lock:
+    reports = {}
+    try:
+        for i in _run_order(declared):
+            reports[i] = run_scenario(scenarios[i], seed)
             pending.subtract(declared[i])
             for key in [k for k in _cache if pending[_entry_problem(k)] <= 0]:
                 del _cache[key]
-        return report
-
-    order = _run_order(declared)
-    workers = max_workers if max_workers is not None else _thread_cap()
-    try:
-        if workers <= 1 or len(scenarios) <= 1:
-            reports = {i: run(i) for i in order}
-            return [reports[i] for i in range(len(scenarios))]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(run, i) for i in order}
-            return [futures[i].result() for i in range(len(scenarios))]
     finally:
         clear_cache()
+    return [reports[i] for i in range(len(scenarios))]

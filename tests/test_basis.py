@@ -58,18 +58,18 @@ class TestBuildGridBasis:
 
     def test_dirichlet_all_zero_trace(self):
         basis = build_grid_basis(8, BoundarySpec.dirichlet_both())
-        assert all(dof.trace == (0.0, 0.0) for dof in basis.dofs)
+        assert np.all(basis.extension[:, [0, 8]].toarray() == 0.0)
 
     def test_free_has_two_boundary_dofs(self):
         basis = build_grid_basis(8, BoundarySpec.free())
-        nonzero = [dof for dof in basis.dofs if dof.trace != (0.0, 0.0)]
-        assert len(nonzero) == 2
+        traces = basis.extension[:, [0, 8]].toarray()
+        assert np.count_nonzero(np.any(traces != 0.0, axis=1)) == 2
 
     def test_quasiperiodic_coupled_trace_pair(self):
         basis = build_grid_basis(8, BoundarySpec.quasiperiodic(-1.0))
-        coupled = [dof for dof in basis.dofs if len(dof.nodes) == 2]
-        assert len(coupled) == 1
-        t0, t1 = coupled[0].trace
+        # the coupled dof is the one row with two nodes
+        (coupled,) = np.flatnonzero(np.diff(basis.extension.indptr) == 2)
+        t0, t1 = basis.extension[:, [0, 8]].toarray()[coupled].tolist()
         assert (t0, t1) == (-1.0, 1.0)
         # constraint residual is exactly zero: t0 - alpha*t1
         assert t0 - (-1.0) * t1 == 0.0
@@ -77,8 +77,7 @@ class TestBuildGridBasis:
     @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
     def test_every_trace_pair_lies_in_the_subspace(self, bc):
         basis = build_grid_basis(8, bc)
-        for dof in basis.dofs:
-            t0, t1 = dof.trace
+        for t0, t1 in basis.extension[:, [0, 8]].toarray().tolist():
             if bc.kind == "dirichlet-both":
                 assert (t0, t1) == (0.0, 0.0)
             elif bc.kind == "dirichlet-left":
@@ -261,8 +260,7 @@ class TestPotential:
 def test_quasiperiodic_constraint_exact_for_any_alpha(n_cells, alpha):
     basis = build_grid_basis(n_cells, BoundarySpec.quasiperiodic(alpha))
     assert basis.n_dofs == n_cells
-    for dof in basis.dofs:
-        t0, t1 = dof.trace
+    for t0, t1 in basis.extension[:, [0, n_cells]].toarray().tolist():
         assert t0 - alpha * t1 == 0.0
 
 
@@ -325,8 +323,6 @@ def test_one_body_matrices_match_sparse_reference(bc, n_cells):
         assert np.max(np.abs(mat.dense() - ref)) <= 1e-15 * scale, name
         dense = mat.dense()
         assert np.array_equal(dense, dense.T), name
-        rows, cols = np.nonzero(ref)
-        assert mat.bandwidth == (int(np.max(np.abs(rows - cols))) if rows.size else 0), name
 
 
 class TestFromSparse:
@@ -358,4 +354,3 @@ class TestFromSparse:
         )
         sym = SymMatrix.from_sparse(mat)
         np.testing.assert_array_equal(sym.dense(), [[3.0, 1.0], [1.0, 4.0]])
-        assert sym.bandwidth == 1

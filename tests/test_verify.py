@@ -1,10 +1,6 @@
 import collections
 import dataclasses
 import json
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -220,96 +216,42 @@ class TestNeumannTraceTwoParticles:
 
 
 class TestMemo:
-    """verify's cache builds each key once, also under concurrent callers."""
+    """verify's cache builds each key once."""
 
     @pytest.fixture(autouse=True)
     def _drop_test_keys(self):
         yield
-        with verify._cache_lock:
-            for key in [k for k in verify._cache if k[0] == "memo-test"]:
-                del verify._cache[key]
+        for key in [k for k in verify._cache if k[0] == "memo-test"]:
+            del verify._cache[key]
 
-    @staticmethod
-    def _two_callers(key, build, entered):
-        # the second caller starts while the first is inside build
-        outcomes = []
-
-        def call():
-            try:
-                outcomes.append(verify._memo(key, build))
-            except Exception as exc:  # noqa: BLE001 - the outcome is the point
-                outcomes.append(exc)
-
-        first = threading.Thread(target=call)
-        first.start()
-        assert entered.wait(5.0)
-        second = threading.Thread(target=call)
-        second.start()
-        return first, second, outcomes
-
-    def test_concurrent_callers_share_one_build(self):
-        entered, release, calls = threading.Event(), threading.Event(), []
-
-        def build():
-            calls.append(1)
-            entered.set()
-            release.wait(5.0)
-            return object()
-
-        first, second, outcomes = self._two_callers(("memo-test", "once"), build, entered)
-        time.sleep(0.1)  # let the second caller reach the pending entry
-        release.set()
-        first.join(5.0)
-        second.join(5.0)
-        assert not first.is_alive() and not second.is_alive()
-        assert len(calls) == 1
-        assert len(outcomes) == 2 and outcomes[0] is outcomes[1]
-        assert verify._memo(("memo-test", "once"), build) is outcomes[0]
-        assert len(calls) == 1
-
-    def test_failed_build_reaches_every_caller_and_leaves_no_entry(self):
-        entered, release = threading.Event(), threading.Event()
-        key = ("memo-test", "fails")
-
-        def build():
-            entered.set()
-            release.wait(5.0)
-            raise RuntimeError("build failed")
-
-        first, second, outcomes = self._two_callers(key, build, entered)
-        time.sleep(0.1)
-        release.set()
-        first.join(5.0)
-        second.join(5.0)
-        assert not first.is_alive() and not second.is_alive()
-        assert len(outcomes) == 2
-        assert all(isinstance(o, RuntimeError) and str(o) == "build failed" for o in outcomes)
-        assert key not in verify._cache
-        assert verify._memo(key, lambda: 7) == 7  # the next caller builds afresh
-
-    def test_many_threads_build_each_key_once(self):
-        keys = [("memo-test", i) for i in range(16)]
-        counts, lock = collections.Counter(), threading.Lock()
+    def test_builds_a_key_once(self):
+        keys = [("memo-test", i) for i in range(4)]
+        calls = collections.Counter()
 
         def builder(key):
             def build():
-                with lock:
-                    counts[key] += 1
-                time.sleep(0.001)
-                return key
+                calls[key] += 1
+                return object()
 
             return build
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(verify._memo, k, builder(k)) for _ in range(8) for k in keys]
-                results = [f.result(timeout=30.0) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [k for _ in range(8) for k in keys]
-        assert all(counts[k] == 1 for k in keys)
+        first = [verify._memo(k, builder(k)) for k in keys]
+        again = [verify._memo(k, builder(k)) for k in keys]
+        assert all(a is b for a, b in zip(first, again))
+        assert len({id(v) for v in first}) == len(keys)
+        assert all(calls[k] == 1 for k in keys)
+
+    def test_failed_build_leaves_no_entry(self):
+        key = ("memo-test", "fails")
+
+        def build():
+            raise RuntimeError("build failed")
+
+        with pytest.raises(RuntimeError, match="build failed"):
+            verify._memo(key, build)
+        assert key not in verify._cache
+        assert verify._memo(key, lambda: 7) == 7  # the next caller builds afresh
+        assert verify._cache[key] == 7
 
 
 class TestScenarios:
@@ -341,6 +283,19 @@ class TestScenarios:
         assert rep.overall
         assert rep.checks[0].name == "verdict_degenerate"
 
+    @pytest.mark.parametrize("name, bc", [
+        # a = -b is the antiperiodic coupling: simple for N = 2
+        ("nondegeneracy_nonlocal_periodic_n2", {"kind": "line", "a": 1.0, "b": -1.0}),
+        ("nondegeneracy_nonlocal_antiperiodic_n3", {"kind": "dirichlet-both"}),
+    ])
+    def test_override_of_a_negative_control_expects_pass(self, name, bc):
+        assert make_scenario(name).expected == "negative-control"
+        s = make_scenario(name, {"bc": bc, "grids": [12, 24]})
+        assert s.expected == "pass"
+        rep = run_scenario(s)
+        assert rep.overall and rep.error is None
+        assert rep.checks[0].name == "verdict_non_degenerate"
+
     def test_auto_negative_control_from_parity(self):
         s = make_scenario(
             "nondegeneracy_nonlocal_periodic_n3",
@@ -352,6 +307,9 @@ class TestScenarios:
             {"bc": {"kind": "quasiperiodic", "alpha": -1.0}, "n_particles": 2, "grids": [12, 24]},
         )
         assert s2.expected == "pass"
+        s3 = make_scenario("nondegeneracy_nonlocal_periodic_n3", {"bc": {"kind": "line", "a": 2.0, "b": 2.0},
+                                                                 "n_particles": 2})
+        assert s3.expected == "negative-control"
 
     def test_solver_failure_becomes_report_error(self):
         s = Scenario(
@@ -414,26 +372,38 @@ class TestScenarios:
         rep = run_scenario(s)
         assert rep.overall == all(c.passed for c in rep.checks)
 
-    def test_run_manifest_parallel_matches_sequential(self):
-        # the solves are redone on each side, so the seeded LOBPCG start and
-        # the inverse iteration are covered too
-        scenarios = [
-            make_scenario("sp_free_spectra"),
-            make_scenario("single_particle_gaps_antiperiodic_free"),
-            make_scenario("nondegeneracy_nonlocal_periodic_n3", {"grids": [12, 24]}),
-            make_scenario("nondegeneracy_local", {"grids": [20, 40]}),
-        ]
-        clear_cache()
-        seq = run_manifest(scenarios, seed=3, max_workers=1)
-        clear_cache()
-        par = run_manifest(scenarios, seed=3, max_workers=2)
-        assert [r.scenario for r in seq] == [r.scenario for r in par]
-        for a, b in zip(seq, par):
-            assert a == b
-        assert cli.emit_report(seq) == cli.emit_report(par)
+    _SHARING = (
+        ("sp_free_spectra", None),
+        ("single_particle_gaps_antiperiodic_free", None),
+        ("nondegeneracy_nonlocal_periodic_n3", {"grids": [12, 24]}),
+        ("nondegeneracy_local", {"grids": [20, 40]}),
+    )
 
-    def test_kernel_positivity_report_identical_across_thread_caps(self, monkeypatch):
-        # a sampled-kernel positivity scenario and its free twin, each cap on a cold cache
+    def test_run_manifest_matches_each_scenario_run_alone(self):
+        # the shared cache and the run order change no report; the solves are
+        # redone alone, so the seeded LOBPCG start and inverse iteration count
+        scenarios = [make_scenario(n, o) for n, o in self._SHARING]
+        clear_cache()
+        together = run_manifest(scenarios, seed=3)
+        alone = []
+        for s in scenarios:
+            clear_cache()
+            alone.append(run_scenario(s, seed=3))
+        clear_cache()
+        assert [r.scenario for r in together] == [s.name for s in scenarios]
+        assert together == alone
+        assert cli.emit_report(together) == cli.emit_report(alone)
+
+    def test_reversed_manifest_gives_the_same_reports(self):
+        # each scenario seeds its generator from its own name
+        scenarios = [make_scenario(n, o) for n, o in self._SHARING]
+        forward = run_manifest(scenarios, seed=3)
+        backward = run_manifest(scenarios[::-1], seed=3)
+        assert backward[::-1] == forward
+        assert not verify._cache
+
+    def test_kernel_positivity_scenario_runs_and_the_kernel_acts(self):
+        # a sampled-kernel positivity scenario and its free twin on a cold cache
         n_cells = 16
         x = np.linspace(0.0, 1.0, n_cells + 1)
         kernel_w = {"kind": "sampled-kernel",
@@ -443,14 +413,8 @@ class TestScenarios:
             make_scenario("simplex_positivity_local", {"n_cells": n_cells, "w": kernel_w}),
             name="simplex_positivity_local_kernel",
         )
-        reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FERMIGATE_THREADS", threads)
-            clear_cache()
-            reports.append(cli.emit_report(run_manifest([kernel, free], seed=1)))
         clear_cache()
-        assert reports[0] == reports[1]
-        assert all(s["error"] is None for s in json.loads(reports[0])["scenarios"])
+        assert all(r.error is None for r in run_manifest([kernel, free], seed=1))
         # the kernel acts on fermions: its pencil is not the free one
         v, bc = verify.dict_to_potential(free.params["v"]), verify.dict_to_bc(free.params["bc"])
         H = [build_problem(v, verify.dict_to_interaction(s.params["w"]), bc, n_cells, 2).operator.matrix
@@ -491,13 +455,12 @@ class TestTessellation:
 class TestCacheScope:
     """The cache lives for one run_manifest call."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_manifest_leaves_the_cache_empty(self, workers):
+    def test_run_manifest_leaves_the_cache_empty(self):
         scenarios = [
             make_scenario("sp_free_spectra"),
             make_scenario("nondegeneracy_local", {"grids": [12, 24]}),
         ]
-        reports = run_manifest(scenarios, seed=1, max_workers=workers)
+        reports = run_manifest(scenarios, seed=1)
         assert all(r.error is None for r in reports)
         assert not verify._cache
 
@@ -522,7 +485,7 @@ class TestCacheScope:
 
         monkeypatch.setitem(verify._RUNNERS, "nondegeneracy", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            run_manifest([make_scenario("nondegeneracy_local")], seed=1, max_workers=1)
+            run_manifest([make_scenario("nondegeneracy_local")], seed=1)
         assert not verify._cache
 
 
@@ -563,7 +526,7 @@ def traced_manifest():
         mp.setattr(verify, "build_problem", counted("build_problem", verify.build_problem))
         mp.setattr(verify, "solve_mb_eig", counted("solve_mb_eig", verify.solve_mb_eig))
         clear_cache()
-        trace["reports"] = run_manifest(default_manifest(), seed=1, max_workers=1)
+        trace["reports"] = run_manifest(default_manifest(), seed=1)
         trace["held_after"] = set(verify._cache)
     return trace
 
@@ -607,11 +570,12 @@ class TestCacheLifetime:
         assert [r.scenario for r in reports] == [s.name for s in default_manifest()]
         assert all(r.overall for r in reports)
 
-    def test_parallel_run_matches_and_empties_the_cache(self, traced_manifest):
-        clear_cache()
-        par = run_manifest(default_manifest(), seed=1, max_workers=2)
+    def test_rerun_on_the_emptied_cache_matches(self, traced_manifest):
+        # nothing of the first run survives it to change the second
         assert not verify._cache
-        assert cli.emit_report(par) == cli.emit_report(traced_manifest["reports"])
+        again = run_manifest(default_manifest(), seed=1)
+        assert not verify._cache
+        assert cli.emit_report(again) == cli.emit_report(traced_manifest["reports"])
 
     def test_groups_are_connected_components_at_their_first_member(self):
         a, b, c = ("a",), ("b",), ("c",)
@@ -651,9 +615,9 @@ class TestCacheLifetime:
         assert all(r.error is None for r in reports)
         assert [len(h) for h in held] == [2, 0]
 
-    def test_threaded_release_under_contention(self, monkeypatch):
-        # more workers than cores and a short switch interval: a lost update
-        # to the pending counts would release a problem early and rebuild it
+    def test_duplicate_scenarios_build_each_problem_once(self, monkeypatch):
+        # three copies of six scenarios that share problems: a problem
+        # released before its last consumer would be built again
         base = [
             make_scenario("nondegeneracy_nonlocal_antiperiodic_n2", {"grids": [8, 16]}),
             make_scenario("simplex_positivity_antiperiodic_n2", {"n_cells": 16}),
@@ -668,16 +632,7 @@ class TestCacheLifetime:
         build = verify.build_problem
         monkeypatch.setattr(verify, "build_problem", lambda *a: builds.append(a) or build(*a))
         clear_cache()
-        seq = run_manifest(scenarios, seed=2, max_workers=1)
+        reports = run_manifest(scenarios, seed=2)
         assert len(builds) == len(distinct)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(2):
-                builds.clear()
-                par = run_manifest(scenarios, seed=2, max_workers=6)
-                assert len(builds) == len(distinct)
-                assert not verify._cache
-                assert cli.emit_report(par) == cli.emit_report(seq)
-        finally:
-            sys.setswitchinterval(interval)
+        assert all(r.error is None for r in reports)
+        assert not verify._cache
