@@ -24,7 +24,6 @@ mesh size.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +37,8 @@ from .slater import (
     WaveVector,
     build_problem,
     enumerate_slater_basis,
-    mode_product,
-    permutation_sign,
-    wedge_coefficients,
-    wedge_tensor,
+    scatter_orderings,
+    signed_orderings,
 )
 from .spectrum import LOBPCG_SEED, SpectralResult, _definite_factor, _lobpcg, norm1
 
@@ -60,67 +57,60 @@ GAP_FLOOR_RTOL = 1e-9
 REFINEMENT_MARGIN = 4.0
 
 
+def _contract(C: np.ndarray, B: np.ndarray, Bt: np.ndarray, N: int) -> np.ndarray:
+    """B along every axis of the (m, s^N) tensor C, as GEMMs on reshapes.
+
+    B is (n, s) and Bt its transpose; the result is (m, n^N).  The last
+    axis goes as m GEMMs, not one: OpenBLAS threads a single
+    (m n^(N-1), s) x (s, n) product already at N=3, n=24, and on a shared
+    2-core host some processes then wait 4-8 ms in every such call for the
+    second thread.
+    """
+    m, (n, s) = C.shape[0], B.shape
+    for k in range(N - 1):
+        C = np.matmul(B, C.reshape(m * n**k, s, s ** (N - k - 1)))
+    return np.matmul(C.reshape(m, -1, s), Bt).reshape(m, -1)
+
+
 def _separable_inverse(op: ManyBodyOperator):
     """Exact inverse of N A (x) M^(N-1) - shift M_N on the wedge space, in float32.
 
     The shift sits a tenth of the level (at least one unit) below the
     lowest separable level, so the inverse is positive definite.  apply
-    takes and returns float64 columns, but expands them into the
-    (m, n^N) antisymmetric tensor, changes it to the orbital basis,
-    scales it, changes it back and reads the wedges off in float32: a
-    preconditioner only steers the search, so its 1e-6 relative error
-    moves no Ritz value, residual or orthonormality check, which stay in
-    float64.  Its tables are built on the first apply, so free and contact
-    pencils, which return at iteration 0, never build them.
+    takes and returns float64 columns, but scatters them through the
+    basis's signed_orderings table into the (m, n^N) antisymmetric tensor,
+    changes it to the orbital basis, scales it, changes it back and reads
+    the wedges off in float32: a preconditioner only steers the search, so
+    its 1e-6 relative error moves no Ritz value, residual or
+    orthonormality check, which stay in float64.  Its tables are built on
+    the first apply, so free and contact pencils, which return at
+    iteration 0, never build them.
     """
     basis, orbitals = op.basis, op.orbitals
+    N = basis.n_particles
 
     @functools.cache
     def tables():
-        N, D, levels, J = basis.n_particles, basis.dim, orbitals.levels, basis.array
+        levels, J = orbitals.levels, basis.array
         n = levels.size
-        shape = (n,) * N
-        # tensor entry -> column of [R, -R, 0]: each ordering of a wedge reads
-        # it with its sign, tied entries read the zero column
-        source = np.full(n**N, 2 * D, dtype=np.int32)
-        wedge = np.arange(D, dtype=np.int32)
-        for perm in itertools.permutations(range(N)):
-            at = np.ravel_multi_index(tuple(J[:, p] for p in perm), shape)
-            source[at] = wedge if permutation_sign(perm) > 0 else wedge + D
-        gather = np.ravel_multi_index(tuple(J.T), shape).astype(np.int32)
+        orderings = signed_orderings(J, n)
+        gather = np.ravel_multi_index(tuple(J.T), (n,) * N).astype(np.int32)
         lowest = float(np.sum(levels[:N]))
         total = levels - (lowest - max(1.0, 0.1 * abs(lowest)))
         for _ in range(N - 1):
             total = np.add.outer(total, levels)
-        inverse = np.reciprocal(total, dtype=np.float32)
+        inverse = np.reciprocal(total, dtype=np.float32).reshape(-1)
         # tied mode indices carry no antisymmetric weight; keep round-off there out
-        index = np.arange(n)
-        for i, j in itertools.combinations(range(N), 2):
-            tie = index.reshape((-1,) + (1,) * (N - 1 - i)) == index.reshape((-1,) + (1,) * (N - 1 - j))
-            np.copyto(inverse, 0.0, where=tie)
+        inverse[orderings == 0] = 0.0
         V = orbitals.transform.astype(np.float32)
-        return source, gather, inverse.reshape(-1), V, np.ascontiguousarray(V.T)
-
-    def contract(C: np.ndarray, B: np.ndarray, Bt: np.ndarray) -> np.ndarray:
-        """B along every axis of the (m, n^N) tensor C, as GEMMs on reshapes.
-
-        The last axis goes as m GEMMs, not one: OpenBLAS threads a single
-        (m n^(N-1), n) x (n, n) product already at N=3, n=24, and on a
-        shared 2-core host some processes then wait 4-8 ms in every such
-        call for the second thread.
-        """
-        m, n, N = C.shape[0], B.shape[0], basis.n_particles
-        for k in range(N - 1):
-            C = np.matmul(B, C.reshape(m * n**k, n, n ** (N - k - 1)))
-        return np.matmul(C.reshape(m, -1, n), Bt).reshape(m, -1)
+        return orderings, gather, inverse, V, np.ascontiguousarray(V.T)
 
     def apply(R: np.ndarray) -> np.ndarray:
-        source, gather, inverse, V, Vt = tables()
-        r = R.T.astype(np.float32)
-        C = np.take(np.hstack([r, -r, np.zeros((r.shape[0], 1), np.float32)]), source, axis=1)
-        C = contract(C, Vt, V)
+        orderings, gather, inverse, V, Vt = tables()
+        C = scatter_orderings(orderings, R.T.astype(np.float32))
+        C = _contract(C, Vt, V, N)
         C *= inverse
-        C = contract(C, V, Vt)
+        C = _contract(C, V, Vt, N)
         return np.take(C, gather, axis=1).T.astype(np.float64)
 
     return apply
@@ -131,18 +121,24 @@ def _start_block(op: ManyBodyOperator, k: int) -> np.ndarray:
 
     The separable eigenstates are the antisymmetrized products of the
     orbitals, ranked by the sum of their levels with ties in tuple order;
-    the k lowest use only orbitals below k + N - 1.  The guard columns are
-    seeded random, so sectors of a symmetry shared by v and w that the
-    wanted columns miss stay reachable.
+    the k lowest use only orbitals below s = k + N - 1.  Each is scattered
+    as a unit column through the signed_orderings table of those products,
+    contracted with the first s orbitals in float64 and read off at the
+    wedges.  The guard columns are seeded random, so sectors of a symmetry
+    shared by v and w that the wanted columns miss stay reachable.
     """
     N, orbitals = op.basis.n_particles, op.orbitals
     products = enumerate_slater_basis(min(op.basis.n_orbitals, k + N - 1), N)
     levels = orbitals.levels[products.array].sum(axis=1)
-    unit = np.zeros((products.dim, k))
-    unit[np.argsort(levels, kind="stable")[:k], np.arange(k)] = 1.0
-    C = mode_product(wedge_tensor(products, unit), orbitals.transform[:, : products.n_orbitals])
+    unit = np.zeros((k, products.dim))
+    unit[np.arange(k), np.argsort(levels, kind="stable")[:k]] = 1.0
+    C = scatter_orderings(signed_orderings(products.array, products.n_orbitals), unit)
+    B = orbitals.transform[:, : products.n_orbitals]
+    C = _contract(C, B, B.T, N)
+    n = op.basis.n_orbitals
+    wedges = np.take(C, np.ravel_multi_index(tuple(op.basis.array.T), (n,) * N), axis=1)
     guard = np.random.default_rng(LOBPCG_SEED).standard_normal((op.dim, min(2, op.dim - k)))
-    return np.hstack([wedge_coefficients(op.basis, C), guard])
+    return np.hstack([wedges.T, guard])
 
 
 def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:

@@ -10,8 +10,10 @@ reports used by the positivity checks.
 
 A state enters as its nodal wedge coefficients (a WaveVector).  Its
 ordered-region values at the node tuples are one signed gather of them,
-and everything else (the full nodal tensor, point values, the densities of
-slater) is built from those values.
+through the signed_orderings table of its wedges, and everything else is
+built from those values: the full nodal tensor scatters them through the
+table of the increasing node tuples, and point values and the densities
+of slater read that tensor.
 
 The quadrature integrates a nodal tensor cell by cell over the part of each
 grid cell that lies in the ordered region.  That part is fixed by the cell's
@@ -32,7 +34,14 @@ from math import factorial
 import numpy as np
 
 from .basis import GridBasis, _full_overlap, _full_stiffness
-from .slater import OrbitalSet, WaveVector, _increasing_tuples, permutation_sign
+from .slater import (
+    OrbitalSet,
+    WaveVector,
+    _increasing_tuples,
+    permutation_sign,
+    scatter_orderings,
+    signed_orderings,
+)
 
 __all__ = [
     "Permutation",
@@ -108,34 +117,33 @@ def locate_cell(x) -> tuple[Permutation, float]:
 # nodal extension / restriction
 
 
-def _index_grids(shape: tuple[int, ...]) -> list[np.ndarray]:
-    # open grids: they broadcast against each other, so no n^N index arrays
-    return np.ogrid[tuple(slice(size) for size in shape)]
-
-
-def _tie_mask(n_nodes: int, N: int) -> np.ndarray:
-    idx = _index_grids((n_nodes,) * N)
-    mask = np.zeros((n_nodes,) * N, dtype=bool)
-    for a, b in itertools.combinations(range(N), 2):
-        mask |= idx[a] == idx[b]
-    return mask
-
-
 def _sorted_mask(n_nodes: int, N: int) -> np.ndarray:
-    idx = _index_grids((n_nodes,) * N)
+    # open grids: they broadcast against each other, so no n^N index arrays
+    idx = np.ogrid[(slice(n_nodes),) * N]
     mask = np.ones((n_nodes,) * N, dtype=bool)
     for a in range(N - 1):
         mask &= idx[a] <= idx[a + 1]
     return mask
 
 
+def _antisymmetric(table: np.ndarray, ordered: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The tensor with +-ordered / sqrt(N!) at every ordering of each
+    increasing node tuple, scattered through their signed_orderings table.
+
+    Its zeros are +0.0, as in a sum of signed coordinate transposes.
+    """
+    full = scatter_orderings(table, (1.0 / np.sqrt(factorial(len(shape)))) * ordered)
+    full += 0.0
+    return full.reshape(shape)
+
+
 def extend_from_simplex(values: np.ndarray, n_particles: int) -> np.ndarray:
     """Antisymmetric nodal tensor from ordered-region nodal data.
 
-    `values` is a full (n_nodes,)^N array supported on the non-decreasing
-    index region with zeros at every tied index; the result is the signed
-    sum of its coordinate transposes scaled by 1/sqrt(N!).  Restricting the
-    result back (see restrict_full_tensor) reproduces the input.
+    `values` is a full (n_nodes,)^N array supported on the strictly
+    increasing index tuples; the result puts each of their values, scaled
+    by 1/sqrt(N!) and signed, at every ordering of its tuple.  Restricting
+    the result back (see restrict_full_tensor) reproduces the input.
     """
     values = np.asarray(values, dtype=float)
     N = n_particles
@@ -144,15 +152,15 @@ def extend_from_simplex(values: np.ndarray, n_particles: int) -> np.ndarray:
     n_nodes = values.shape[0]
     if values.shape != (n_nodes,) * N:
         raise ValueError("nodal array must be hypercubic")
-    if np.any(values[_tie_mask(n_nodes, N)] != 0.0):
-        raise ValueError("tied-index nodal values must be exactly zero")
-    if np.any(values[~_sorted_mask(n_nodes, N)] != 0.0):
+    tuples = _increasing_tuples(n_nodes, N)
+    table = signed_orderings(tuples, n_nodes)
+    ordered = values.reshape(-1)[np.ravel_multi_index(tuple(tuples.T), values.shape)]
+    if np.count_nonzero(values) > np.count_nonzero(ordered):
+        # a nonzero off the increasing tuples: tied ones order no wedge
+        if np.any(table[np.flatnonzero(values)] == 0):
+            raise ValueError("tied-index nodal values must be exactly zero")
         raise ValueError("values outside the ordered index region must be zero")
-    scale = 1.0 / np.sqrt(factorial(N))
-    out = np.zeros_like(values)
-    for perm in itertools.permutations(range(N)):
-        out += permutation_sign(perm) * scale * np.transpose(values, perm)
-    return out
+    return _antisymmetric(table, ordered, values.shape)
 
 
 def restrict_full_tensor(full: np.ndarray, n_particles: int) -> np.ndarray:
@@ -172,10 +180,11 @@ def _ordered_values(psi: WaveVector, grid: GridBasis) -> tuple[np.ndarray, np.nd
     """The strictly increasing node tuples t and sqrt(N!) * Psi(t), by one signed gather.
 
     With E the dof-to-node extension, sqrt(N!) Psi(t) = sum_J c_J det E[t, J]
-    over the wedges J.  A node carries at most one dof, so only the sorted
-    tuple J of the dofs of t can contribute, and only when those dofs are
-    distinct; its determinant is the sign of the sorting permutation times
-    the product of the node weights.
+    over the wedges J.  A node carries at most one dof, so only the wedge
+    J that the dofs of t order can contribute, and only when those dofs
+    are distinct; its determinant is the sign of that ordering times the
+    product of the node weights.  So the dof tuples of t, looked up in the
+    basis's signed_orderings table, scatter +-c_J to t.
     """
     basis = psi.basis
     if basis.n_orbitals != grid.n_dofs:
@@ -183,38 +192,24 @@ def _ordered_values(psi: WaveVector, grid: GridBasis) -> tuple[np.ndarray, np.nd
     n, N = basis.n_orbitals, basis.n_particles
     tuples = _increasing_tuples(grid.n_nodes, N)
     E = grid.extension
-    dof, weight = np.full(grid.n_nodes, -1), np.zeros(grid.n_nodes)
+    dof, weight = np.full(grid.n_nodes, n), np.zeros(grid.n_nodes)  # dof n: none
     dof[E.indices], weight[E.indices] = np.repeat(np.arange(n), np.diff(E.indptr)), E.data
-    d = dof[tuples.T]  # (N, count): the dof of each node of each tuple
-    ok = d.min(axis=0) >= 0
-    det = np.prod(weight[tuples.T], axis=0)
-    below = np.zeros_like(d)  # below[k]: the place of d[k] in its sorted tuple
-    for j, k in itertools.combinations(range(N), 2):
-        ok &= d[j] != d[k]
-        swap = d[j] > d[k]
-        below[j] += swap
-        below[k] += ~swap
-        det[swap] *= -1.0
-    key = np.sum(d * n ** (N - 1 - below), axis=0)  # the raveled sorted tuple
-    table = 0  # the raveled wedge tuples, ascending
-    for column in basis.array.T:
-        table = table * n + column
-    rank = np.searchsorted(table, key[ok])
-    values = np.zeros(len(tuples))
-    values[ok] = det[ok] * psi.coefficients[rank]
+    code = signed_orderings(basis.array, n + 1)[np.ravel_multi_index(dof[tuples.T], (n + 1,) * N)]
+    values = np.prod(weight[tuples.T], axis=0) * scatter_orderings(code, psi.coefficients)
+    values[code == 0] = 0.0  # +0.0 where no wedge lands, whatever the weights' signs
     return tuples, values
 
 
 def nodal_tensor(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
     """Nodal values of the state on the full tensor grid.
 
-    extend_from_simplex of its values at the increasing node tuples.
-    Reads orbitals.grid only.
+    Its values at the increasing node tuples, scattered over every ordering
+    through their signed_orderings table (as extend_from_simplex does,
+    without validating a full input array).  Reads orbitals.grid only.
     """
     tuples, ordered = _ordered_values(psi, orbitals.grid)
-    values = np.zeros((orbitals.grid.n_nodes,) * tuples.shape[1])
-    values[tuple(tuples.T)] = ordered
-    return extend_from_simplex(values, tuples.shape[1])
+    n_nodes = orbitals.grid.n_nodes
+    return _antisymmetric(signed_orderings(tuples, n_nodes), ordered, (n_nodes,) * tuples.shape[1])
 
 
 def evaluate_state(psi: WaveVector, orbitals: OrbitalSet, points: np.ndarray) -> np.ndarray:

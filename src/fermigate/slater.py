@@ -78,9 +78,7 @@ __all__ = [
     "orthonormalize_orbitals",
     "transform_one_body",
     "transform_two_body",
-    "wedge_tensor",
-    "wedge_coefficients",
-    "mode_product",
+    "signed_orderings",
     "assemble_manybody",
     "assemble_manybody_bruteforce",
     "reduced_density",
@@ -155,30 +153,36 @@ def permutation_sign(perm) -> int:
     return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
 
 
-def wedge_tensor(basis: SlaterBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Antisymmetric tensors C[sigma J] = sign(sigma) c_J of coefficient columns.
+def signed_orderings(tuples: np.ndarray, side: int) -> np.ndarray:
+    """Every ordering of every wedge, with its sign, as one int32 table.
 
-    coeffs is (dim,) or (dim, m); the result has shape (m, n, ..., n) and is
-    zero wherever two indices tie.
+    tuples is the (D, N) array of strictly increasing wedge tuples, and
+    side >= their largest index + 1.  Entry t of the raveled (side,)^N
+    index grid holds k + 1 when t is an even ordering of wedge k, -(k + 1)
+    when it is an odd one, and 0 when two of its indices tie or it orders
+    no wedge.  scatter_orderings expands wedge values through it.
     """
-    c = np.asarray(coeffs, dtype=float).reshape(basis.dim, -1).T
-    C = np.zeros((c.shape[0],) + (basis.n_orbitals,) * basis.n_particles)
-    J = basis.array
-    for perm in itertools.permutations(range(basis.n_particles)):
-        C[(slice(None),) + tuple(J[:, p] for p in perm)] = permutation_sign(perm) * c
-    return C
+    D, N = tuples.shape
+    table = np.zeros(side**N, dtype=np.int32)
+    code = np.arange(1, D + 1, dtype=np.int32)
+    columns = list(tuples.T.astype(np.intp))
+    for perm in itertools.permutations(range(N)):
+        at = columns[perm[0]]
+        for j in perm[1:]:
+            at = at * side + columns[j]  # the raveled index of the ordering
+        table[at] = permutation_sign(perm) * code
+    return table
 
 
-def wedge_coefficients(basis: SlaterBasis, C: np.ndarray) -> np.ndarray:
-    """Inverse of wedge_tensor on antisymmetric tensors, as (dim, m) columns."""
-    return C[(slice(None),) + tuple(basis.array.T)].T
+def scatter_orderings(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[..., k] at every ordering of wedge k, with its sign, and 0 elsewhere.
 
-
-def mode_product(C: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Apply the matrix B along every axis of C after the first (column) axis."""
-    for _ in range(C.ndim - 1):
-        C = np.tensordot(C, B, axes=([1], [1]))
-    return C
+    Over the last axis, (..., D) wedge values become (..., side^N) entries
+    of the signed_orderings table: one np.take from [0, values, -reversed
+    values], which its negative codes index from the end.
+    """
+    zero = np.zeros(values.shape[:-1] + (1,), dtype=values.dtype)
+    return np.take(np.concatenate([zero, values, -values[..., ::-1]], axis=-1), table, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -371,31 +375,20 @@ class _Landing(NamedTuple):
 
     nb: np.ndarray  # nb[a, t]: the t-th neighbour of dof a, n for none
     slots: np.ndarray  # (width^N, N) neighbour-slot tuples
-    rank: np.ndarray  # flat tuple index over (n + 1)^N -> wedge, or -1
-    parity: np.ndarray  # flat tuple index -> sign of its sorting permutation
+    orderings: np.ndarray  # signed_orderings of the wedges over (n + 1)^N tuples
 
 
 def _landing(M: sp.csr_matrix, basis: SlaterBasis) -> _Landing:
-    n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
+    n, N = basis.n_orbitals, basis.n_particles
     # slot t of dof a is the t-th nonzero of row a of M (its t-th neighbour);
     # n stands for no neighbour
     deg = np.diff(M.indptr)
     width = int(deg.max())
     ok = np.arange(width) < deg[:, None]
     nb = np.where(ok, M.indices[np.where(ok, M.indptr[:-1, None] + np.arange(width), 0)], n)
-
-    # every ordering of every wedge tuple over (n + 1)^N flat tuple indices,
-    # with its wedge and the sign of its sorting permutation; tuples with a
-    # tie or a missing neighbour keep rank -1
-    J = basis.array
-    rank = np.full((n + 1) ** N, -1, dtype=np.int32)
-    parity = np.zeros(rank.size, dtype=np.int8)
-    for perm in itertools.permutations(range(N)):
-        at = np.ravel_multi_index(J[:, perm].T, (n + 1,) * N)
-        rank[at] = np.arange(D)
-        parity[at] = permutation_sign(perm)
+    # a tuple with a tie or a missing neighbour orders no wedge
     slots = np.array(list(itertools.product(range(width), repeat=N)), dtype=np.int32)
-    return _Landing(nb, slots.reshape(-1, N), rank, parity)
+    return _Landing(nb, slots.reshape(-1, N), signed_orderings(basis.array, n + 1))
 
 
 def _upper_block(J, first, land, M, adata, W):
@@ -412,7 +405,9 @@ def _upper_block(J, first, land, M, adata, W):
     for k in range(N):
         flat *= n + 1
         flat += np.take(np.take(land.nb, J[:, k], axis=0), land.slots[:, k], axis=1)
-    col = land.rank[flat]
+    col = land.orderings[flat]
+    np.abs(col, out=col)
+    col -= 1  # the wedge each tuple lands on, -1 for none
 
     # sort the contributions of each row by column, then slot; -1 marks a
     # tuple that does not land or lands below the diagonal
@@ -435,7 +430,8 @@ def _upper_block(J, first, land, M, adata, W):
     del col, new
 
     # pos[k] is the position in M's CSR data of the pair (J_k, b_k)
-    sign = land.parity[flat.ravel()[row * n_slots + slot]].astype(float)
+    sign = land.orderings[flat.ravel()[row * n_slots + slot]]
+    sign = np.sign(sign, out=sign).astype(float)  # in place: one int32 temporary per block
     pos = [M.indptr[J[:, k]][row] + land.slots[:, k][slot] for k in range(N)]
     del flat, row, slot
     mv = [M.data[p] for p in pos]
@@ -487,15 +483,15 @@ def assemble_manybody(
     entry outside it above round-off (eps times the largest |A| entry)
     raises ValueError.  Row J of the pencil sums the full tensor operator
     over the dof tuples b with b_k a neighbour of J_k; a tuple without ties
-    lands on its sorted tuple with the sign of the sorting permutation.
-    Because the full operator commutes with coordinate permutations, these
+    lands on the wedge it orders, with the sign of that ordering, both read
+    from the wedges' signed_orderings table over (n + 1)^N tuples.  Because the full operator commutes with coordinate permutations, these
     row sums equal P'(.)P exactly.
 
     The rows are assembled in blocks of about _BLOCK_SLOTS neighbour-slot
     tuples, in row order; the sort keys, positions, signs and products of
     the individual contributions exist for one block at a time, so beyond
-    the result an assembly needs its upper-triangle entries (20 bytes
-    each) and one block.  Only the contributions to the upper triangle
+    the result an assembly needs the table (4 bytes per tuple), its
+    upper-triangle entries (20 bytes each) and one block.  Only the contributions to the upper triangle
     are summed, each entry in slot order whatever the block size, and the
     lower triangle mirrors them, so both matrices are exactly symmetric.
     They share one CSR structure, less the entries that cancel to exactly

@@ -22,12 +22,11 @@ from fermigate.slater import (
     SampledKernel,
     assemble_manybody_bruteforce,
     build_problem,
-    mode_product,
-    wedge_coefficients,
-    wedge_tensor,
 )
 from fermigate.spectrum import RESIDUAL_RTOL, _lobpcg
 from fermigate.verify import Scenario, clear_cache, run_scenario
+
+from wedge_reference import mode_product, wedge_coefficients, wedge_tensor
 
 PI2 = np.pi**2
 DIRICHLET = BoundarySpec.dirichlet_both()
@@ -224,6 +223,22 @@ class TestSeparableStart:
         prob = build_problem(Delta(0.3, -4.0), w, bc, n_cells, n_particles)
         assert solve_mb_eig(prob.operator, 4).iterations == 0
 
+    @pytest.mark.parametrize(
+        "n_particles, n_cells, bc",
+        [(2, 72, BoundarySpec.free()), (3, 40, DIRICHLET), (3, 30, PERIODIC), (4, 14, ANTIPERIODIC)],
+        ids=["n2-free", "n3-dirichlet", "n3-periodic", "n4-antiperiodic"],
+    )
+    def test_start_equals_the_dense_mode_products(self, n_particles, n_cells, bc):
+        op = build_problem(Delta(0.3, -4.0), NoInteraction(), bc, n_cells, n_particles).operator
+        for k in (1, 4, 7):
+            products = slater.enumerate_slater_basis(k + n_particles - 1, n_particles)
+            levels = op.orbitals.levels[products.array].sum(axis=1)
+            unit = np.zeros((products.dim, k))
+            unit[np.argsort(levels, kind="stable")[:k], np.arange(k)] = 1.0
+            B = op.orbitals.transform[:, : products.n_orbitals]
+            want = wedge_coefficients(op.basis, mode_product(wedge_tensor(products, unit), B))
+            assert _start_block(op, k)[:, :k].tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_kernel_iterates(self):
         v, w = reflection_symmetric(12)
         prob = build_problem(v, w, DIRICHLET, 12, 2)
@@ -351,18 +366,38 @@ class TestSeparableInverse:
         assert peak < 0.01 * n**N * 4
 
     def test_apply_never_forms_the_float64_tensor(self, monkeypatch):
+        # every tensor the apply scatters or multiplies inside a kernel solve is float32
         op = build_problem(Delta(0.3, -5.0), gaussian_kernel(10), DIRICHLET, 10, 3).operator
-        start = _start_block(op, 4)
+        matmul, scatter = np.matmul, manybody.scatter_orderings
+        operands, scattered, applies = [], [], []
 
-        def forbidden(*args):
-            raise AssertionError("the apply went through the float64 mode products")
+        def recording_matmul(*args, **kwargs):
+            operands.extend(np.asarray(a).dtype for a in args)
+            return matmul(*args, **kwargs)
 
-        for module in (manybody, slater):
-            monkeypatch.setattr(module, "wedge_tensor", forbidden)
-            monkeypatch.setattr(module, "mode_product", forbidden)
-        monkeypatch.setattr(manybody, "_start_block", lambda op_, k: start)
+        def recording_scatter(table, values):
+            scattered.append(values.dtype)
+            return scatter(table, values)
+
+        def traced_inverse(op_):
+            apply = _separable_inverse(op_)
+
+            def traced(R):
+                applies.append(R.shape)
+                with monkeypatch.context() as m:
+                    m.setattr(np, "matmul", recording_matmul)
+                    m.setattr(manybody, "scatter_orderings", recording_scatter)
+                    return apply(R)
+
+            return traced
+
+        monkeypatch.setattr(manybody, "_separable_inverse", traced_inverse)
         res = solve_mb_eig(op, 4)
-        assert res.iterations > 0
+        assert res.iterations > 0 and len(applies) >= res.iterations
+        # each apply changes the basis along N axes, there and back
+        assert len(operands) == len(applies) * 2 * op.basis.n_particles * 2
+        assert set(operands) == {np.dtype(np.float32)}
+        assert scattered == [np.dtype(np.float32)] * len(applies)
         assert_levels_match(res.eigenvalues, dense_levels(op, 4))
 
 

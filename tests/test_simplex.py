@@ -28,6 +28,8 @@ from fermigate.simplex import (
 )
 from fermigate.slater import NoInteraction, WaveVector, _increasing_tuples, build_problem
 
+from wedge_reference import mode_product, transposed_extension, wedge_tensor
+
 DIRICHLET = BoundarySpec.dirichlet_both()
 
 
@@ -117,6 +119,17 @@ class TestExtendRestrict:
         full = extend_from_simplex(vals, 2)
         assert full[2, 5] == pytest.approx(1 / np.sqrt(2))
         assert full[5, 2] == pytest.approx(-1 / np.sqrt(2))
+
+    @pytest.mark.parametrize("n_particles,n_cells", [(2, 12), (3, 9), (4, 8), (5, 7)])
+    def test_bits_equal_the_transposed_sum(self, n_particles, n_cells):
+        # exact zeros, at the ordered tuples too, so every zero's sign counts
+        rng = np.random.default_rng(n_particles)
+        vals = random_simplex_data(n_cells + 1, n_particles, rng)
+        vals[vals < -0.5] = 0.0
+        vals[tuple(_increasing_tuples(n_cells + 1, n_particles)[:3].T)] = -0.0
+        got = extend_from_simplex(vals, n_particles)
+        want = transposed_extension(vals, n_particles)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_zero_maps_to_zero(self):
         assert np.all(extend_from_simplex(np.zeros((6, 6)), 2) == 0.0)
@@ -352,7 +365,6 @@ class TestPullback:
         # the pencil's Rayleigh quotient equals the ordered-region form of
         # the restriction, including a sampled multiplicative potential
         from fermigate.basis import Sampled
-        from fermigate.slater import mode_product, wedge_tensor
 
         vband = np.cos(np.pi * np.linspace(0.0, 1.0, 11)) + 2.0
         prob = build_problem(Sampled(tuple(vband)), NoInteraction(), DIRICHLET, 10, 2)

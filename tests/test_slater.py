@@ -1,7 +1,10 @@
+import ast
 import gc
 import itertools
+from collections import namedtuple
 import tracemalloc
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,23 +34,27 @@ from fermigate.slater import (
     DeltaContact,
     NoInteraction,
     SampledKernel,
+    SlaterBasis,
     WaveVector,
+    _increasing_tuples,
     assemble_manybody,
     assemble_manybody_bruteforce,
     build_problem,
     enumerate_slater_basis,
-    mode_product,
     one_body_density_matrix,
     orthonormalize_orbitals,
     pair_density_matrix,
+    permutation_sign,
     reduced_density,
     reduced_pair_density,
+    scatter_orderings,
+    signed_orderings,
     transform_one_body,
     transform_two_body,
-    wedge_coefficients,
-    wedge_tensor,
 )
 from fermigate.spectrum import solve_sp_eig
+
+from wedge_reference import mode_product, wedge_coefficients, wedge_tensor
 
 DIRICHLET = BoundarySpec.dirichlet_both()
 
@@ -121,6 +128,66 @@ class TestEnumerate:
         monkeypatch.setattr(slater, "solve_pencil", no_solve)
         with pytest.raises(CapExceededError):
             build_problem(None, NoInteraction(), DIRICHLET, 60, 8)
+
+
+class TestSignedOrderings:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda N: st.tuples(st.just(N), st.integers(N, (9, 9, 8, 7, 6)[N - 1]))),
+        st.integers(0, 2),
+        st.data(),
+    )
+    def test_table_lists_every_signed_ordering(self, shape, extra, data):
+        N, n = shape
+        every = _increasing_tuples(n, N)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+        keep[data.draw(st.integers(0, len(every) - 1))] = True
+        J, side = every[np.array(keep)], n + extra
+        table = signed_orderings(J, side)
+        assert table.dtype == np.int32 and table.shape == (side**N,)
+        # each wedge appears exactly N! times
+        assert np.array_equal(np.bincount(np.abs(table[table != 0]) - 1, minlength=len(J)),
+                              np.full(len(J), factorial(N)))
+        # entry t holds (k + 1) * sign when sorting t gives wedge k by a
+        # permutation of that sign, 0 when t ties or its sort is no wedge
+        t = np.indices((side,) * N).reshape(N, -1).T
+        order = np.argsort(t, axis=1, kind="stable")
+        ordered = np.take_along_axis(t, order, axis=1)
+        wedge = np.full(side**N, -1)
+        wedge[np.ravel_multi_index(tuple(J.T), (side,) * N)] = np.arange(len(J))
+        k = wedge[np.ravel_multi_index(tuple(ordered.T), (side,) * N)]
+        k[np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)] = -1
+        want = np.zeros(side**N, dtype=int)
+        for perm in itertools.permutations(range(N)):
+            at = np.all(order == perm, axis=1) & (k >= 0)
+            want[at] = permutation_sign(perm) * (k[at] + 1)
+        assert np.array_equal(table, want)
+        # a scatter through the table is the dense reference, bit for bit
+        basis = SlaterBasis(side, N, J)
+        values = np.random.default_rng(len(J)).standard_normal((len(J), 2))
+        values[::3] = 0.0
+        got = scatter_orderings(table, values.T)
+        assert got.tobytes() == wedge_tensor(basis, values).reshape(2, -1).tobytes()
+
+    def test_no_other_signed_expansion_in_src(self):
+        # every signed ordering table comes from signed_orderings; only it,
+        # the rest-splitting of _split and the tile table may loop over N!
+        allowed = {("slater.py", "signed_orderings"), ("slater.py", "_split"), ("verify.py", "_TILES")}
+        found = set()
+        for path in sorted(Path(slater_module.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                name = getattr(top, "name", None) or ast.unparse(getattr(top, "targets", [top])[0])
+                for node in ast.walk(top):
+                    func = getattr(node, "func", None)
+                    if (
+                        isinstance(node, ast.Call)
+                        and ast.unparse(func).split(".")[-1] == "permutations"
+                        and node.args
+                        and isinstance(node.args[0], ast.Call)
+                        and ast.unparse(node.args[0].func) == "range"
+                    ):
+                        found.add((path.name, name))
+        assert found == allowed
 
 
 class TestOrbitals:
@@ -832,6 +899,96 @@ class TestRowBlocks:
         assert peak <= 3.0 * pencil, (peak, pencil)
 
 
+ParityLanding = namedtuple("ParityLanding", "nb slots rank parity")
+
+
+def parity_landing(M, basis):
+    """_landing as it was before the signed_orderings table: a rank and an
+    int8 parity array over the (n + 1)^N flat tuple indices."""
+    n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
+    deg = np.diff(M.indptr)
+    width = int(deg.max())
+    ok = np.arange(width) < deg[:, None]
+    nb = np.where(ok, M.indices[np.where(ok, M.indptr[:-1, None] + np.arange(width), 0)], n)
+    J = basis.array
+    rank = np.full((n + 1) ** N, -1, dtype=np.int32)
+    parity = np.zeros(rank.size, dtype=np.int8)
+    for perm in itertools.permutations(range(N)):
+        at = np.ravel_multi_index(J[:, perm].T, (n + 1,) * N)
+        rank[at] = np.arange(D)
+        parity[at] = permutation_sign(perm)
+    slots = np.array(list(itertools.product(range(width), repeat=N)), dtype=np.int32)
+    return ParityLanding(nb, slots.reshape(-1, N), rank, parity)
+
+
+def parity_upper_block(J, first, land, M, adata, W):
+    """_upper_block as it was before the signed_orderings table."""
+    nb, slots, rank, parity = land
+    n, N = nb.shape[0], J.shape[1]
+    n_slots = slots.shape[0]
+    flat = np.zeros((J.shape[0], n_slots), dtype=np.int32)
+    for k in range(N):
+        flat *= n + 1
+        flat += np.take(np.take(nb, J[:, k], axis=0), slots[:, k], axis=1)
+    col = rank[flat]
+    key = col * n_slots + np.arange(n_slots, dtype=np.int32)
+    key[col < np.arange(first, first + J.shape[0], dtype=np.int32)[:, None]] = -1
+    key.sort(axis=1)
+    at = np.flatnonzero(key >= 0)
+    row = at // n_slots
+    col, slot = np.divmod(key.ravel()[at], n_slots)
+    new = np.empty(col.size, dtype=bool)
+    new[:1] = True
+    new[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1])
+    counts = np.bincount(row[new], minlength=J.shape[0])
+    ucol = col[new]
+    entry = np.cumsum(new, dtype=np.int32) - 1
+    sign = parity[flat.ravel()[row * n_slots + slot]].astype(float)
+    pos = [M.indptr[J[:, k]][row] + slots[:, k][slot] for k in range(N)]
+    mv = [M.data[p] for p in pos]
+    av = [adata[p] for p in pos]
+
+    def mass_except(*skip):
+        out = np.ones(sign.shape)
+        for k in range(N):
+            if k not in skip:
+                out = out * mv[k]
+        return out
+
+    hval = sum(av[k] * mass_except(k) for k in range(N))
+    if W is not None:
+        for j, k in itertools.combinations(range(N), 2):
+            hval = hval + 2.0 * W[pos[j], pos[k]] * mass_except(j, k)
+    hu = np.bincount(entry, weights=sign * hval, minlength=ucol.size)
+    mu = np.bincount(entry, weights=sign * mass_except(), minlength=ucol.size)
+    return counts, ucol, hu, mu
+
+
+class TestPencilBits:
+    @pytest.mark.parametrize(
+        "n_particles, n_cells, bc, kernel",
+        [
+            (2, 72, BoundarySpec.free(), False),
+            (3, 40, DIRICHLET, True),
+            (3, 30, BoundarySpec.quasiperiodic(1.0), False),
+            (4, 14, BoundarySpec.quasiperiodic(-1.0), True),
+        ],
+        ids=["n2-free", "n3-dirichlet", "n3-periodic", "n4-antiperiodic"],
+    )
+    def test_pencil_equals_the_parity_assembly(self, monkeypatch, n_particles, n_cells, bc, kernel):
+        x = np.linspace(0.0, 1.0, n_cells + 1)
+        w = SampledKernel(tuple(map(tuple, 5.0 * np.exp(-np.subtract.outer(x, x) ** 2 / 0.02))))
+        prob = build_problem(Delta(0.3, -4.0), w if kernel else NoInteraction(), bc, n_cells, n_particles)
+        args = (prob.one_body, prob.overlap, prob.two_body, prob.slater)
+        got = assemble_manybody(*args)
+        monkeypatch.setattr(slater_module, "_landing", parity_landing)
+        monkeypatch.setattr(slater_module, "_upper_block", parity_upper_block)
+        want = assemble_manybody(*args)
+        for a, b in ((got.matrix, want.matrix), (got.overlap, want.overlap)):
+            for name in ("data", "indices", "indptr"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 class TestOracleIndependence:
     def test_oracle_runs_without_the_sparse_assembly(self, monkeypatch, grid7):
         nodes = grid7.nodes
@@ -844,7 +1001,8 @@ class TestOracleIndependence:
 
         monkeypatch.setattr(basis_module, "_project", forbidden)
         for name in ("assemble_manybody", "_landing", "_upper_block", "_symmetric_csr",
-                     "wedge_tensor", "assemble_overlap", "assemble_stiffness", "assemble_potential"):
+                     "signed_orderings", "scatter_orderings", "assemble_overlap",
+                     "assemble_stiffness", "assemble_potential"):
             monkeypatch.setattr(slater_module, name, forbidden)
         for (v, w), op in zip(cases, pencils):
             oracle = assemble_manybody_bruteforce(v, w, grid7, 2)

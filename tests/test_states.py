@@ -8,6 +8,7 @@ nodal values through the orbitals' nodal values.  Both must agree at
 round-off for every boundary kind and N = 2..4.
 """
 
+import dataclasses
 import functools
 import itertools
 from math import comb, factorial
@@ -15,8 +16,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-import fermigate
-from fermigate import manybody, simplex, slater, verify
+from fermigate import cli, simplex, slater, verify
 from fermigate.basis import BoundarySpec, Delta, build_grid_basis
 from fermigate.manybody import solve_mb_eig
 from fermigate.simplex import evaluate_state, nodal_tensor, restrict_to_simplex
@@ -24,14 +24,14 @@ from fermigate.slater import (
     SampledKernel,
     WaveVector,
     _CUBIC,
+    _increasing_tuples,
     _trapezoid_weights,
     build_problem,
-    mode_product,
     reduced_density,
     reduced_pair_density,
-    wedge_coefficients,
-    wedge_tensor,
 )
+
+from wedge_reference import mode_product, transposed_extension, wedge_coefficients, wedge_tensor
 
 RTOL = 1e-12
 
@@ -104,6 +104,35 @@ class OrbitalReference:
         return 0.5 * (rho2 + rho2.T)
 
 
+def swap_gather(psi, grid):
+    """simplex._ordered_values as it was before the signed_orderings table:
+    sort each tuple's dofs by pairwise swaps, flip the determinant's sign
+    per swap, and find the wedge by searchsorted on the raveled tuples."""
+    basis = psi.basis
+    n, N = basis.n_orbitals, basis.n_particles
+    tuples = _increasing_tuples(grid.n_nodes, N)
+    E = grid.extension
+    dof, weight = np.full(grid.n_nodes, -1), np.zeros(grid.n_nodes)
+    dof[E.indices], weight[E.indices] = np.repeat(np.arange(n), np.diff(E.indptr)), E.data
+    d = dof[tuples.T]
+    ok = d.min(axis=0) >= 0
+    det = np.prod(weight[tuples.T], axis=0)
+    below = np.zeros_like(d)
+    for j, k in itertools.combinations(range(N), 2):
+        ok &= d[j] != d[k]
+        swap = d[j] > d[k]
+        below[j] += swap
+        below[k] += ~swap
+        det[swap] *= -1.0
+    key = np.sum(d * n ** (N - 1 - below), axis=0)
+    table = 0
+    for column in basis.array.T:
+        table = table * n + column
+    values = np.zeros(len(tuples))
+    values[ok] = det[ok] * psi.coefficients[np.searchsorted(table, key[ok])]
+    return tuples, values
+
+
 def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
 
@@ -169,6 +198,22 @@ class TestAgainstOrbitalReference:
         assert dev <= 1e-12  # the coupled dof imposes the law exactly
 
 
+class TestGatherBits:
+    def test_ordered_values_and_nodal_tensor_equal_the_swap_gather(self, state):
+        # exact zeros among the coefficients, so every zero's sign counts
+        prob, psi, _ = state
+        c = psi.coefficients.copy()
+        c[::4] = 0.0
+        psi = WaveVector(c, prob.slater)
+        tuples, values = simplex._ordered_values(psi, prob.grid)
+        want_tuples, want = swap_gather(psi, prob.grid)
+        assert np.array_equal(tuples, want_tuples) and values.tobytes() == want.tobytes()
+        full = np.zeros((prob.grid.n_nodes,) * prob.n_particles)
+        full[tuple(want_tuples.T)] = want
+        want_full = transposed_extension(full, prob.n_particles)
+        assert nodal_tensor(psi, prob.orbitals).tobytes() == want_full.tobytes()
+
+
 class TestFiveParticles:
     def test_post_processing_runs(self):
         n_cells = 10
@@ -187,33 +232,37 @@ class TestFiveParticles:
 
 
 def test_post_processing_never_forms_the_orbital_tensor(monkeypatch):
-    # the solve uses wedge_tensor and mode_product for its preconditioner and
-    # start block; nothing after it may
+    # post-processing reads orbitals.grid only: orbitals without levels or
+    # modes give the same values and the same scenario report bytes
     scenario = verify.make_scenario("simplex_positivity_antiperiodic_n2", {"n_cells": 16})
     key = verify._problems(scenario)[0]
     verify.clear_cache()
-    prob = verify.cached_problem(*key)
-    res = verify.cached_mb_eig(prob, 1)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("post-processing formed a dense antisymmetric tensor")
-
-    modules = [fermigate, slater, manybody, simplex, verify]
-    for name in ("wedge_tensor", "mode_product"):
-        for module in modules:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
     try:
+        prob = verify.cached_problem(*key)
+        res = verify.cached_mb_eig(prob, 1)
+        want = verify.run_scenario(scenario, seed=1)
         psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
-        restrict_to_simplex(psi, prob.orbitals)
-        nodal_tensor(psi, prob.orbitals)
-        reduced_density(psi, prob.orbitals)
-        reduced_pair_density(psi, prob.orbitals)
-        evaluate_state(psi, prob.orbitals, np.array([[0.2, 0.7]]))
+        grid_only = slater.OrbitalSet(prob.grid, None, None)
+        points = np.array([[0.2, 0.7], [0.9, 0.4]])
+        sample, expected = restrict_to_simplex(psi, grid_only), restrict_to_simplex(psi, prob.orbitals)
+        assert sample.values.tobytes() == expected.values.tobytes() and sample.tags == expected.tags
+        for step, args in [
+            (nodal_tensor, ()),
+            (reduced_density, ()),
+            (reduced_pair_density, ()),
+            (evaluate_state, (points,)),
+        ]:
+            got, expected = step(psi, grid_only, *args), step(psi, prob.orbitals, *args)
+            assert got.tobytes() == expected.tobytes(), step.__name__
+        # the scenario reads the cached solve of the same problem key
+        monkeypatch.setattr(
+            verify, "cached_problem", lambda *_: dataclasses.replace(prob, orbitals=grid_only)
+        )
         report = verify.run_scenario(scenario, seed=1)
     finally:
         verify.clear_cache()
     assert report.error is None and report.overall
+    assert cli.emit_report([report]) == cli.emit_report([want])
 
 
 def test_gather_rejects_a_foreign_grid():

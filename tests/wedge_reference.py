@@ -1,0 +1,47 @@
+"""Dense antisymmetric tensors of wedge coefficients, built by an N!-step loop.
+
+The reference for fermigate's signed_orderings table and for the tests
+that map states between nodal and orbital coefficients.
+"""
+
+import itertools
+from math import factorial
+
+import numpy as np
+
+from fermigate.slater import permutation_sign
+
+
+def wedge_tensor(basis, coeffs):
+    """Antisymmetric tensors C[sigma J] = sign(sigma) c_J of coefficient columns.
+
+    coeffs is (dim,) or (dim, m); the result has shape (m, n, ..., n) and is
+    zero wherever two indices tie.
+    """
+    c = np.asarray(coeffs, dtype=float).reshape(basis.dim, -1).T
+    C = np.zeros((c.shape[0],) + (basis.n_orbitals,) * basis.n_particles)
+    J = basis.array
+    for perm in itertools.permutations(range(basis.n_particles)):
+        C[(slice(None),) + tuple(J[:, p] for p in perm)] = permutation_sign(perm) * c
+    return C
+
+
+def wedge_coefficients(basis, C):
+    """Inverse of wedge_tensor on antisymmetric tensors, as (dim, m) columns."""
+    return C[(slice(None),) + tuple(basis.array.T)].T
+
+
+def mode_product(C, B):
+    """Apply the matrix B along every axis of C after the first (column) axis."""
+    for _ in range(C.ndim - 1):
+        C = np.tensordot(C, B, axes=([1], [1]))
+    return C
+
+
+def transposed_extension(values, n_particles):
+    """extend_from_simplex as the signed sum of the N! coordinate transposes."""
+    scale = 1.0 / np.sqrt(factorial(n_particles))
+    out = np.zeros_like(values)
+    for perm in itertools.permutations(range(n_particles)):
+        out += permutation_sign(perm) * scale * np.transpose(values, perm)
+    return out
