@@ -27,15 +27,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .basis import BoundarySpec, PotentialSpec
 from .errors import ConvergenceError, ShiftError
 from .slater import (
-    InteractionSpec,
     ManyBodyOperator,
     WaveVector,
-    build_problem,
     enumerate_slater_basis,
     scatter_orderings,
     signed_orderings,
@@ -156,7 +152,7 @@ def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
         raise ValueError("the operator carries no orbitals; solve the pencil of build_problem")
     if not 1 <= k <= H.dim:
         raise ValueError(f"k must lie in [1, {H.dim}], got {k}")
-    A, M = sp.csr_matrix(H.matrix), sp.csr_matrix(H.overlap)
+    A, M = H.matrix, H.overlap
     a_norm, m_norm = norm1(A), norm1(M)
     lam, X, res, iterations = _lobpcg(
         A, M, _start_block(H, k), _separable_inverse(H), k, a_norm, m_norm
@@ -205,26 +201,16 @@ def two_grid_verdict(gap_coarse: float, gap_fine: float, error: float, scale: fl
 
 
 def classify_degeneracy(
-    v: PotentialSpec | None,
-    w: InteractionSpec,
-    bc: BoundarySpec,
-    n_particles: int,
-    grids: tuple[int, int],
-    solves: tuple[SpectralResult, SpectralResult] | None = None,
+    grids: tuple[int, int], solves: tuple[SpectralResult, SpectralResult]
 ) -> DegeneracyReport:
     """Classify the ground-state gap on a coarse/fine grid pair.
 
-    solves are solve_mb_eig results with k >= 2 on the two grids, in grid
-    order; without them both problems are built and solved with k = 2.
+    solves are solve_mb_eig results with k >= 2 of one problem on the two
+    grids, in grid order.
     """
     n_coarse, n_fine = grids
     if n_fine != 2 * n_coarse:
         raise ValueError("grids must be (n, 2n)")
-    if solves is None:
-        solves = [
-            solve_mb_eig(build_problem(v, w, bc, n_cells, n_particles).operator, 2)
-            for n_cells in grids
-        ]
     lam1 = [float(res.eigenvalues[0]) for res in solves]
     lam2 = [float(res.eigenvalues[1]) for res in solves]
     gaps = (lam2[0] - lam1[0], lam2[1] - lam1[1])
@@ -259,7 +245,7 @@ def inverse_iteration_ground(
     ShiftError otherwise.  Needs no orbitals, so it also runs on the
     oracle's operator.
     """
-    A, M = sp.csr_matrix(H.matrix), sp.csr_matrix(H.overlap)
+    A, M = H.matrix, H.overlap
     factor = _definite_factor(A - shift * M)
     if factor is None:
         raise ShiftError(

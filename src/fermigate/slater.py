@@ -27,7 +27,9 @@ its nodal wedge coefficients, M_N-normalized, and every post-processing
 step reads them through the grid's dof-to-node extension (see simplex).
 The orbitals are the one-particle modes, the M-orthonormal eigenvectors V
 of (A, M) from one eigensolve per problem; they precondition and start
-the many-body eigensolve.  An
+the many-body eigensolve.  A ManyBodyProblem is the pencil with its
+orbitals and the specs v and w it came from; the dof matrices A, M and
+the pair tensor exist only while build_problem assembles it.  An
 independent dense tensor-grid assembly of the N = 2 pencil is the oracle:
 it stacks the wedge states as nodal arrays and evaluates every form as
 batched matrix products from the full-grid element matrices and its own
@@ -323,16 +325,16 @@ def transform_two_body(w: InteractionSpec, basis: GridBasis, M: SymMatrix) -> Tw
 
 @dataclass(frozen=True)
 class ManyBodyOperator:
-    """Symmetric pencil (H, M) over the wedges of a Slater basis.
+    """Symmetric pencil (H, M) over the wedges of a Slater basis, both CSR.
 
     orbitals, which build_problem attaches, precondition the eigensolve and
     give its start block.  Only the oracle's operator has none; it is
     never handed to solve_mb_eig.
     """
 
-    matrix: object = field(repr=False)  # dense ndarray or scipy CSR
+    matrix: sp.csr_matrix = field(repr=False)
     basis: SlaterBasis
-    overlap: object = field(repr=False, compare=False)
+    overlap: sp.csr_matrix = field(repr=False, compare=False)
     orbitals: OrbitalSet | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -340,7 +342,7 @@ class ManyBodyOperator:
         return self.matrix.shape[0]
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray() if sp.issparse(self.matrix) else self.matrix
+        return self.matrix.toarray()
 
 
 @dataclass(frozen=True)
@@ -563,10 +565,7 @@ def _gauss_unit(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_manybody_bruteforce(
-    v: PotentialSpec | None,
-    w: InteractionSpec,
-    basis: GridBasis,
-    n_particles: int = 2,
+    v: PotentialSpec | None, w: InteractionSpec, basis: GridBasis
 ) -> ManyBodyOperator:
     """Direct two-particle assembly of the pencil on the tensor grid.
 
@@ -577,8 +576,6 @@ def assemble_manybody_bruteforce(
     a 4 x 4 rule on every cell pair for a sampled kernel.  Independent of
     the dof projection and of the sparse assembly; used as its oracle.
     """
-    if n_particles != 2:
-        raise ValueError("brute-force assembly is implemented for two particles only")
     if basis.n_dofs > 12:
         raise CapExceededError("brute-force oracle capped at 12 dofs")
 
@@ -613,7 +610,7 @@ def assemble_manybody_bruteforce(
         F = (E @ S @ E.T).reshape(D, -1)  # values at the point pairs
         H += 2.0 * (F * kernel.ravel()) @ F.T
     return ManyBodyOperator(
-        matrix=0.5 * (H + H.T), basis=slater, overlap=0.5 * (G + G.T)
+        matrix=sp.csr_matrix(0.5 * (H + H.T)), basis=slater, overlap=sp.csr_matrix(0.5 * (G + G.T))
     )
 
 
@@ -731,23 +728,30 @@ def reduced_pair_density(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ManyBodyProblem:
-    """Assembled many-body problem: grid, dof matrices, orbitals, pencil.
+    """Assembled many-body problem: the nodal pencil and the specs v and w.
 
-    one_body is A = K + P over grid dofs; operator is the nodal pencil.
+    The grid, orbitals and Slater basis are the operator's own.
     """
 
-    grid: GridBasis
-    overlap: SymMatrix
-    stiffness: SymMatrix
-    potential: SymMatrix
-    orbitals: OrbitalSet
-    one_body: SymMatrix
-    two_body: TwoBodyTensor
-    slater: SlaterBasis
     operator: ManyBodyOperator
     v: PotentialSpec | None
     w: InteractionSpec
-    n_particles: int
+
+    @property
+    def grid(self) -> GridBasis:
+        return self.operator.orbitals.grid
+
+    @property
+    def orbitals(self) -> OrbitalSet:
+        return self.operator.orbitals
+
+    @property
+    def slater(self) -> SlaterBasis:
+        return self.operator.basis
+
+    @property
+    def n_particles(self) -> int:
+        return self.operator.basis.n_particles
 
 
 def build_problem(
@@ -761,23 +765,7 @@ def build_problem(
     grid = build_grid_basis(n_cells, bc)
     slater = enumerate_slater_basis(grid.n_dofs, n_particles)  # over-cap fails before any solve
     M = assemble_overlap(grid)
-    K = assemble_stiffness(grid)
-    P = assemble_potential(grid, v)
-    A = SymMatrix.from_sparse(K.data + P.data)
+    A = SymMatrix.from_sparse(assemble_stiffness(grid).data + assemble_potential(grid, v).data)
     orbitals = make_orbitals(grid, A, M)
-    two_body = transform_two_body(w, grid, M)
-    op = dataclasses.replace(assemble_manybody(A, M, two_body, slater), orbitals=orbitals)
-    return ManyBodyProblem(
-        grid=grid,
-        overlap=M,
-        stiffness=K,
-        potential=P,
-        orbitals=orbitals,
-        one_body=A,
-        two_body=two_body,
-        slater=slater,
-        operator=op,
-        v=v,
-        w=w,
-        n_particles=n_particles,
-    )
+    op = assemble_manybody(A, M, transform_two_body(w, grid, M), slater)
+    return ManyBodyProblem(dataclasses.replace(op, orbitals=orbitals), v, w)

@@ -251,11 +251,14 @@ def parity_holds(alpha: float, n_particles: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared solve cache: scenarios reuse each other's solves, and run_manifest
-# releases every entry after the last scenario that declares its problem
+# shared problem cache: one entry per normalized problem key, the problem and
+# its many-body solves by k.  run_manifest releases an entry after the last
+# scenario that declares its problem; a scenario run alone releases the
+# entries it added when it ends.
 
 
 _cache: dict = {}
+_in_manifest = False
 
 
 def clear_cache() -> None:
@@ -269,38 +272,31 @@ def _problem_key(v, w, bc, n_cells, n_particles):
     return (v, w, bc, n_cells, n_particles)
 
 
-def _entry_problem(key):
-    """The problem key of a 'problem' or 'mb-eig' cache entry, else None."""
-    return key[1:] if key[0] == "problem" else key[1] if key[0] == "mb-eig" else None
-
-
-def _memo(key, build):
-    """Cached value for key, built once; a failed build stores nothing."""
-    if key not in _cache:
-        _cache[key] = build()
-    return _cache[key]
+def _memo(table: dict, key, build):
+    """table[key], built once; a failed build stores nothing."""
+    if key not in table:
+        table[key] = build()
+    return table[key]
 
 
 def cached_problem(v, w, bc, n_cells, n_particles) -> ManyBodyProblem:
-    key = ("problem",) + _problem_key(v, w, bc, n_cells, n_particles)
-    return _memo(key, lambda: build_problem(v, w, bc, n_cells, n_particles))
+    key = _problem_key(v, w, bc, n_cells, n_particles)
+    return _memo(_cache, key, lambda: (build_problem(v, w, bc, n_cells, n_particles), {}))[0]
 
 
 def cached_mb_eig(prob: ManyBodyProblem, k: int) -> SpectralResult:
-    ident = (prob.v, prob.w, prob.grid.bc, prob.grid.n_cells, prob.n_particles)
-    key = ("mb-eig", _problem_key(*ident), k)
-    return _memo(key, lambda: solve_mb_eig(prob.operator, k))
+    key = _problem_key(prob.v, prob.w, prob.grid.bc, prob.grid.n_cells, prob.n_particles)
+    _, solves = _memo(_cache, key, lambda: (prob, {}))
+    return _memo(solves, k, lambda: solve_mb_eig(prob.operator, k))
 
 
 def _sp_solve(v, bc, n_cells, k) -> SpectralResult:
-    def build():
-        grid = build_grid_basis(n_cells, bc)
-        K = assemble_stiffness(grid)
-        M = assemble_overlap(grid)
-        P = assemble_potential(grid, v)
-        return solve_sp_eig(K, P, M, min(k, grid.n_dofs))
-
-    return _memo(("sp-eig", v, bc, n_cells, k), build)
+    # not cached: no two one-body requests of the manifest ask for the same solve
+    grid = build_grid_basis(n_cells, bc)
+    K = assemble_stiffness(grid)
+    M = assemble_overlap(grid)
+    P = assemble_potential(grid, v)
+    return solve_sp_eig(K, P, M, min(k, grid.n_dofs))
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +581,10 @@ def _run_slater_condon(s: Scenario, seed: int) -> VerificationReport:
     for v in potentials:
         for w in interactions:
             op = build_problem(v, w, BoundarySpec.dirichlet_both(), n_cells, 2).operator
-            oracle = assemble_manybody_bruteforce(v, w, grid, 2)
+            oracle = assemble_manybody_bruteforce(v, w, grid)
             dev = max(
                 float(np.max(np.abs(op.dense() - oracle.dense()))),
-                float(np.max(np.abs(op.overlap.toarray() - oracle.overlap))),
+                float(np.max(np.abs(op.overlap.toarray() - oracle.overlap.toarray()))),
             )
             vname = spec_to_dict(v)["kind"]
             wname = spec_to_dict(w)["kind"]
@@ -601,9 +597,8 @@ def _run_nondegeneracy(s: Scenario, seed: int) -> VerificationReport:
     keys = _problems(s)
     probs = tuple(cached_problem(*key) for key in keys)
     grids = tuple(n for _, _, _, n, _ in keys)
-    v, w, bc, _, n_particles = keys[0]
     solves = tuple(cached_mb_eig(prob, 2) for prob in probs)
-    report = classify_degeneracy(v, w, bc, n_particles, grids, solves)
+    report = classify_degeneracy(grids, solves)
     checks = []
     if s.expected == "pass":
         ok = 1.0 if report.verdict == "non-degenerate" else 0.0
@@ -861,7 +856,7 @@ def _run_structural(s: Scenario, seed: int) -> VerificationReport:
 
 # Each kind's problem keys (v, w, bc, n_cells, n_particles), in the order its
 # runner requests them through cached_problem; the runners read their problems
-# from here.  run_manifest orders scenarios and releases solves by these.
+# from here.  run_manifest orders scenarios and releases cache entries by these.
 # Kinds not listed build no cached problem.
 
 
@@ -936,11 +931,13 @@ def run_scenario(s: Scenario, seed: int = 0) -> VerificationReport:
     """Execute one scenario; any failure inside it becomes a report-level error.
 
     A missing or malformed parameter, a solver failure or memory exhaustion
-    in one scenario never aborts the rest of a manifest.
+    in one scenario never aborts the rest of a manifest.  Outside
+    run_manifest, the cache entries the scenario added go when it ends.
     """
     runner = _RUNNERS.get(s.kind)
     if runner is None:
         raise ValueError(f"unknown scenario kind {s.kind!r}")
+    held = set(_cache)
     try:
         return runner(s, seed)
     except Exception as exc:
@@ -952,6 +949,10 @@ def run_scenario(s: Scenario, seed: int = 0) -> VerificationReport:
             overall=False,
             error=f"{type(exc).__name__}: {exc}",
         )
+    finally:
+        if not _in_manifest:
+            for key in set(_cache) - held:
+                del _cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -1030,19 +1031,22 @@ def run_manifest(scenarios: list[Scenario], seed: int = 0) -> list[VerificationR
     Scenarios that declare a common problem run back to back, each group at
     the place of its first member; every scenario seeds its generator from
     its own name, so the order changes no result.  When a scenario ends, the
-    cache drops every solve whose problem no unfinished scenario declares,
-    so a solve lives from its first consumer to its last, and the cache is
-    empty when the run ends, also when an exception escapes.
+    cache drops every problem that no unfinished scenario declares, with its
+    solves, so an entry lives from its first consumer to its last, and the
+    cache is empty when the run ends, also when an exception escapes.
     """
+    global _in_manifest
     declared = [_declared(s) for s in scenarios]
     pending = collections.Counter(key for keys in declared for key in keys)
     reports = {}
+    _in_manifest = True
     try:
         for i in _run_order(declared):
             reports[i] = run_scenario(scenarios[i], seed)
             pending.subtract(declared[i])
-            for key in [k for k in _cache if pending[_entry_problem(k)] <= 0]:
+            for key in [k for k in _cache if pending[k] <= 0]:
                 del _cache[key]
     finally:
+        _in_manifest = False
         clear_cache()
     return [reports[i] for i in range(len(scenarios))]

@@ -118,7 +118,7 @@ def test_criterion_04_slater_condon_vs_bruteforce():
         for v in (None, Delta(0.5, -10.0), ramp):
             for w in (NoInteraction(), DeltaContact(5.0), DeltaContact(-5.0)):
                 prob = build_problem(v, w, BoundarySpec.dirichlet_both(), 7, 2)
-                oracle = assemble_manybody_bruteforce(v, w, grid, 2)
+                oracle = assemble_manybody_bruteforce(v, w, grid)
                 dev = float(np.max(np.abs(prob.operator.dense() - oracle.dense())))
                 assert dev <= 1e-10, (type(v).__name__, w, dev)
 

@@ -26,7 +26,7 @@ from fermigate.slater import (
 from fermigate.spectrum import RESIDUAL_RTOL, _lobpcg
 from fermigate.verify import Scenario, clear_cache, run_scenario
 
-from wedge_reference import mode_product, wedge_coefficients, wedge_tensor
+from wedge_reference import mode_product, to_orbital, wedge_coefficients, wedge_tensor
 
 PI2 = np.pi**2
 DIRICHLET = BoundarySpec.dirichlet_both()
@@ -50,12 +50,6 @@ def norm1(X):
 def rayleigh(op, x):
     """Rayleigh quotient of the pencil at nodal wedge coefficients x."""
     return float(x @ (op.matrix @ x)) / float(x @ (op.overlap @ x))
-
-
-def to_orbital(prob, x):
-    """Orbital Slater coefficients of nodal wedge coefficients x (V^-1 = V'M)."""
-    inverse = (prob.overlap.data @ prob.orbitals.transform).T
-    return wedge_coefficients(prob.slater, mode_product(wedge_tensor(prob.slater, x), inverse))[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -262,14 +256,14 @@ class TestSeparableStart:
             solve_mb_eig(oracle, 3)
 
     def test_inverse_iteration_on_the_oracle_matches_the_pencil(self):
-        # inverse iteration needs no orbitals: on the oracle's dense pencil it
+        # inverse iteration needs no orbitals: on the oracle's pencil it
         # finds the sparse pencil's ground vector
         v, grid = Delta(0.5, -10.0), build_grid_basis(7, DIRICHLET)
         w = SampledKernel(tuple(map(tuple, 5.0 * np.exp(-np.subtract.outer(grid.nodes, grid.nodes) ** 2))))
         op = build_problem(v, w, DIRICHLET, 7, 2).operator
         res = solve_mb_eig(op, 1)
         lam = float(res.eigenvalues[0])
-        oracle = assemble_manybody_bruteforce(v, w, grid, 2)
+        oracle = assemble_manybody_bruteforce(v, w, grid)
         x = inverse_iteration_ground(oracle, lam - max(1.0, 0.1 * abs(lam))).coefficients
         assert abs(float(x @ (op.overlap @ res.eigenvectors[:, 0]))) >= 1.0 - 1e-8
 
@@ -401,29 +395,33 @@ class TestSeparableInverse:
         assert_levels_match(res.eigenvalues, dense_levels(op, 4))
 
 
+def classify(v, w, bc, n_particles, grids):
+    """classify_degeneracy on the k = 2 solves of the problem on both grids."""
+    solves = [solve_mb_eig(build_problem(v, w, bc, n, n_particles).operator, 2) for n in grids]
+    return classify_degeneracy(grids, solves)
+
+
 class TestClassifyDegeneracy:
     def test_periodic_three_particles_non_degenerate(self):
-        rep = classify_degeneracy(None, NoInteraction(), PERIODIC, 3, (12, 24))
+        rep = classify(None, NoInteraction(), PERIODIC, 3, (12, 24))
         assert rep.verdict == "non-degenerate"
         assert rep.gaps[1] > 4 * rep.discretization_error_estimate
         assert rep.gaps[1] == pytest.approx(12 * PI2, rel=0.15)
 
     def test_periodic_two_particles_degenerate(self):
-        rep = classify_degeneracy(None, NoInteraction(), PERIODIC, 2, (12, 24))
+        rep = classify(None, NoInteraction(), PERIODIC, 2, (12, 24))
         assert rep.verdict == "degenerate"
 
     def test_antiperiodic_three_particles_degenerate(self):
-        rep = classify_degeneracy(None, NoInteraction(), ANTIPERIODIC, 3, (12, 24))
+        rep = classify(None, NoInteraction(), ANTIPERIODIC, 3, (12, 24))
         assert rep.verdict == "degenerate"
 
     def test_interacting_well_non_degenerate(self):
-        rep = classify_degeneracy(
-            Delta(0.5, -10.0), DeltaContact(5.0), DIRICHLET, 2, (12, 24)
-        )
+        rep = classify(Delta(0.5, -10.0), DeltaContact(5.0), DIRICHLET, 2, (12, 24))
         assert rep.verdict == "non-degenerate"
 
     def test_report_invariants(self):
-        rep = classify_degeneracy(None, NoInteraction(), PERIODIC, 3, (12, 24))
+        rep = classify(None, NoInteraction(), PERIODIC, 3, (12, 24))
         if rep.verdict == "non-degenerate":
             assert rep.gaps[1] > 4 * rep.discretization_error_estimate
         assert rep.discretization_error_estimate == pytest.approx(
@@ -432,7 +430,7 @@ class TestClassifyDegeneracy:
 
     def test_bad_grid_pair_rejected(self):
         with pytest.raises(ValueError, match="2n"):
-            classify_degeneracy(None, NoInteraction(), PERIODIC, 2, (12, 20))
+            classify(None, NoInteraction(), PERIODIC, 2, (12, 20))
 
     @pytest.mark.parametrize(
         "gap_coarse,gap_fine,error,scale,verdict",

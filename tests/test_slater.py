@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import itertools
 from collections import namedtuple
@@ -25,6 +26,7 @@ from fermigate.basis import (
     _full_potential,
     _full_stiffness,
     assemble_overlap,
+    assemble_potential,
     assemble_stiffness,
     build_grid_basis,
 )
@@ -54,7 +56,7 @@ from fermigate.slater import (
 )
 from fermigate.spectrum import solve_sp_eig
 
-from wedge_reference import mode_product, wedge_coefficients, wedge_tensor
+from wedge_reference import mode_product, pencil_parts, to_orbital, wedge_coefficients, wedge_tensor
 
 DIRICHLET = BoundarySpec.dirichlet_both()
 
@@ -68,12 +70,6 @@ def to_nodal(prob, c):
     """Nodal wedge coefficients of orbital Slater coefficients c."""
     C = mode_product(wedge_tensor(prob.slater, c), prob.orbitals.transform)
     return wedge_coefficients(prob.slater, C)[:, 0]
-
-
-def to_orbital(prob, x):
-    """Orbital Slater coefficients of nodal wedge coefficients x (V^-1 = V'M)."""
-    inverse = (prob.overlap.data @ prob.orbitals.transform).T
-    return wedge_coefficients(prob.slater, mode_product(wedge_tensor(prob.slater, x), inverse))[:, 0]
 
 
 def orbital_nodes(prob):
@@ -204,11 +200,28 @@ class TestOrbitals:
         assert len(calls) == 1
         orb = prob.orbitals
         assert prob.operator.orbitals is orb
-        V, A, M = orb.transform, prob.one_body.dense(), prob.overlap.dense()
+        A, M, _ = pencil_parts(prob)
+        V, A, M = orb.transform, A.dense(), M.dense()
         scale = np.abs(A).sum(axis=0).max()
         assert np.max(np.abs(A @ V - M @ V * orb.levels)) <= 1e-12 * scale
         assert np.max(np.abs(V.T @ M @ V - np.eye(len(V)))) <= 1e-12
         assert np.all(np.diff(orb.levels) >= 0)
+
+
+class TestProblemRecord:
+    def test_problem_keeps_its_operator_and_specs_only(self, grid7):
+        # grid, orbitals, basis and particle count are read off the operator;
+        # the dof matrices and the pair tensor are not kept
+        v, w = Delta(0.3, -4.0), cos_kernel(grid7)
+        prob = build_problem(v, w, DIRICHLET, 7, 2)
+        assert [f.name for f in dataclasses.fields(prob)] == ["operator", "v", "w"]
+        op = prob.operator
+        assert (prob.v, prob.w) == (v, w)
+        assert prob.orbitals is op.orbitals and prob.grid is op.orbitals.grid
+        assert prob.slater is op.basis and prob.n_particles == op.basis.n_particles == 2
+        oracle = assemble_manybody_bruteforce(v, w, grid7)
+        for pencil in (op, oracle):
+            assert sp.isspmatrix_csr(pencil.matrix) and sp.isspmatrix_csr(pencil.overlap)
 
 
 class TestOrthonormalize:
@@ -336,10 +349,10 @@ class TestSlaterCondon:
         if w == "cos-kernel":
             w = cos_kernel(grid7)
         prob = build_problem(v, w, DIRICHLET, 7, 2)
-        oracle = assemble_manybody_bruteforce(v, w, grid7, 2)
+        oracle = assemble_manybody_bruteforce(v, w, grid7)
         dev = np.max(np.abs(prob.operator.dense() - oracle.dense()))
         assert dev <= 1e-10
-        assert np.max(np.abs(prob.operator.overlap.toarray() - oracle.overlap)) <= 1e-10
+        assert np.max(np.abs(prob.operator.overlap.toarray() - oracle.overlap.toarray())) <= 1e-10
 
     @pytest.mark.parametrize(
         "bc,n_cells",
@@ -356,10 +369,10 @@ class TestSlaterCondon:
         ker = cos_kernel(grid)
         for v, w in [(Delta(0.5, -10.0), ker), (None, DeltaContact(5.0))]:
             prob = build_problem(v, w, bc, n_cells, 2)
-            oracle = assemble_manybody_bruteforce(v, w, grid, 2)
+            oracle = assemble_manybody_bruteforce(v, w, grid)
             dev = np.max(np.abs(prob.operator.dense() - oracle.dense()))
             assert dev <= 1e-10
-            assert np.max(np.abs(prob.operator.overlap.toarray() - oracle.overlap)) <= 1e-10
+            assert np.max(np.abs(prob.operator.overlap.toarray() - oracle.overlap.toarray())) <= 1e-10
 
     def test_linearity_in_v(self, grid7):
         probs = [
@@ -456,31 +469,27 @@ class TestBruteForce:
         w = cos_kernel(grid) if w == "kernel" else DeltaContact(3.0)
         v = HMinusOnePair(0.4, (1.0, -2.0, 0.5, 0.0, 3.0))
         H, G = pairwise_oracle(v, w, grid)
-        oracle = assemble_manybody_bruteforce(v, w, grid, 2)
+        oracle = assemble_manybody_bruteforce(v, w, grid)
         assert np.max(np.abs(oracle.dense() - H)) <= 1e-12 * np.max(np.abs(H))
-        assert np.max(np.abs(oracle.overlap - G)) <= 1e-12 * np.max(np.abs(G))
-
-    def test_rejects_three_particles(self, grid7):
-        with pytest.raises(ValueError):
-            assemble_manybody_bruteforce(None, NoInteraction(), grid7, 3)
+        assert np.max(np.abs(oracle.overlap.toarray() - G)) <= 1e-12 * np.max(np.abs(G))
 
     def test_rejects_oversize_basis(self):
         big = build_grid_basis(20, DIRICHLET)
         with pytest.raises(CapExceededError):
-            assemble_manybody_bruteforce(None, NoInteraction(), big, 2)
+            assemble_manybody_bruteforce(None, NoInteraction(), big)
 
     def test_overlap_is_wedge_gram(self, grid7):
         # the oracle's Gram matrix of hat wedges equals P'(M (x) M)P, with P
         # the antisymmetrizing scatter written out densely
         M = assemble_overlap(grid7).dense()
-        oracle = assemble_manybody_bruteforce(None, NoInteraction(), grid7, 2)
+        oracle = assemble_manybody_bruteforce(None, NoInteraction(), grid7)
         n = grid7.n_dofs
         P = np.zeros((n * n, oracle.dim))
         for j, (a, b) in enumerate(oracle.basis.array.tolist()):
             P[a * n + b, j] = 1 / np.sqrt(2)
             P[b * n + a, j] = -1 / np.sqrt(2)
         G = P.T @ np.kron(M, M) @ P
-        assert np.max(np.abs(G - oracle.overlap)) <= 1e-12
+        assert np.max(np.abs(G - oracle.overlap.toarray())) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -596,9 +605,10 @@ class TestReducedDensities:
         G = pair_density_matrix(WaveVector(to_orbital(probk, x), probk.slater))
         via_h = x @ ((probk.operator.matrix - prob0.operator.matrix) @ x)
         n = grid7.n_dofs
-        pairs = probk.overlap.data.tocoo()
+        _, M, two_body = pencil_parts(probk)
+        pairs = M.data.tocoo()
         Wd = np.zeros((n, n, n, n))
-        Wd[pairs.row[:, None], pairs.col[:, None], pairs.row, pairs.col] = probk.two_body.pair_matrix
+        Wd[pairs.row[:, None], pairs.col[:, None], pairs.row, pairs.col] = two_body.pair_matrix
         R = probk.orbitals.transform
         T = np.einsum("acbd,ap,cr,bq,ds->prqs", Wd, R, R, R, R).reshape(n * n, n * n)
         via_rho2 = np.sum(G * T)
@@ -608,8 +618,11 @@ class TestReducedDensities:
 class TestNonInteractingSumRule:
     @pytest.mark.parametrize("n_particles", [1, 2, 3])
     def test_spectrum_equals_orbital_sums(self, n_particles):
-        prob = build_problem(Delta(0.3, 4.0), NoInteraction(), DIRICHLET, 12, n_particles)
-        sp_res = solve_sp_eig(prob.stiffness, prob.potential, prob.overlap, prob.grid.n_dofs)
+        v = Delta(0.3, 4.0)
+        prob = build_problem(v, NoInteraction(), DIRICHLET, 12, n_particles)
+        grid = prob.grid
+        sp_res = solve_sp_eig(assemble_stiffness(grid), assemble_potential(grid, v), assemble_overlap(grid),
+                              grid.n_dofs)
         sums = sorted(
             sum(c) for c in itertools.combinations(sp_res.eigenvalues, n_particles)
         )[:6]
@@ -673,16 +686,18 @@ class TestPencilProperties:
     def test_n2_pencil_equals_oracle(self, problem):
         bc, n_cells, v, w = problem
         op = build_problem(v, w, bc, n_cells, 2).operator
-        oracle = assemble_manybody_bruteforce(v, w, build_grid_basis(n_cells, bc), 2)
+        oracle = assemble_manybody_bruteforce(v, w, build_grid_basis(n_cells, bc))
         assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
-        assert np.max(np.abs(op.overlap.toarray() - oracle.overlap)) <= 1e-10
+        assert np.max(np.abs(op.overlap.toarray() - oracle.overlap.toarray())) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(small_problems(), st.sampled_from([2, 3]))
     def test_noninteracting_spectrum_is_orbital_sums(self, problem, n_particles):
         bc, n_cells, v, _ = problem
         prob = build_problem(v, NoInteraction(), bc, n_cells, n_particles)
-        sp_res = solve_sp_eig(prob.stiffness, prob.potential, prob.overlap, prob.grid.n_dofs)
+        grid = prob.grid
+        sp_res = solve_sp_eig(assemble_stiffness(grid), assemble_potential(grid, v), assemble_overlap(grid),
+                              grid.n_dofs)
         sums = np.sort([sum(c) for c in itertools.combinations(sp_res.eigenvalues, n_particles)])
         k = min(4, prob.slater.dim)
         lam = solve_mb_eig(prob.operator, k).eigenvalues
@@ -760,17 +775,18 @@ def dense_pencil(prob):
     pencil's wedge normalization.
     """
     n, N = prob.grid.n_dofs, prob.n_particles
-    A, M = prob.one_body.dense(), prob.overlap.dense()
+    A, M, two_body = pencil_parts(prob)
+    coo = M.data.tocoo()
+    A, M = A.dense(), M.dense()
     P = wedge_tensor(prob.slater, np.eye(prob.slater.dim)).reshape(prob.slater.dim, -1).T
     H = sum(_embed(_kron(A, *[M] * (N - 1)), n, N, (k,)) for k in range(N))
-    if not prob.two_body.is_null:
+    if not two_body.is_null:
         # Wd[(a, b), (c, d)] = int int phi_a phi_c (x) w phi_b phi_d (y)
-        coo = prob.overlap.data.tocoo()
         pair = {(a, c): p for p, (a, c) in enumerate(zip(coo.row, coo.col))}
         Wd = np.zeros((n * n, n * n))
         for (a, c), p in pair.items():
             for (b, d), q in pair.items():
-                Wd[a * n + b, c * n + d] = prob.two_body.pair_matrix[p, q]
+                Wd[a * n + b, c * n + d] = two_body.pair_matrix[p, q]
         for j, k in itertools.combinations(range(N), 2):
             H = H + 2.0 * _embed(_kron(Wd, *[M] * (N - 2)), n, N, (j, k))
     scale = factorial(N)
@@ -805,7 +821,7 @@ class TestPencilAgainstDenseReference:
         for w in (NoInteraction(), kernel):
             prob = build_problem(Delta(0.4, 3.0), w, bc, n_cells, n_particles)
             H, M = prob.operator.matrix, prob.operator.overlap
-            full = neighbour_structure(prob.overlap, prob.slater)
+            full = neighbour_structure(pencil_parts(prob)[1], prob.slater)
             for mat in (H, M):
                 assert mat.has_canonical_format
                 assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int32
@@ -835,8 +851,8 @@ class TestRowBlocks:
             Wn = rng.uniform(-3.0, 3.0, (n_cells + 1, n_cells + 1))
             w = SampledKernel(tuple(map(tuple, Wn + Wn.T)))
         prob = build_problem(v, w, bc, n_cells, n_particles)
-        args = (prob.one_body, prob.overlap, prob.two_body, prob.slater)
-        full = neighbour_structure(prob.overlap, prob.slater)
+        args = (*pencil_parts(prob), prob.slater)
+        full = neighbour_structure(args[1], prob.slater)
         calls = []
         upper_block = slater_module._upper_block
 
@@ -878,14 +894,14 @@ class TestRowBlocks:
         # M's coupling entry rounds to zero while K's stays a subnormal -2e-323
         grid = build_grid_basis(4, bc)
         op = build_problem(None, DeltaContact(14.3), bc, 4, 2).operator
-        oracle = assemble_manybody_bruteforce(None, DeltaContact(14.3), grid, 2)
+        oracle = assemble_manybody_bruteforce(None, DeltaContact(14.3), grid)
         assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
-        assert np.max(np.abs(op.overlap.toarray() - oracle.overlap)) <= 1e-10
+        assert np.max(np.abs(op.overlap.toarray() - oracle.overlap.toarray())) <= 1e-10
 
     def test_peak_memory_is_a_few_pencils(self):
         # the transient arrays of one row block, not of every contribution
         prob = build_problem(None, NoInteraction(), BoundarySpec.quasiperiodic(1.0), 40, 3)
-        args = (prob.one_body, prob.overlap, prob.two_body, prob.slater)
+        args = (*pencil_parts(prob), prob.slater)
         gc.collect()
         tracemalloc.start()
         try:
@@ -979,7 +995,7 @@ class TestPencilBits:
         x = np.linspace(0.0, 1.0, n_cells + 1)
         w = SampledKernel(tuple(map(tuple, 5.0 * np.exp(-np.subtract.outer(x, x) ** 2 / 0.02))))
         prob = build_problem(Delta(0.3, -4.0), w if kernel else NoInteraction(), bc, n_cells, n_particles)
-        args = (prob.one_body, prob.overlap, prob.two_body, prob.slater)
+        args = (*pencil_parts(prob), prob.slater)
         got = assemble_manybody(*args)
         monkeypatch.setattr(slater_module, "_landing", parity_landing)
         monkeypatch.setattr(slater_module, "_upper_block", parity_upper_block)
@@ -1005,9 +1021,9 @@ class TestOracleIndependence:
                      "assemble_stiffness", "assemble_potential"):
             monkeypatch.setattr(slater_module, name, forbidden)
         for (v, w), op in zip(cases, pencils):
-            oracle = assemble_manybody_bruteforce(v, w, grid7, 2)
+            oracle = assemble_manybody_bruteforce(v, w, grid7)
             assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
-            assert np.max(np.abs(op.overlap.toarray() - oracle.overlap)) <= 1e-10
+            assert np.max(np.abs(op.overlap.toarray() - oracle.overlap.toarray())) <= 1e-10
 
 
 class TestWaveVector:

@@ -31,7 +31,7 @@ from fermigate.slater import (
     reduced_pair_density,
 )
 
-from wedge_reference import mode_product, transposed_extension, wedge_coefficients, wedge_tensor
+from wedge_reference import mode_product, to_orbital, transposed_extension, wedge_tensor
 
 RTOL = 1e-12
 
@@ -48,12 +48,6 @@ SIX_KINDS = [
 def gaussian_kernel(n_cells: int) -> SampledKernel:
     x = np.linspace(0.0, 1.0, n_cells + 1)
     return SampledKernel(tuple(map(tuple, 6.0 * np.exp(-np.subtract.outer(x, x) ** 2 / 0.05))))
-
-
-def to_orbital(prob, x):
-    """Orbital Slater coefficients of nodal wedge coefficients x."""
-    inverse = (prob.overlap.data @ prob.orbitals.transform).T  # V^-1 = V'M
-    return wedge_coefficients(prob.slater, mode_product(wedge_tensor(prob.slater, x), inverse))[:, 0]
 
 
 class OrbitalReference:
@@ -255,9 +249,8 @@ def test_post_processing_never_forms_the_orbital_tensor(monkeypatch):
             got, expected = step(psi, grid_only, *args), step(psi, prob.orbitals, *args)
             assert got.tobytes() == expected.tobytes(), step.__name__
         # the scenario reads the cached solve of the same problem key
-        monkeypatch.setattr(
-            verify, "cached_problem", lambda *_: dataclasses.replace(prob, orbitals=grid_only)
-        )
+        op = dataclasses.replace(prob.operator, orbitals=grid_only)
+        monkeypatch.setattr(verify, "cached_problem", lambda *_: dataclasses.replace(prob, operator=op))
         report = verify.run_scenario(scenario, seed=1)
     finally:
         verify.clear_cache()

@@ -15,8 +15,15 @@ import numpy as np
 import pytest
 
 import fermigate
-from fermigate.basis import BoundarySpec, Delta
-from fermigate.slater import SampledKernel, assemble_manybody, build_problem
+from fermigate.basis import (
+    BoundarySpec,
+    Delta,
+    SymMatrix,
+    assemble_overlap,
+    assemble_potential,
+    assemble_stiffness,
+)
+from fermigate.slater import SampledKernel, assemble_manybody, build_problem, transform_two_body
 from fermigate.spectrum import solve_dense_symmetric
 from fermigate.verify import Scenario, run_scenario
 
@@ -43,9 +50,14 @@ def test_count_hooks_read_real_results():
     x = np.linspace(0.0, 1.0, 7)
     kernel = SampledKernel(tuple(map(tuple, np.exp(-np.subtract.outer(x, x) ** 2))))
     bc = BoundarySpec.dirichlet_both()
-    prob = build_problem(Delta(0.5, -4.0), kernel, bc, 6, 2)
-    args = (prob.one_body, prob.overlap, prob.two_body, prob.slater)
-    hooks["transform_two_body"](prob.two_body, (kernel, prob.grid, prob.overlap))
+    v = Delta(0.5, -4.0)
+    prob = build_problem(v, kernel, bc, 6, 2)
+    grid = prob.grid
+    M = assemble_overlap(grid)
+    A = SymMatrix.from_sparse(assemble_stiffness(grid).data + assemble_potential(grid, v).data)
+    two_body = transform_two_body(kernel, grid, M)
+    args = (A, M, two_body, prob.slater)
+    hooks["transform_two_body"](two_body, (kernel, grid, M))
     hooks["assemble_manybody"](assemble_manybody(*args), args)
     H = prob.operator.matrix
     hooks["solve_dense_symmetric"](solve_dense_symmetric(H, 2), (H, 2))

@@ -218,14 +218,8 @@ class TestNeumannTraceTwoParticles:
 class TestMemo:
     """verify's cache builds each key once."""
 
-    @pytest.fixture(autouse=True)
-    def _drop_test_keys(self):
-        yield
-        for key in [k for k in verify._cache if k[0] == "memo-test"]:
-            del verify._cache[key]
-
     def test_builds_a_key_once(self):
-        keys = [("memo-test", i) for i in range(4)]
+        table, keys = {}, [("memo-test", i) for i in range(4)]
         calls = collections.Counter()
 
         def builder(key):
@@ -235,23 +229,23 @@ class TestMemo:
 
             return build
 
-        first = [verify._memo(k, builder(k)) for k in keys]
-        again = [verify._memo(k, builder(k)) for k in keys]
+        first = [verify._memo(table, k, builder(k)) for k in keys]
+        again = [verify._memo(table, k, builder(k)) for k in keys]
         assert all(a is b for a, b in zip(first, again))
         assert len({id(v) for v in first}) == len(keys)
         assert all(calls[k] == 1 for k in keys)
 
     def test_failed_build_leaves_no_entry(self):
-        key = ("memo-test", "fails")
+        table, key = {}, ("memo-test", "fails")
 
         def build():
             raise RuntimeError("build failed")
 
         with pytest.raises(RuntimeError, match="build failed"):
-            verify._memo(key, build)
-        assert key not in verify._cache
-        assert verify._memo(key, lambda: 7) == 7  # the next caller builds afresh
-        assert verify._cache[key] == 7
+            verify._memo(table, key, build)
+        assert key not in table
+        assert verify._memo(table, key, lambda: 7) == 7  # the next caller builds afresh
+        assert table[key] == 7
 
 
 class TestScenarios:
@@ -477,6 +471,20 @@ class TestCacheScope:
         assert report.error == "MemoryError: solve failed"
         assert not verify._cache
 
+    def test_standalone_scenario_releases_what_it_cached(self):
+        # outside run_manifest a scenario drops the entries it added, and
+        # keeps those it found
+        for n in (10, 12, 14):
+            s = make_scenario("nondegeneracy_nonlocal_periodic_n3", {"grids": [n, 2 * n]})
+            assert run_scenario(s, seed=1).error is None
+            assert not verify._cache
+        local = make_scenario("nondegeneracy_local", {"grids": [8, 16]})
+        coarse = verify._problems(local)[0]
+        verify.cached_problem(*coarse)
+        assert run_scenario(local, seed=1).error is None
+        assert set(verify._cache) == {verify._problem_key(*coarse)}
+        clear_cache()
+
     def test_raising_scenario_leaves_no_entry(self, monkeypatch):
         # a scenario whose error escapes run_scenario ends the run, cache emptied
         def interrupt(s, seed):
@@ -555,9 +563,17 @@ class TestCacheLifetime:
         for j, name in enumerate(order):
             ahead = set().union(*(verify._declared(by_name[n]) for n in order[j:]))
             for key in traced_manifest["held"][name]:
-                assert verify._entry_problem(key) in ahead, (name, key)
+                assert key in ahead, (name, key)
         assert max(len(h) for h in traced_manifest["held"].values()) > 0
         assert not traced_manifest["held_after"]
+
+    def test_each_scenario_reports_the_same_alone(self, traced_manifest):
+        # a scenario run alone on an empty cache gives the bytes it gives
+        # inside the manifest: no solve depends on what ran before it
+        for s, together in zip(default_manifest(), traced_manifest["reports"]):
+            assert not verify._cache
+            alone = run_scenario(s, seed=1)
+            assert cli.emit_report([alone]) == cli.emit_report([together]), s.name
 
     def test_sharing_scenarios_run_back_to_back(self, traced_manifest):
         order = traced_manifest["order"]
@@ -613,7 +629,8 @@ class TestCacheLifetime:
         monkeypatch.setitem(verify._RUNNERS, "sp_free_spectrum", look)
         reports = run_manifest([make_scenario("neumann_trace_sp"), make_scenario("sp_free_spectra")], seed=1)
         assert all(r.error is None for r in reports)
-        assert [len(h) for h in held] == [2, 0]
+        # the one-body solve is not cached; the undeclared problem entry goes
+        assert [len(h) for h in held] == [1, 0]
 
     def test_duplicate_scenarios_build_each_problem_once(self, monkeypatch):
         # three copies of six scenarios that share problems: a problem

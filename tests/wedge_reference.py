@@ -1,7 +1,8 @@
 """Dense antisymmetric tensors of wedge coefficients, built by an N!-step loop.
 
 The reference for fermigate's signed_orderings table and for the tests
-that map states between nodal and orbital coefficients.
+that map states between nodal and orbital coefficients.  A problem keeps
+only its pencil, so pencil_parts assembles its dof matrices again.
 """
 
 import itertools
@@ -9,7 +10,17 @@ from math import factorial
 
 import numpy as np
 
-from fermigate.slater import permutation_sign
+from fermigate.basis import SymMatrix, assemble_overlap, assemble_potential, assemble_stiffness
+from fermigate.slater import permutation_sign, transform_two_body
+
+
+def pencil_parts(prob):
+    """A = K + P_v, M and the pair tensor of w over the dofs of prob, as
+    build_problem assembles them from prob.grid, prob.v and prob.w."""
+    grid = prob.grid
+    M = assemble_overlap(grid)
+    A = SymMatrix.from_sparse(assemble_stiffness(grid).data + assemble_potential(grid, prob.v).data)
+    return A, M, transform_two_body(prob.w, grid, M)
 
 
 def wedge_tensor(basis, coeffs):
@@ -45,3 +56,9 @@ def transposed_extension(values, n_particles):
     for perm in itertools.permutations(range(n_particles)):
         out += permutation_sign(perm) * scale * np.transpose(values, perm)
     return out
+
+
+def to_orbital(prob, x):
+    """Orbital Slater coefficients of nodal wedge coefficients x (V^-1 = V'M)."""
+    inverse = (assemble_overlap(prob.grid).data @ prob.orbitals.transform).T
+    return wedge_coefficients(prob.slater, mode_product(wedge_tensor(prob.slater, x), inverse))[:, 0]
