@@ -2,12 +2,15 @@
 
 Every solve works on the nodal pencil (H, M) and its orbitals, the (A, M)
 modes.  The eigensolver is the LOBPCG of spectrum, preconditioned here by
-the exact inverse of the pencil's separable part: in the orbital basis the
-non-interacting pencil is diagonal, so its inverse is a mode product, a
-division and a mode product (fast diagonalization; Lynch, Rice & Thomas,
-Numer. Math. 6 (1964)), applied as GEMMs in float32.  Only the search
-directions see that rounding; Ritz values, residuals and the
-orthonormality check stay in float64.  The orbitals also give the start
+the inverse of the pencil's separable part shifted, column by column, a
+tenth (at least one unit) below that column's Ritz value (Davidson's
+shift): in the orbital basis the non-interacting pencil is diagonal, so
+its inverse is a mode product, a clipped division and a mode product (fast
+diagonalization; Lynch, Rice & Thomas, Numer. Math. 6 (1964)), applied as
+GEMMs in float32.  Once a Ritz value lies above some separable levels the
+apply is indefinite.  Only the search directions see the shift and the
+rounding; Ritz values, residuals, their bound and the orthonormality
+check stay in float64.  The orbitals also give the start
 block: the lowest separable eigenstates, which are exact for free and
 contact pencils (these return at iteration 0) and close for kernel ones,
 plus two seeded random guard columns that reach every symmetry sector.
@@ -69,18 +72,25 @@ def _contract(C: np.ndarray, B: np.ndarray, Bt: np.ndarray, N: int) -> np.ndarra
 
 
 def _separable_inverse(op: ManyBodyOperator):
-    """Exact inverse of N A (x) M^(N-1) - shift M_N on the wedge space, in float32.
+    """Inverse of N A (x) M^(N-1) - sigma_i M_N on the wedge space, column by column, in float32.
 
-    The shift sits a tenth of the level (at least one unit) below the
-    lowest separable level, so the inverse is positive definite.  apply
-    takes and returns float64 columns, but scatters them through the
-    basis's signed_orderings table into the (m, n^N) antisymmetric tensor,
-    changes it to the orbital basis, scales it, changes it back and reads
-    the wedges off in float32: a preconditioner only steers the search, so
-    its 1e-6 relative error moves no Ritz value, residual or
-    orthonormality check, which stay in float64.  Its tables are built on
-    the first apply, so free and contact pencils, which return at
-    iteration 0, never build them.
+    Column i of the block is shifted to its own Ritz value theta_i (Davidson,
+    J. Comput. Phys. 17 (1975)): sigma_i = theta_i - delta_i with
+    delta_i = max(1, |theta_i| / 10).  In the orbital basis the inverse
+    scales the mode at separable level epsilon by 1 / (epsilon - sigma_i),
+    clipped to at most 1 / delta_i in size, so levels near or below the
+    shift get a bounded weight.  Once theta_i lies above some separable
+    levels the apply is indefinite; that is safe because it only steers the
+    search: LOBPCG M-orthonormalizes its directions and runs Rayleigh-Ritz
+    on them, and the Ritz values, residuals, their bound and the
+    orthonormality check stay in float64.  apply(R, theta) takes and
+    returns float64 columns, but scatters them through the basis's
+    signed_orderings table into the (m, n^N) antisymmetric tensor, changes
+    it to the orbital basis, scales it, changes it back and reads the
+    wedges off in float32.  Its tables, the float32 level sums with +inf at
+    tied mode indices (which carry no antisymmetric weight, so their weight
+    is exactly 0), are built on the first apply, so free and contact
+    pencils, which return at iteration 0, never build them.
     """
     basis, orbitals = op.basis, op.orbitals
     N = basis.n_particles
@@ -91,21 +101,25 @@ def _separable_inverse(op: ManyBodyOperator):
         n = levels.size
         orderings = signed_orderings(J, n)
         gather = np.ravel_multi_index(tuple(J.T), (n,) * N).astype(np.int32)
-        lowest = float(np.sum(levels[:N]))
-        total = levels - (lowest - max(1.0, 0.1 * abs(lowest)))
+        total = levels
         for _ in range(N - 1):
             total = np.add.outer(total, levels)
-        inverse = np.reciprocal(total, dtype=np.float32).reshape(-1)
-        # tied mode indices carry no antisymmetric weight; keep round-off there out
-        inverse[orderings == 0] = 0.0
+        sums = total.astype(np.float32).reshape(-1)
+        sums[orderings == 0] = np.inf
         V = orbitals.transform.astype(np.float32)
-        return orderings, gather, inverse, V, np.ascontiguousarray(V.T)
+        return orderings, gather, sums, V, np.ascontiguousarray(V.T)
 
-    def apply(R: np.ndarray) -> np.ndarray:
-        orderings, gather, inverse, V, Vt = tables()
+    def apply(R: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        orderings, gather, sums, V, Vt = tables()
         C = scatter_orderings(orderings, R.T.astype(np.float32))
         C = _contract(C, Vt, V, N)
-        C *= inverse
+        weight = np.empty_like(sums)
+        for row, t in zip(C, theta):
+            delta = max(1.0, 0.1 * abs(t))
+            np.subtract(sums, np.float32(t - delta), out=weight)
+            np.reciprocal(weight, out=weight)
+            np.clip(weight, -1.0 / delta, 1.0 / delta, out=weight)
+            row *= weight
         C = _contract(C, V, Vt, N)
         return np.take(C, gather, axis=1).T.astype(np.float64)
 

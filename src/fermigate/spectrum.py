@@ -370,8 +370,14 @@ def _lobpcg(A, M, X: np.ndarray, precond, k: int, a_norm: float, m_norm: float):
     products.  Only the guards and the wanted columns whose residual at a
     unit-norm vector exceeds LOBPCG_TARGET times its SpectralResult bound
     (from the 1-norms a_norm, m_norm) are preconditioned and carry
-    conjugate directions.  Returns (lam, X, res, iterations) for the k
-    lowest Ritz pairs, with X M-orthonormal and res those residuals.
+    conjugate directions: precond(R, theta) gets their residual columns R
+    and current Ritz values theta, so it may shift each column to its own
+    eigenvalue estimate.  Such a shift can make the preconditioner
+    indefinite, which is safe: it only proposes directions, which are
+    M-orthonormalized against X and go through Rayleigh-Ritz, and the Ritz
+    values and residuals are always those of (A, M) in float64.  Returns
+    (lam, X, res, iterations) for the k lowest Ritz pairs, with X
+    M-orthonormal and res those residuals.
     """
     lam, X, HX, MX = _rayleigh_ritz(A, *_orthonormalize(X, M @ X))
     m = X.shape[1]
@@ -383,7 +389,7 @@ def _lobpcg(A, M, X: np.ndarray, precond, k: int, a_norm: float, m_norm: float):
         if not active[:k].any() or it == LOBPCG_MAX_ITER:
             break
         active[k:] = True
-        Z = precond(R[:, active])
+        Z = precond(R[:, active], lam[active])
         if P.shape[1]:
             Z = np.hstack([Z, P[:, active]])
         size = _sq_norms(Z)
@@ -419,10 +425,10 @@ def solve_pencil(A: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
     Cholesky factorization of M serving as its definiteness check.  Larger
     pencils go to LOBPCG with k + 2 seeded random start columns, after an
     L D L' check of M, preconditioned by the exact inverse of A - sigma M
-    (see _definite_factor): sigma starts at min(0, 2 d) - 1 for the
-    smallest diagonal ratio d of the pencil and moves twice as far below
-    zero until every pivot of the factorization is positive, which puts it
-    below the spectrum.  Raises IndefiniteMatrixError for an M that is not
+    (see _definite_factor), one sigma for every column: sigma starts at
+    min(0, 2 d) - 1 for the smallest diagonal ratio d of the pencil and
+    moves twice as far below zero until every pivot of the factorization is
+    positive, which puts it below the spectrum.  Raises IndefiniteMatrixError for an M that is not
     positive definite and ConvergenceError when a residual misses its bound.
     """
     dim = A.dimension
@@ -442,7 +448,9 @@ def solve_pencil(A: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
         while (factor := _definite_factor(A.data - sigma * M.data)) is None:
             sigma -= max(1.0, abs(sigma))
         X = np.random.default_rng(LOBPCG_SEED).standard_normal((dim, k + 2))
-        lam, X, _, iterations = _lobpcg(A.data, M.data, X, factor.solve, k, a_norm, m_norm)
+        lam, X, _, iterations = _lobpcg(
+            A.data, M.data, X, lambda R, _: factor.solve(R), k, a_norm, m_norm
+        )
 
     result = SpectralResult(lam, X, _residuals(A.data, M.data, lam, X), k, iterations)
     result.check(a_norm, m_norm)

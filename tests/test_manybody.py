@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigate import manybody, slater, spectrum
 from fermigate.basis import BoundarySpec, Delta, Sampled, build_grid_basis
@@ -169,7 +171,7 @@ def unlocked_lobpcg(A, M, X, precond, k, a_norm, m_norm):
         bound = RESIDUAL_RTOL * (a_norm + np.abs(lam) * m_norm)
         if np.all(res[:k] <= spectrum.LOBPCG_TARGET * bound[:k]):
             return lam[:k]
-        Q, _ = np.linalg.qr(np.hstack([X, precond(R), P]))
+        Q, _ = np.linalg.qr(np.hstack([X, precond(R, lam), P]))
         lam, C = sla.eigh(Q.T @ (A @ Q), Q.T @ (M @ Q))
         lam, C = lam[: X.shape[1]], C[:, : X.shape[1]]
         X, P = Q @ C, Q[:, X.shape[1] :] @ C[X.shape[1] :]
@@ -196,9 +198,9 @@ class TestLobpcgCore:
         start, precond = _start_block(op, 4), _separable_inverse(op)
         columns = []
 
-        def counted(R):
+        def counted(R, theta):
             columns.append(R.shape[1])
-            return precond(R)
+            return precond(R, theta)
 
         lam, X, _, iterations = _lobpcg(A, M, start, counted, 4, norm1(A), norm1(M))
         assert iterations > 0
@@ -276,22 +278,52 @@ class TestSeparableStart:
             assert_levels_match(solve_mb_eig(op, k).eigenvalues, dense[:k])
 
 
-def float64_separable_inverse(op):
-    """The preconditioner in float64, with its tie mask from int64 index
-    grids and tensordot mode products, as it was built before the float32
-    apply: the reference for both."""
-    N, levels, V = op.basis.n_particles, op.orbitals.levels, op.orbitals.transform
+def separable_levels(op):
+    """The separable levels on the n^N mode grid, with its tie mask from
+    int64 index grids: (levels, tied)."""
+    N, levels = op.basis.n_particles, op.orbitals.levels
     total = levels
     for _ in range(N - 1):
         total = np.add.outer(total, levels)
-    lowest = float(np.sum(levels[:N]))
-    inverse = 1.0 / (total - (lowest - max(1.0, 0.1 * abs(lowest))))
     idx = np.indices(total.shape)
+    tied = np.zeros(total.shape, dtype=bool)
     for i in range(N):
         for j in range(i + 1, N):
-            inverse[idx[i] == idx[j]] = 0.0
+            tied |= idx[i] == idx[j]
+    return total, tied
 
-    def apply(R):
+
+def float64_separable_inverse(op):
+    """The preconditioner in float64, column i shifted to theta_i - delta_i
+    with delta_i = max(1, |theta_i| / 10) and its weights clipped to
+    1 / delta_i, by tensordot mode products: the reference for the float32
+    apply."""
+    V = op.orbitals.transform
+    total, tied = separable_levels(op)
+
+    def apply(R, theta):
+        C = mode_product(wedge_tensor(op.basis, R), V.T)
+        for i, t in enumerate(theta):
+            delta = max(1.0, 0.1 * abs(t))
+            weight = np.clip(1.0 / (total - (t - delta)), -1.0 / delta, 1.0 / delta)
+            weight[tied] = 0.0
+            C[i] *= weight
+        return wedge_coefficients(op.basis, mode_product(C, V))
+
+    return apply
+
+
+def fixed_shift_inverse(op):
+    """The preconditioner with one fixed shift for every column, a tenth
+    of the level (at least one unit) below the lowest separable level, in
+    float64: it ignores theta.  The baseline the per-column shift must beat."""
+    N, levels, V = op.basis.n_particles, op.orbitals.levels, op.orbitals.transform
+    total, tied = separable_levels(op)
+    lowest = float(np.sum(levels[:N]))
+    inverse = 1.0 / (total - (lowest - max(1.0, 0.1 * abs(lowest))))
+    inverse[tied] = 0.0
+
+    def apply(R, theta):
         C = mode_product(wedge_tensor(op.basis, R), V.T) * inverse
         return wedge_coefficients(op.basis, mode_product(C, V))
 
@@ -318,7 +350,16 @@ class TestSeparableInverse:
         v, w = reflection_symmetric(n_cells)
         op = build_problem(v, w, bc, n_cells, n_particles).operator
         R = np.random.default_rng(n_particles).standard_normal((op.dim, 3))
-        got, want = _separable_inverse(op)(R), float64_separable_inverse(op)(R)
+        # below every separable level (a definite apply), half a shift above
+        # the fourth level, and at the median level (indefinite ones)
+        eps = np.sort(op.orbitals.levels[op.basis.array].sum(axis=1))
+        theta = np.array([eps[0] - 5.0, eps[3] + 0.5 * max(1.0, 0.1 * abs(eps[3])), np.median(eps)])
+        delta = np.maximum(1.0, 0.1 * np.abs(theta))
+        gaps = np.abs(eps[:, None] - (theta - delta))
+        # some level lies within delta of the second shift, so its weight is clipped
+        assert np.any(gaps[:, 1] < delta[1])
+        got = _separable_inverse(op)(R, theta)
+        want = float64_separable_inverse(op)(R, theta)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
@@ -376,12 +417,12 @@ class TestSeparableInverse:
         def traced_inverse(op_):
             apply = _separable_inverse(op_)
 
-            def traced(R):
+            def traced(R, theta):
                 applies.append(R.shape)
                 with monkeypatch.context() as m:
                     m.setattr(np, "matmul", recording_matmul)
                     m.setattr(manybody, "scatter_orderings", recording_scatter)
-                    return apply(R)
+                    return apply(R, theta)
 
             return traced
 
@@ -393,6 +434,39 @@ class TestSeparableInverse:
         assert set(operands) == {np.dtype(np.float32)}
         assert scattered == [np.dtype(np.float32)] * len(applies)
         assert_levels_match(res.eigenvalues, dense_levels(op, 4))
+
+
+def distance_kernel(n_cells, strength, width, distance):
+    """Gaussian kernel of the line distance |x - y| or the ring distance
+    min(|x - y|, 1 - |x - y|), sampled on the nodes."""
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    d = np.abs(np.subtract.outer(x, x))
+    if distance == "ring":
+        d = np.minimum(d, 1.0 - d)
+    return SampledKernel(tuple(map(tuple, strength * np.exp(-(d**2) / (2 * width**2)))))
+
+
+class TestPerColumnShift:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        strength=st.floats(-25.0, 25.0),
+        width=st.floats(0.04, 0.4),
+        distance=st.sampled_from(["line", "ring"]),
+        bc=st.sampled_from(EVERY_BOUNDARY),
+        n_particles=st.integers(2, 4),
+        k=st.sampled_from([1, 2, 4]),
+    )
+    def test_kernel_solves_match_the_dense_pencil(self, strength, width, distance, bc, n_particles, k):
+        # repulsive and attractive kernels move the Ritz values, and so each
+        # column's shift, above separable levels; the indefinite applies must
+        # still give the dense pencil's levels and M-orthonormal vectors
+        n_cells = {2: 12, 3: 8, 4: 7}[n_particles]
+        w = distance_kernel(n_cells, strength, width, distance)
+        op = build_problem(None, w, bc, n_cells, n_particles).operator
+        res = solve_mb_eig(op, k)
+        assert_levels_match(res.eigenvalues, dense_levels(op, k))
+        X = res.eigenvectors
+        assert np.max(np.abs(X.T @ (op.overlap @ X) - np.eye(k))) <= 1e-10
 
 
 def classify(v, w, bc, n_particles, grids):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -440,6 +441,14 @@ class TestTessellation:
         bad = order.copy()
         bad[np.all(order == [0, 1, 2], axis=1)] = [0, 2, 1]
         assert tessellation_z(bad) > 100.0
+
+    def test_rankings_from_comparisons_equal_a_stable_argsort(self):
+        # every triple over {0, 1, 2}, ties included, then 10^4 random points
+        ties = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
+        for pts in (ties, np.random.default_rng(3).uniform(size=(10_000, 3))):
+            a, b, c = pts.T
+            pattern = 4 * (a <= b) + 2 * (a <= c) + (b <= c)
+            assert np.array_equal(verify._RANKINGS[pattern], np.argsort(pts, axis=1, kind="stable"))
 
     def test_verify_seed_302_exits_zero(self, tmp_path):
         # the derived threshold no longer fails this seed by chance
