@@ -134,7 +134,12 @@ class _PathFactor(NamedTuple):
         for _, fl, fr in self.levels:
             reduced.append(r)
             r = r[:, 1::2] - fl * r[:, :-1:2] - fr * r[:, 2::2]
-        x = r @ self.top
+        # the dense remainder is applied row by row, not by a BLAS product whose
+        # summation order changes with the number of columns: so a vector
+        # solves exactly like a one-column block
+        x = r[:, :1] * self.top[0]
+        for j in range(1, r.shape[1]):
+            x += r[:, j : j + 1] * self.top[j]
         for (inv, fl, fr), r in zip(reversed(self.levels), reversed(reduced)):
             out = np.empty_like(r)
             even = out[:, 0::2]
@@ -154,7 +159,7 @@ class _PathFactor(NamedTuple):
         else:
             u, w, pivot = self.border
             y = self._solve_path(Rt[:, :-1])
-            last = (Rt[:, -1] - y @ u) / pivot
+            last = (Rt[:, -1] - (y[:, 0] * u[0] + y[:, -1] * u[-1])) / pivot  # u is zero inside
             X = np.hstack([y - last[:, None] * w, last[:, None]])
         return X.T.reshape(R.shape)
 
