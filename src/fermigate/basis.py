@@ -145,6 +145,16 @@ class GridBasis:
         dof_coeffs = np.asarray(dof_coeffs)
         return self.extension.T @ dof_coeffs
 
+    def node_dofs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dof each node carries and its weight in it: n_dofs and 0 for none.
+
+        A node carries at most one dof, so the extension is this map.
+        """
+        E = self.extension
+        dof, weight = np.full(self.n_nodes, self.n_dofs), np.zeros(self.n_nodes)
+        dof[E.indices], weight[E.indices] = np.repeat(np.arange(self.n_dofs), np.diff(E.indptr)), E.data
+        return dof, weight
+
     def hat_values_at(self, x: np.ndarray) -> np.ndarray:
         """Full-grid hat function values, shape (len(x), n_nodes)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))

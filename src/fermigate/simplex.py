@@ -191,9 +191,7 @@ def _ordered_values(psi: WaveVector, grid: GridBasis) -> tuple[np.ndarray, np.nd
         raise ValueError("state and grid disagree on the number of dofs")
     n, N = basis.n_orbitals, basis.n_particles
     tuples = _increasing_tuples(grid.n_nodes, N)
-    E = grid.extension
-    dof, weight = np.full(grid.n_nodes, n), np.zeros(grid.n_nodes)  # dof n: none
-    dof[E.indices], weight[E.indices] = np.repeat(np.arange(n), np.diff(E.indptr)), E.data
+    dof, weight = grid.node_dofs()  # dof n: none
     code = signed_orderings(basis.array, n + 1)[np.ravel_multi_index(dof[tuples.T], (n + 1,) * N)]
     values = np.prod(weight[tuples.T], axis=0) * scatter_orderings(code, psi.coefficients)
     values[code == 0] = 0.0  # +0.0 where no wedge lands, whatever the weights' signs

@@ -8,10 +8,12 @@ Hamiltonian and the Gram matrix form a sparse symmetric pencil
 
 where A = K + P_v and M are the one-particle dof matrices, W is the local
 pair tensor of the interaction and P scatters wedge coefficients into
-antisymmetric dof tensors.  Every term is local: phi_a phi_c vanishes
-unless a and c are neighbours, so a wedge couples only to wedges of
-neighbouring dofs.  A contact interaction is the null term, because
-antisymmetric P1 functions vanish on the diagonal x = y exactly.
+antisymmetric dof tensors.  W, like A and M, is exact: the kernel's
+bilinear interpolant against products of hats, from closed-form cell
+moments.  Every term is local: phi_a phi_c vanishes unless a and c are
+neighbours, so a wedge couples only to wedges of neighbouring dofs.  A
+contact interaction is the null term, because antisymmetric P1 functions
+vanish on the diagonal x = y exactly.
 
 One assembly walks the wedge rows in blocks, in row order.  A block finds
 where its row sums land (the neighbour tuples, their sorting signs and
@@ -33,7 +35,7 @@ the pair tensor exist only while build_problem assembles it.  An
 independent dense tensor-grid assembly of the N = 2 pencil is the oracle:
 it stacks the wedge states as nodal arrays and evaluates every form as
 batched matrix products from the full-grid element matrices and its own
-quadrature.
+Gauss quadrature, the only integration at points in the package.
 """
 
 from __future__ import annotations
@@ -94,6 +96,15 @@ DETERMINANT_CAP = 100_000
 
 # moments int_0^1 l0^(3-k) l1^k dt for cubic cell products, k = 0..3
 _CUBIC = np.array([1 / 4, 1 / 12, 1 / 12, 1 / 4])
+
+
+def _cell_moments(h: float) -> np.ndarray:
+    """Triple-hat moments of a cell of width h: [t, a, b] = int phi_t phi_a phi_b.
+
+    Index 0 is the cell's left hat and 1 its right one.  Every product of
+    three P1 functions on a cell integrates exactly from these.
+    """
+    return h * _CUBIC[np.indices((2, 2, 2)).sum(axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +293,38 @@ class TwoBodyTensor:
         return self.pair_matrix is None
 
 
-def _gauss_cells(grid: GridBasis, order: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points/weights on every cell, mapped to (0,1)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    t = (x + 1.0) / 2.0
-    wt = w / 2.0
-    starts = np.arange(grid.n_cells) * grid.h
-    pts = (starts[:, None] + t[None, :] * grid.h).ravel()
-    wts = np.tile(wt * grid.h, grid.n_cells)
-    return pts, wts
+def _pair_moments(basis: GridBasis, M: SymMatrix) -> np.ndarray:
+    """C[i, p] = int hat_i phi_a phi_c over the pairs p = (a, c) of M, dense.
+
+    On a cell the three factors are the cell's two hats, scaled by the
+    weights of the dofs their nodes carry, so the cell's triple-hat moments
+    scatter straight to C.  A pair is found in M's CSR order by a sorted
+    search of a * n_dofs + c; a contribution to a pair that M does not
+    store (a coupling entry that underflowed to zero) is dropped.
+    """
+    n = basis.n_dofs
+    dof, weight = basis.node_dofs()
+    # the nodes of corner triple (t, a, c) of cell k, one column per triple
+    t, a, c = np.arange(basis.n_cells)[:, None] + np.indices((2, 2, 2)).reshape(3, 1, 8)
+    val = _cell_moments(basis.h).ravel() * weight[a] * weight[c]
+    a, c = dof[a], dof[c]
+    csr = M.data
+    keys = np.repeat(np.arange(n), np.diff(csr.indptr)) * n + csr.indices  # ascending
+    key = a * n + c
+    pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+    keep = (a < n) & (c < n) & (keys[pos] == key)
+    C = np.zeros((basis.n_nodes, keys.size))
+    np.add.at(C, (t[keep], pos[keep]), val[keep])
+    return C
 
 
 def transform_two_body(w: InteractionSpec, basis: GridBasis, M: SymMatrix) -> TwoBodyTensor:
     """Local pair tensor of w over the dofs of `basis`; pairs follow M's pattern.
 
-    Four Gauss points per cell integrate the kernel's bilinear interpolant
-    against pair products exactly (cubic per cell in each variable).
+    The kernel is its bilinear interpolant sum_ij W_ij hat_i(x) hat_j(y)
+    over the nodal samples W, so the tensor is C' W C with
+    C = _pair_moments, exact from closed-form cell moments: beyond the
+    result it holds C, W and W C, each one row per node.
     """
     if M.dimension != basis.n_dofs:
         raise ValueError("mass matrix must match the basis dof count")
@@ -310,13 +337,8 @@ def transform_two_body(w: InteractionSpec, basis: GridBasis, M: SymMatrix) -> Tw
         raise ValueError(
             f"kernel needs {basis.n_nodes}x{basis.n_nodes} nodal samples, got {wnod.shape}"
         )
-    pts, wts = _gauss_cells(basis, order=4)
-    hats = basis.hat_values_at(pts)  # (Q, n_nodes)
-    phi = (basis.extension @ hats.T).T  # dof values at the quadrature points
-    pairs = M.data.tocoo()
-    B = phi[:, pairs.row] * phi[:, pairs.col] * wts[:, None]
-    G = hats @ wnod @ hats.T  # bilinear kernel at point pairs
-    return TwoBodyTensor(n_orbitals=basis.n_dofs, pair_matrix=B.T @ G @ B)
+    C = _pair_moments(basis, M)
+    return TwoBodyTensor(n_orbitals=basis.n_dofs, pair_matrix=C.T @ (wnod @ C))
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +715,7 @@ def _reduced(psi: WaveVector, orbitals: OrbitalSet, k: int) -> np.ndarray:
     def at(e):  # corner e of every k-tuple of cells
         return tuple(slice(a, a + n) for a in e)
 
-    # W[t, a, b] = int_cell phi_t phi_a phi_b over the cell's two hats
-    W = grid.h * _CUBIC[np.indices((2, 2, 2)).sum(axis=0)]
+    W = _cell_moments(grid.h)
     shape = (n,) * k + (-1,)  # the other coordinates flattened
     rho = np.zeros((grid.n_nodes,) * k)
     for e, f in itertools.product(corners, repeat=2):

@@ -62,7 +62,7 @@ from .slater import (
     NoInteraction,
     SampledKernel,
     WaveVector,
-    _gauss_cells,
+    _cell_moments,
     _trapezoid_weights,
     assemble_manybody_bruteforce,
     build_problem,
@@ -372,16 +372,20 @@ def _interaction_pairing(A: np.ndarray, B: np.ndarray, w: InteractionSpec, grid:
     """Two-body form between two-particle nodal matrices.
 
     Contact pairs vanish: antisymmetric nodal matrices are zero on x = y.
+    On a pair of cells the state, the test function and the kernel are each
+    bilinear in their four corner values, so the form is exact: their
+    corners contracted with the cell's triple-hat moments in x and in y.
     """
     if isinstance(w, (NoInteraction, DeltaContact)):
         return 0.0
     if isinstance(w, SampledKernel):
-        pts, wts = _gauss_cells(grid, 4)
-        H = grid.hat_values_at(pts)
-        VA = H @ A @ H.T
-        VB = H @ B @ H.T
-        VW = H @ np.asarray(w.values) @ H.T
-        return 2.0 * float(np.einsum("i,j,ij,ij,ij->", wts, wts, VA, VB, VW))
+        n, T = grid.n_cells, _cell_moments(grid.h)
+
+        def corners(X):  # [e, f, k, l] = X[k + e, l + f] on cell pair (k, l)
+            return np.array([[X[e : e + n, f : f + n] for f in (0, 1)] for e in (0, 1)])
+
+        parts = (corners(A), corners(B), corners(np.asarray(w.values)))
+        return 2.0 * float(np.einsum("aeg,bfh,abkl,efkl,ghkl->", T, T, *parts, optimize=True))
     raise TypeError(f"unsupported interaction {type(w).__name__}")
 
 

@@ -59,6 +59,15 @@ from fermigate.spectrum import solve_sp_eig
 from wedge_reference import mode_product, pencil_parts, to_orbital, wedge_coefficients, wedge_tensor
 
 DIRICHLET = BoundarySpec.dirichlet_both()
+ALL_KINDS = [
+    BoundarySpec.dirichlet_both(),
+    BoundarySpec.dirichlet_left(),
+    BoundarySpec.dirichlet_right(),
+    BoundarySpec.free(),
+    BoundarySpec.quasiperiodic(1.0),
+    BoundarySpec.quasiperiodic(-1.0),
+    BoundarySpec.line(2.0, -0.5),
+]
 
 
 def _row(basis, t) -> int:
@@ -186,6 +195,20 @@ class TestSignedOrderings:
         assert found == allowed
 
 
+class TestGaussPoints:
+    def test_only_the_oracle_integrates_at_gauss_points(self):
+        # every other form is contracted from closed-form cell moments, so
+        # the oracle cannot share a quadrature error with what it checks
+        found = set()
+        for path in sorted(Path(slater_module.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    func = getattr(node, "func", None)
+                    if isinstance(node, ast.Call) and ast.unparse(func).split(".")[-1] == "leggauss":
+                        found.add((path.name, getattr(top, "name", None)))
+        assert found == {("slater.py", "_gauss_unit")}
+
+
 class TestOrbitals:
     @pytest.mark.parametrize("bc", [DIRICHLET, BoundarySpec.free(), BoundarySpec.quasiperiodic(-0.5)], ids=str)
     def test_orbitals_are_the_one_particle_modes(self, monkeypatch, bc):
@@ -256,6 +279,25 @@ class TestOrthonormalize:
         np.testing.assert_allclose(out, np.diag([0.5, 1 / 3.0]), atol=1e-14)
 
 
+def random_kernel(grid, seed):
+    W = np.random.default_rng(seed).uniform(-3.0, 3.0, (grid.n_nodes,) * 2)
+    return SampledKernel(tuple(map(tuple, W + W.T)))
+
+
+def gauss_pair_tensor(kernel, grid, M):
+    """The pair tensor over M's pairs by six-point Gauss quadrature per cell,
+    exact for the kernel's bilinear interpolant against pair products."""
+    pairs = M.data.tocoo()
+    x, w = np.polynomial.legendre.leggauss(6)
+    pts = ((x + 1) / 2)[None, :] * grid.h + np.arange(grid.n_cells)[:, None] * grid.h
+    pts, wts = pts.ravel(), np.tile(w / 2 * grid.h, grid.n_cells)
+    hats = grid.hat_values_at(pts)
+    phi = hats @ grid.extension.T.toarray()
+    wpts = hats @ np.asarray(kernel.values) @ hats.T
+    f = phi[:, pairs.row] * phi[:, pairs.col] * wts[:, None]
+    return f.T @ wpts @ f
+
+
 class TestTwoBodyTensor:
     def test_zero_contact_is_null(self, grid7):
         # antisymmetric P1 functions vanish on x = y, so contact of any
@@ -282,24 +324,32 @@ class TestTwoBodyTensor:
         with pytest.raises(ValueError, match="symmetric"):
             SampledKernel(((0.0, 1.0), (0.5, 0.0)))
 
-    @pytest.mark.parametrize(
-        "bc", [DIRICHLET, BoundarySpec.free(), BoundarySpec.quasiperiodic(-0.5)], ids=str
-    )
-    def test_kernel_pair_tensor_matches_quadrature(self, bc):
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(4, 40), st.integers(0, 2**32 - 1))
+    def test_kernel_pair_tensor_matches_quadrature(self, bc, n_cells, seed):
         # pairs are the nonzeros of M; each entry is checked against
         # six-point Gauss quadrature of the exact integrand
-        grid = build_grid_basis(7, bc)
+        grid = build_grid_basis(n_cells, bc)
         M = assemble_overlap(grid)
-        T = transform_two_body(cos_kernel(grid), grid, M)
-        pairs = M.data.tocoo()
-        x, w = np.polynomial.legendre.leggauss(6)
-        pts = ((x + 1) / 2)[None, :] * grid.h + np.arange(7)[:, None] * grid.h
-        pts, wts = pts.ravel(), np.tile(w / 2 * grid.h, 7)
-        hats = grid.hat_values_at(pts)
-        phi = hats @ grid.extension.T.toarray()
-        wpts = hats @ np.asarray(cos_kernel(grid).values) @ hats.T
-        f = phi[:, pairs.row] * phi[:, pairs.col] * wts[:, None]
-        assert np.max(np.abs(T.pair_matrix - f.T @ wpts @ f)) <= 1e-12
+        kernel = random_kernel(grid, seed)
+        T = transform_two_body(kernel, grid, M)
+        assert np.max(np.abs(T.pair_matrix - gauss_pair_tensor(kernel, grid, M))) <= 1e-12
+
+    def test_pair_outside_the_mass_pattern_is_dropped(self):
+        # with the corner coupling (0, last) taken out of M, its moments
+        # land on no other pair
+        grid = build_grid_basis(9, BoundarySpec.quasiperiodic(-1.0))
+        full = assemble_overlap(grid).data
+        M = full.tolil()
+        last = grid.n_dofs - 1
+        M[0, last] = M[last, 0] = 0.0
+        M = SymMatrix.from_sparse(M.tocsr())
+        assert M.data.nnz == full.nnz - 2
+        kernel = random_kernel(grid, 4)
+        T = transform_two_body(kernel, grid, M)
+        assert T.pair_matrix.shape == (M.data.nnz,) * 2
+        assert np.max(np.abs(T.pair_matrix - gauss_pair_tensor(kernel, grid, M))) <= 1e-12
 
     def test_kernel_tensor_symmetries(self, grid7):
         # symmetric under exchanging the coordinates and within each pair
@@ -724,17 +774,6 @@ class TestPencilProperties:
         assert np.array_equal(contact.overlap.toarray(), free.overlap.toarray())
 
 
-ALL_KINDS = [
-    BoundarySpec.dirichlet_both(),
-    BoundarySpec.dirichlet_left(),
-    BoundarySpec.dirichlet_right(),
-    BoundarySpec.free(),
-    BoundarySpec.quasiperiodic(1.0),
-    BoundarySpec.quasiperiodic(-1.0),
-    BoundarySpec.line(2.0, -0.5),
-]
-
-
 def neighbour_structure(M, basis):
     """Entries (J, K) where a permutation of K is a tuple of M-neighbours of J.
 
@@ -898,6 +937,19 @@ class TestRowBlocks:
         assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
         assert np.max(np.abs(op.overlap.toarray() - oracle.overlap.toarray())) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "bc", [BoundarySpec.line(1.0, 5e-324), BoundarySpec.quasiperiodic(5e-324)], ids=["line", "qp"]
+    )
+    def test_underflowed_mass_entry_leaves_no_kernel_entry_outside(self, bc):
+        # the kernel's cell moments at the coupled dof's far node underflow
+        # with M's coupling entry; the pair tensor keeps M's pattern
+        grid = build_grid_basis(4, bc)
+        kernel = random_kernel(grid, 3)
+        op = build_problem(None, kernel, bc, 4, 2).operator
+        oracle = assemble_manybody_bruteforce(None, kernel, grid)
+        assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
+        assert np.max(np.abs(op.overlap.toarray() - oracle.overlap.toarray())) <= 1e-10
+
     def test_peak_memory_is_a_few_pencils(self):
         # the transient arrays of one row block, not of every contribution
         prob = build_problem(None, NoInteraction(), BoundarySpec.quasiperiodic(1.0), 40, 3)
@@ -913,6 +965,23 @@ class TestRowBlocks:
         pencil = sum(a.nbytes for a in arrays.values())  # shared arrays count once
         assert op.dim == 9880
         assert peak <= 3.0 * pencil, (peak, pencil)
+
+    def test_pair_tensor_peak_memory_is_two_pair_matrices(self):
+        # node-by-pair moments, never point-by-pair or point-by-point arrays
+        bc = BoundarySpec.quasiperiodic(1.0)
+        grid = build_grid_basis(320, bc)
+        M = assemble_overlap(grid)
+        d = np.abs(np.subtract.outer(grid.nodes, grid.nodes))
+        kernel = SampledKernel(tuple(map(tuple, 20.0 * np.exp(-np.minimum(d, 1.0 - d) ** 2 / 0.02))))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            T = transform_two_body(kernel, grid, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.pair_matrix.shape == (960, 960)
+        assert peak <= 2.0 * T.pair_matrix.nbytes, (peak, T.pair_matrix.nbytes)
 
 
 ParityLanding = namedtuple("ParityLanding", "nb slots rank parity")

@@ -10,7 +10,7 @@ from fermigate import cli, verify
 from fermigate.basis import BoundarySpec, Delta, build_grid_basis
 from fermigate.manybody import solve_mb_eig
 from fermigate.simplex import nodal_tensor
-from fermigate.slater import DeltaContact, NoInteraction, WaveVector, build_problem
+from fermigate.slater import DeltaContact, NoInteraction, SampledKernel, WaveVector, build_problem
 from fermigate.verify import (
     Scenario,
     cached_problem,
@@ -214,6 +214,32 @@ class TestNeumannTraceTwoParticles:
         assert flipped.environment == plain.environment
         # the state is positive on x1 < x2, so its outward flux is negative
         assert plain.environment["weak"] < 0
+
+
+class TestInteractionPairing:
+    @pytest.mark.parametrize("n_cells", [4, 9, 23])
+    @pytest.mark.parametrize(
+        "bc", [DIRICHLET, BoundarySpec.free(), BoundarySpec.quasiperiodic(-1.0)], ids=lambda b: b.kind
+    )
+    def test_kernel_pairing_matches_gauss_double_integral(self, bc, n_cells):
+        # 2 int int A B w over the bilinear interpolants of nodal matrices,
+        # against six-point Gauss quadrature on every cell pair (exact: each
+        # factor is linear per cell in each variable)
+        grid = build_grid_basis(n_cells, bc)
+        E = grid.extension.toarray()
+        rng = np.random.default_rng(100 * n_cells + len(bc.kind))
+        A, B = (E.T @ (X - X.T) @ E for X in rng.standard_normal((2, grid.n_dofs, grid.n_dofs)))
+        W = rng.uniform(-3.0, 3.0, (grid.n_nodes, grid.n_nodes))
+        kernel = SampledKernel(tuple(map(tuple, W + W.T)))
+        x, wt = np.polynomial.legendre.leggauss(6)
+        pts = (np.arange(n_cells)[:, None] + (x + 1.0) / 2.0).ravel() * grid.h
+        wts = np.tile(wt / 2.0 * grid.h, n_cells)
+        H = grid.hat_values_at(pts)
+        values = [H @ X @ H.T for X in (A, B, np.asarray(kernel.values))]
+        want = 2.0 * np.einsum("i,j,ij,ij,ij->", wts, wts, *values)
+        got = verify._interaction_pairing(A, B, kernel, grid)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert verify._interaction_pairing(A, B, NoInteraction(), grid) == 0.0
 
 
 class TestMemo:
