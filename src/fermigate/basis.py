@@ -8,10 +8,12 @@ by a single coupled degree of freedom combining the two endpoint half-hats.
 All element integrals are closed-form, so assembled matrices carry no
 quadrature error.
 
-Every full-grid element matrix is symmetric tridiagonal and is built as its
-main and off diagonal.  Each dof is one node, or the one coupled endpoint
-pair, so a dof matrix is read off those diagonals straight into CSR, with
-no sparse products and no symmetrization step.
+The grid is its node -> dof map: each node carries at most one dof, with a
+weight, and the coupled dof is the one carried by two nodes.  Every
+full-grid element matrix is symmetric tridiagonal and is built as its main
+and off diagonal, so a dof matrix is one weighted scatter of those
+diagonals through the map, for every boundary kind, with no sparse
+products and no symmetrization step.
 """
 
 from __future__ import annotations
@@ -120,17 +122,19 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class GridBasis:
-    """P1 basis for a uniform grid on (0,1) restricted by a boundary condition."""
+    """P1 basis for a uniform grid on (0,1) restricted by a boundary condition.
+
+    Node i carries dof[i] with weight[i], so dof j's hat is the sum of
+    weight[i] * hat_i over the nodes i that carry it.  A node that carries
+    no dof has dof n_dofs and weight 0.
+    """
 
     n_cells: int
     h: float
     bc: BoundarySpec
-    # dof-to-nodal-value extension matrix, shape (n_dofs, n_cells + 1)
-    extension: sp.csr_matrix = field(repr=False, compare=False)
-
-    @property
-    def n_dofs(self) -> int:
-        return self.extension.shape[0]
+    n_dofs: int
+    dof: np.ndarray = field(repr=False, compare=False)  # (n_nodes,) int
+    weight: np.ndarray = field(repr=False, compare=False)  # (n_nodes,)
 
     @property
     def n_nodes(self) -> int:
@@ -141,19 +145,15 @@ class GridBasis:
         return np.linspace(0.0, 1.0, self.n_nodes)
 
     def nodal_values(self, dof_coeffs: np.ndarray) -> np.ndarray:
-        """Map dof coefficients to nodal values on the full grid."""
-        dof_coeffs = np.asarray(dof_coeffs)
-        return self.extension.T @ dof_coeffs
+        """Nodal values on the full grid of a dof vector or a block of dof columns.
 
-    def node_dofs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dof each node carries and its weight in it: n_dofs and 0 for none.
-
-        A node carries at most one dof, so the extension is this map.
+        Zeros read +0.0, as in a sum over the dofs.
         """
-        E = self.extension
-        dof, weight = np.full(self.n_nodes, self.n_dofs), np.zeros(self.n_nodes)
-        dof[E.indices], weight[E.indices] = np.repeat(np.arange(self.n_dofs), np.diff(E.indptr)), E.data
-        return dof, weight
+        c = np.asarray(dof_coeffs)
+        if c.shape[:1] != (self.n_dofs,):
+            raise ValueError(f"expected {self.n_dofs} dof coefficients, got shape {c.shape}")
+        padded = np.concatenate([c, np.zeros((1,) + c.shape[1:], dtype=c.dtype)])  # dof n_dofs: 0
+        return self.weight.reshape((-1,) + (1,) * (c.ndim - 1)) * padded[self.dof] + 0.0
 
     def hat_values_at(self, x: np.ndarray) -> np.ndarray:
         """Full-grid hat function values, shape (len(x), n_nodes)."""
@@ -182,14 +182,14 @@ def build_grid_basis(n_cells: int, bc: BoundarySpec) -> GridBasis:
     n = n_cells
     first = 0 if bc.kind in ("dirichlet-right", "free") else 1
     last = n if bc.kind in ("dirichlet-left", "free") else n - 1
-    cols = np.arange(first, last + 1)
-    vals, indptr = np.ones(cols.size), np.arange(cols.size + 1)
+    n_dofs = last + 1 - first
+    dof, weight = np.full(n + 1, n_dofs), np.zeros(n + 1)
+    dof[first : last + 1], weight[first : last + 1] = np.arange(n_dofs), 1.0
     direction = bc.trace_direction()
     if direction is not None:
-        cols, vals = np.append(cols, [0, n]), np.append(vals, direction)
-        indptr = np.append(indptr, cols.size)
-    ext = sp.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, n + 1))
-    return GridBasis(n_cells=n, h=1.0 / n, bc=bc, extension=ext)
+        dof[[0, n]], weight[[0, n]] = n_dofs, direction
+        n_dofs += 1
+    return GridBasis(n_cells=n, h=1.0 / n, bc=bc, n_dofs=n_dofs, dof=dof, weight=weight)
 
 
 # ---------------------------------------------------------------------------
@@ -385,37 +385,23 @@ def _full_potential(v: PotentialSpec | None, n: int, h: float) -> _Tridiag:
 
 
 def _project(basis: GridBasis, full: _Tridiag) -> SymMatrix:
-    """The dof matrix E F E' of a full-grid tridiagonal F, built as CSR.
+    """The dof matrix of a full-grid tridiagonal F, one scatter through the node -> dof map.
 
-    Every dof is one node, and the nodes of consecutive dofs are
-    consecutive, except a coupled dof, which comes last and combines the
-    endpoint nodes 0 and n.  So the dof matrix is tridiagonal, plus one
-    corner pair coupling the first and the last dof.  Exact zeros are
-    not stored.
+    Node i adds w_i F_ii w_i to its dof's diagonal, and consecutive nodes
+    add w_i F_i,i+1 w_(i+1) to their dof pair and its mirror, which for
+    the coupled dof carried by nodes 0 and n gives the corner pair.
+    Exact zeros of the sums are not stored.
     """
     d, o = full
-    n, ext = basis.n_cells, basis.extension
-    direction = basis.bc.trace_direction()
-    if direction is None:
-        lo, hi = ext.indices[0], ext.indices[-1]
-        main, off, corner = d[lo : hi + 1], o[lo:hi], 0.0
-    else:  # interior nodes 1..n-1, then a * phi_0 + b * phi_n
-        a, b = direction
-        main = np.append(d[1:n], a * d[0] * a + b * d[n] * b)
-        off = np.append(o[1 : n - 1], b * o[n - 1])
-        corner = a * o[0]
-    m = main.size
-    i = np.arange(m, dtype=np.int32)
-    ends = np.array([0, m - 1], dtype=np.int32)
-    rows = np.concatenate([i, i[:-1], i[1:], ends])
-    cols = np.concatenate([i, i[1:], i[:-1], ends[::-1]])
-    vals = np.concatenate([main, off, off, [corner, corner]])
-    keep = vals != 0.0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=(m, m))
+    m, dof, w = basis.n_dofs, basis.dof, basis.weight
+    left, right = dof[:-1], dof[1:]
+    off = w[:-1] * o * w[1:]
+    rows = np.concatenate([dof, left, right])
+    cols = np.concatenate([dof, right, left])
+    vals = np.concatenate([w * d * w, off, off])
+    keep = (rows < m) & (cols < m)
+    mat = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
+    mat.eliminate_zeros()
     return SymMatrix.from_sparse(mat)
 
 

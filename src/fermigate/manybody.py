@@ -171,7 +171,7 @@ def solve_mb_eig(H: ManyBodyOperator, k: int) -> SpectralResult:
     lam, X, res, iterations = _lobpcg(
         A, M, _start_block(H, k), _separable_inverse(H), k, a_norm, m_norm
     )
-    result = SpectralResult(lam, X, res, k, iterations)
+    result = SpectralResult(lam, X, res, iterations)
     result.check(a_norm, m_norm)
     gram = float(np.max(np.abs(X.T @ (M @ X) - np.eye(k))))
     if not gram <= 1e-10:
@@ -191,7 +191,6 @@ class DegeneracyReport:
 
     grids: tuple[int, int]
     lambda1: tuple[float, float]
-    lambda2: tuple[float, float]
     gaps: tuple[float, float]
     refinement_ratio: float
     discretization_error_estimate: float
@@ -234,7 +233,6 @@ def classify_degeneracy(
     return DegeneracyReport(
         grids=grids,
         lambda1=(lam1[0], lam1[1]),
-        lambda2=(lam2[0], lam2[1]),
         gaps=gaps,
         refinement_ratio=ratio,
         discretization_error_estimate=err,

@@ -179,19 +179,20 @@ def restrict_full_tensor(full: np.ndarray, n_particles: int) -> np.ndarray:
 def _ordered_values(psi: WaveVector, grid: GridBasis) -> tuple[np.ndarray, np.ndarray]:
     """The strictly increasing node tuples t and sqrt(N!) * Psi(t), by one signed gather.
 
-    With E the dof-to-node extension, sqrt(N!) Psi(t) = sum_J c_J det E[t, J]
-    over the wedges J.  A node carries at most one dof, so only the wedge
-    J that the dofs of t order can contribute, and only when those dofs
-    are distinct; its determinant is the sign of that ordering times the
-    product of the node weights.  So the dof tuples of t, looked up in the
-    basis's signed_orderings table, scatter +-c_J to t.
+    sqrt(N!) Psi(t) = sum_J c_J det E[t, J] over the wedges J, with
+    E[i, j] = grid.weight[i] where grid.dof[i] = j.  A node carries at most
+    one dof, so only the wedge J that the dofs of t order can contribute,
+    and only when those dofs are distinct; its determinant is the sign of
+    that ordering times the product of the node weights.  So the dof tuples
+    of t, looked up in the basis's signed_orderings table, scatter +-c_J to
+    t.
     """
     basis = psi.basis
     if basis.n_orbitals != grid.n_dofs:
         raise ValueError("state and grid disagree on the number of dofs")
     n, N = basis.n_orbitals, basis.n_particles
     tuples = _increasing_tuples(grid.n_nodes, N)
-    dof, weight = grid.node_dofs()  # dof n: none
+    dof, weight = grid.dof, grid.weight  # dof n: none
     code = signed_orderings(basis.array, n + 1)[np.ravel_multi_index(dof[tuples.T], (n + 1,) * N)]
     values = np.prod(weight[tuples.T], axis=0) * scatter_orderings(code, psi.coefficients)
     values[code == 0] = 0.0  # +0.0 where no wedge lands, whatever the weights' signs
@@ -243,7 +244,6 @@ class SimplexSample:
     points: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     tags: tuple[str, ...] = field(repr=False)
-    spacing: float
 
     @property
     def interior(self) -> np.ndarray:
@@ -279,12 +279,7 @@ def restrict_to_simplex(psi: WaveVector, orbitals: OrbitalSet) -> SimplexSample:
     grid = orbitals.grid
     tuples, values = _ordered_values(psi, grid)
     points = tuples * grid.h
-    return SimplexSample(
-        points=points,
-        values=values,
-        tags=_tag_points(points, grid.h),
-        spacing=grid.h,
-    )
+    return SimplexSample(points=points, values=values, tags=_tag_points(points, grid.h))
 
 
 @dataclass(frozen=True)
@@ -294,8 +289,6 @@ class PositivityReport:
     sign_consistency: float
     excluded_fraction: float
     n_interior: int
-    n_excluded: int
-    epsilon: float
 
 
 def positivity_report(sample: SimplexSample, exclusion_frac: float = 1e-6) -> PositivityReport:
@@ -321,8 +314,6 @@ def positivity_report(sample: SimplexSample, exclusion_frac: float = 1e-6) -> Po
         sign_consistency=consistency,
         excluded_fraction=float(np.mean(excluded)),
         n_interior=int(vals.size),
-        n_excluded=int(np.sum(excluded)),
-        epsilon=exclusion_frac,
     )
 
 

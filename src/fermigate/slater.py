@@ -26,7 +26,7 @@ the same order whatever the block size.
 
 A state is a vector of the pencil's own coordinates: a WaveVector holds
 its nodal wedge coefficients, M_N-normalized, and every post-processing
-step reads them through the grid's dof-to-node extension (see simplex).
+step reads them through the grid's node -> dof map (see simplex).
 The orbitals are the one-particle modes, the M-orthonormal eigenvectors V
 of (A, M) from one eigensolve per problem; they precondition and start
 the many-body eigensolve.  A ManyBodyProblem is the pencil with its
@@ -303,7 +303,7 @@ def _pair_moments(basis: GridBasis, M: SymMatrix) -> np.ndarray:
     store (a coupling entry that underflowed to zero) is dropped.
     """
     n = basis.n_dofs
-    dof, weight = basis.node_dofs()
+    dof, weight = basis.dof, basis.weight
     # the nodes of corner triple (t, a, c) of cell k, one column per triple
     t, a, c = np.arange(basis.n_cells)[:, None] + np.indices((2, 2, 2)).reshape(3, 1, 8)
     val = _cell_moments(basis.h).ravel() * weight[a] * weight[c]
@@ -607,7 +607,7 @@ def assemble_manybody_bruteforce(
     Pf = _full_potential(v, n, h).toarray()
 
     slater = enumerate_slater_basis(basis.n_dofs, 2)
-    U = basis.extension.T.toarray()  # nodal values of the dof hats
+    U = basis.nodal_values(np.eye(basis.n_dofs))  # nodal values of the dof hats
     a, b = slater.array.T
     S = np.einsum("pi,qi->ipq", U[:, a], U[:, b])
     S = (S - S.transpose(0, 2, 1)) / np.sqrt(2.0)  # (D, n + 1, n + 1)

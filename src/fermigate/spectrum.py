@@ -8,10 +8,11 @@ numpy.linalg.eigh.  A few pairs of a larger pencil come from block LOBPCG
 the many-body solves share; it preconditions only the columns that have
 not converged (soft locking; Hetmaniuk & Lehoucq, J. Comput. Phys. 218
 (2006)).  Sparse definiteness checks and shifted inverses are L D L'
-factorizations in numpy: odd-even reduction of the one-body paths, block
-elimination over breadth-first level sets otherwise.  All linear algebra
-runs on numpy (scipy bundles a second BLAS whose thread pool stalls
-numpy's); scipy only stores the sparse matrices.
+factorizations in numpy: odd-even reduction of the one-body paths down to
+one dof, each solve step elementwise, and block elimination over
+breadth-first level sets otherwise.  All linear algebra runs on numpy
+(scipy bundles a second BLAS whose thread pool stalls numpy's); scipy
+only stores the sparse matrices.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i is the i-th eigenvector
     residuals: np.ndarray
-    k_requested: int
     iterations: int | None = None
 
     def check(self, A_norm1: float, M_norm1: float) -> None:
@@ -107,39 +107,34 @@ def _dense_pencil_eigh(A, M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 # diagonal or block diagonal, and yields None unless every pivot (block) is
 # positive definite: by Sylvester's law of inertia that is exactly when S is.
 
-# odd-even reduction stops at this many dofs of a path and factors them densely
-_PATH_DENSE = 15
-
 
 class _PathFactor(NamedTuple):
     """L D L' of a tridiagonal matrix, with the last dof optionally a border.
 
     levels holds, per odd-even reduction level, the inverse pivots of the
     eliminated even dofs and the multipliers of their left and right odd
-    neighbours; top is the inverse of the dense remainder.  The border dof
+    neighbours; the last level eliminates the one dof left.  The border dof
     couples to both ends of the path before it: border holds its coupling
     column u, T^-1 u for the path's matrix T, and its Schur pivot.
     """
 
     levels: list
-    top: np.ndarray
     size: int
     border: tuple | None = None
 
     def _solve_path(self, R: np.ndarray) -> np.ndarray:
-        """T^-1 applied to the rows of R, shape (columns, size)."""
+        """T^-1 applied to the rows of R, shape (columns, size).
+
+        Every step is elementwise, so a vector solves exactly like a
+        one-column block.
+        """
         r = np.zeros((R.shape[0], (1 << self.size.bit_length()) - 1))  # padded as factored
         r[:, : self.size] = R
         reduced = []
         for _, fl, fr in self.levels:
             reduced.append(r)
             r = r[:, 1::2] - fl * r[:, :-1:2] - fr * r[:, 2::2]
-        # the dense remainder is applied row by row, not by a BLAS product whose
-        # summation order changes with the number of columns: so a vector
-        # solves exactly like a one-column block
-        x = r[:, :1] * self.top[0]
-        for j in range(1, r.shape[1]):
-            x += r[:, j : j + 1] * self.top[j]
+        x = r  # no dof left
         for (inv, fl, fr), r in zip(reversed(self.levels), reversed(reduced)):
             out = np.empty_like(r)
             even = out[:, 0::2]
@@ -171,10 +166,9 @@ def _path_factor(main: np.ndarray, off: np.ndarray, corner: float) -> _PathFacto
     The path is padded with unit pivots to 2^p - 1 dofs and reduced
     odd-even (cyclic reduction): each level eliminates the even dofs, which
     are mutually uncoupled, so their pivots are their diagonal entries, and
-    leaves a tridiagonal Schur complement on the odd dofs, until
-    _PATH_DENSE dofs remain for a Cholesky factorization.  The border's
-    pivot is its scalar Schur complement.  Factoring and solving take
-    O(log n) numpy calls.
+    leaves a tridiagonal Schur complement on the odd dofs, down to one dof,
+    whose pivot is its own level.  The border's pivot is its scalar Schur
+    complement.  Factoring and solving take O(log n) numpy calls.
     """
     if corner != 0.0:
         u = np.zeros(main.size - 1)
@@ -186,7 +180,7 @@ def _path_factor(main: np.ndarray, off: np.ndarray, corner: float) -> _PathFacto
     e = np.zeros(d.size - 1)
     e[: m - 1] = off
     levels = []
-    while d.size > _PATH_DENSE:
+    while d.size:
         pivots = d[0::2]
         if not np.all(pivots > 0.0):
             return None
@@ -194,12 +188,7 @@ def _path_factor(main: np.ndarray, off: np.ndarray, corner: float) -> _PathFacto
         fl, fr = e[0::2] * inv[:-1], e[1::2] * inv[1:]
         levels.append((inv, fl, fr))
         d, e = d[1::2] - fl * e[0::2] - fr * e[1::2], -fr[:-1] * e[2::2]
-    try:
-        L = np.linalg.cholesky(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    except np.linalg.LinAlgError:
-        return None
-    Linv = np.linalg.inv(L)
-    factor = _PathFactor(levels, Linv.T @ Linv, m)
+    factor = _PathFactor(levels, m)
     if corner == 0.0:
         return factor
     w = factor.solve(u)
@@ -457,7 +446,7 @@ def solve_pencil(A: SymMatrix, M: SymMatrix, k: int) -> SpectralResult:
             A.data, M.data, X, lambda R, _: factor.solve(R), k, a_norm, m_norm
         )
 
-    result = SpectralResult(lam, X, _residuals(A.data, M.data, lam, X), k, iterations)
+    result = SpectralResult(lam, X, _residuals(A.data, M.data, lam, X), iterations)
     result.check(a_norm, m_norm)
     return result
 
@@ -477,10 +466,7 @@ def solve_dense_symmetric(H, k: int) -> SpectralResult:
         raise ValueError(f"k must lie in [1, {H.shape[0]}], got {k}")
     lam, X = np.linalg.eigh(H)
     lam, X = lam[:k], X[:, :k]
-    result = SpectralResult(
-        eigenvalues=lam, eigenvectors=X, residuals=_residuals(H, np.eye(len(H)), lam, X),
-        k_requested=k,
-    )
+    result = SpectralResult(lam, X, _residuals(H, np.eye(len(H)), lam, X))
     result.check(norm1(H), 1.0)
     return result
 

@@ -33,6 +33,35 @@ ALL_BCS = [
 ]
 
 
+MAP_BCS = ALL_BCS + [
+    BoundarySpec.line(2.3, -0.7),
+    BoundarySpec.line(0.0, 1.5),
+    BoundarySpec.line(1.0, 0.0),
+    BoundarySpec.line(1e-300, 3.0),
+]
+
+
+def _hats(basis):
+    """Nodal values of the dof hats, one row per dof."""
+    return basis.nodal_values(np.eye(basis.n_dofs)).T
+
+
+def _definition_extension(basis):
+    """Dof-to-node extension E (one row per dof) from the boundary kind's
+    definition: Dirichlet endpoints dropped, node order kept, and under a
+    one-dimensional trace subspace span{(a, b)} the interior nodes followed
+    by one coupled dof a * phi_0 + b * phi_n."""
+    bc, n = basis.bc, basis.n_cells
+    nodes = np.eye(n + 1)
+    direction = bc.trace_direction()
+    if direction is not None:
+        a, b = direction
+        return np.vstack([nodes[1:n], a * nodes[0] + b * nodes[n]])
+    drop_left = bc.kind in ("dirichlet-both", "dirichlet-left")
+    drop_right = bc.kind in ("dirichlet-both", "dirichlet-right")
+    return nodes[int(drop_left) : n + 1 - int(drop_right)]
+
+
 class TestBoundarySpec:
     def test_quasiperiodic_zero_alpha_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -58,18 +87,18 @@ class TestBuildGridBasis:
 
     def test_dirichlet_all_zero_trace(self):
         basis = build_grid_basis(8, BoundarySpec.dirichlet_both())
-        assert np.all(basis.extension[:, [0, 8]].toarray() == 0.0)
+        assert np.all(_hats(basis)[:, [0, 8]] == 0.0)
 
     def test_free_has_two_boundary_dofs(self):
         basis = build_grid_basis(8, BoundarySpec.free())
-        traces = basis.extension[:, [0, 8]].toarray()
+        traces = _hats(basis)[:, [0, 8]]
         assert np.count_nonzero(np.any(traces != 0.0, axis=1)) == 2
 
     def test_quasiperiodic_coupled_trace_pair(self):
         basis = build_grid_basis(8, BoundarySpec.quasiperiodic(-1.0))
-        # the coupled dof is the one row with two nodes
-        (coupled,) = np.flatnonzero(np.diff(basis.extension.indptr) == 2)
-        t0, t1 = basis.extension[:, [0, 8]].toarray()[coupled].tolist()
+        # the coupled dof is the one dof that two nodes carry
+        (coupled,) = np.flatnonzero(np.bincount(basis.dof)[: basis.n_dofs] == 2)
+        t0, t1 = _hats(basis)[:, [0, 8]][coupled].tolist()
         assert (t0, t1) == (-1.0, 1.0)
         # constraint residual is exactly zero: t0 - alpha*t1
         assert t0 - (-1.0) * t1 == 0.0
@@ -77,7 +106,7 @@ class TestBuildGridBasis:
     @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
     def test_every_trace_pair_lies_in_the_subspace(self, bc):
         basis = build_grid_basis(8, bc)
-        for t0, t1 in basis.extension[:, [0, 8]].toarray().tolist():
+        for t0, t1 in _hats(basis)[:, [0, 8]].tolist():
             if bc.kind == "dirichlet-both":
                 assert (t0, t1) == (0.0, 0.0)
             elif bc.kind == "dirichlet-left":
@@ -91,6 +120,38 @@ class TestBuildGridBasis:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="n_cells"):
             build_grid_basis(3, BoundarySpec.free())
+
+    @pytest.mark.parametrize("n_cells", [4, 9])
+    @pytest.mark.parametrize("bc", MAP_BCS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    def test_node_to_dof_map_invariants(self, bc, n_cells):
+        basis = build_grid_basis(n_cells, bc)
+        dof, weight, m = basis.dof, basis.weight, basis.n_dofs
+        assert dof.shape == weight.shape == (basis.n_nodes,)
+        assert np.all((dof >= 0) & (dof <= m))
+        # a node with the sentinel dof m carries nothing
+        assert np.all(weight[dof == m] == 0.0)
+        # every dof is carried by one node, or by exactly the two endpoints
+        for j in range(m):
+            carriers = np.flatnonzero(dof == j).tolist()
+            assert len(carriers) == 1 or carriers == [0, n_cells], (j, carriers)
+        assert np.count_nonzero(np.bincount(dof, minlength=m + 1)[:m] == 2) == (
+            bc.trace_direction() is not None
+        )
+
+    @pytest.mark.parametrize("bc", MAP_BCS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    def test_nodal_values_of_a_block_is_column_by_column(self, bc):
+        basis = build_grid_basis(7, bc)
+        block = np.random.default_rng(3).standard_normal((basis.n_dofs, 4))
+        block[1, 2] = -0.0
+        values = basis.nodal_values(block)
+        assert values.shape == (basis.n_nodes, 4)
+        for j in range(4):
+            assert np.array_equal(values[:, j], basis.nodal_values(block[:, j]))
+            assert np.array_equal(np.signbit(values[:, j]), np.signbit(basis.nodal_values(block[:, j])))
+        # and the map it gathers through is the definition's extension
+        assert np.array_equal(values, _definition_extension(basis).T @ block)
+        with pytest.raises(ValueError, match="dof coefficients"):
+            basis.nodal_values(np.zeros(basis.n_dofs + 1))
 
 
 class TestOverlap:
@@ -260,7 +321,7 @@ class TestPotential:
 def test_quasiperiodic_constraint_exact_for_any_alpha(n_cells, alpha):
     basis = build_grid_basis(n_cells, BoundarySpec.quasiperiodic(alpha))
     assert basis.n_dofs == n_cells
-    for t0, t1 in basis.extension[:, [0, n_cells]].toarray().tolist():
+    for t0, t1 in _hats(basis)[:, [0, n_cells]].tolist():
         assert t0 - alpha * t1 == 0.0
 
 
@@ -294,9 +355,10 @@ def _potentials(n_cells):
 
 
 def _reference(basis, full):
-    """E F E' by sparse products, F the full-grid tridiagonal matrix."""
+    """E F E' by sparse products, F the full-grid tridiagonal matrix and E
+    the extension by the boundary kind's definition."""
     F = sp.diags([full.off, full.main, full.off], [-1, 0, 1], format="csr")
-    e = basis.extension
+    e = sp.csr_matrix(_definition_extension(basis))
     return (e @ F @ e.T).toarray()
 
 

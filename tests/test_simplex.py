@@ -295,7 +295,7 @@ class TestTags:
         points, h = data
         tags = _tag_points(points, h)
         assert tags == tuple(scalar_tag(x, h) for x in points)
-        sample = SimplexSample(points=points, values=np.ones(len(points)), tags=tags, spacing=h)
+        sample = SimplexSample(points=points, values=np.ones(len(points)), tags=tags)
         assert np.array_equal(sample.interior, [t == TAG_INTERIOR for t in tags])
 
 
@@ -314,9 +314,7 @@ class TestPositivity:
 
     def test_synthetic_all_positive(self):
         pts = np.column_stack([np.linspace(0.2, 0.4, 50), np.linspace(0.5, 0.8, 50)])
-        sample = SimplexSample(
-            points=pts, values=np.ones(50), tags=("interior",) * 50, spacing=0.05
-        )
+        sample = SimplexSample(points=pts, values=np.ones(50), tags=("interior",) * 50)
         rep = positivity_report(sample)
         assert rep.sign_consistency == 1.0
         assert rep.excluded_fraction == 0.0
@@ -325,7 +323,7 @@ class TestPositivity:
         pts = np.column_stack([np.linspace(0.2, 0.4, 10), np.linspace(0.5, 0.8, 10)])
         vals = -np.ones(10)
         vals[3] = -5.0
-        sample = SimplexSample(points=pts, values=vals, tags=("interior",) * 10, spacing=0.05)
+        sample = SimplexSample(points=pts, values=vals, tags=("interior",) * 10)
         rep = positivity_report(sample)
         assert rep.sign_consistency == 1.0
 
@@ -369,7 +367,7 @@ class TestPullback:
         vband = np.cos(np.pi * np.linspace(0.0, 1.0, 11)) + 2.0
         prob = build_problem(Sampled(tuple(vband)), NoInteraction(), DIRICHLET, 10, 2)
         op, grid = prob.operator, prob.grid
-        hats = grid.extension.T.toarray()  # nodal values of the dof hats
+        hats = grid.nodal_values(np.eye(grid.n_dofs))  # nodal values of the dof hats
         rng = np.random.default_rng(37)
         for _ in range(20):
             x = rng.standard_normal(op.dim)

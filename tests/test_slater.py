@@ -83,7 +83,7 @@ def to_nodal(prob, c):
 
 def orbital_nodes(prob):
     """Values of the orbitals at the grid nodes, one column per orbital."""
-    return np.asarray(prob.grid.extension.T @ prob.orbitals.transform)
+    return prob.grid.nodal_values(prob.orbitals.transform)
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +292,7 @@ def gauss_pair_tensor(kernel, grid, M):
     pts = ((x + 1) / 2)[None, :] * grid.h + np.arange(grid.n_cells)[:, None] * grid.h
     pts, wts = pts.ravel(), np.tile(w / 2 * grid.h, grid.n_cells)
     hats = grid.hat_values_at(pts)
-    phi = hats @ grid.extension.T.toarray()
+    phi = hats @ grid.nodal_values(np.eye(grid.n_dofs))
     wpts = hats @ np.asarray(kernel.values) @ hats.T
     f = phi[:, pairs.row] * phi[:, pairs.col] * wts[:, None]
     return f.T @ wpts @ f
@@ -468,7 +468,7 @@ def pairwise_oracle(v, w, grid):
     n, h = grid.n_cells, grid.h
     Mf, Kf = _full_overlap(n, h).toarray(), _full_stiffness(n, h).toarray()
     Pf = _full_potential(v, n, h).toarray()
-    U = grid.extension.T.toarray()
+    U = grid.nodal_values(np.eye(grid.n_dofs))
     tuples = enumerate_slater_basis(grid.n_dofs, 2).array.tolist()
     states = [(np.outer(U[:, a], U[:, b]) - np.outer(U[:, b], U[:, a])) / np.sqrt(2.0)
               for a, b in tuples]

@@ -287,7 +287,7 @@ PARITY_PATTERNS = [
 )
 def test_parity_rule_gives_the_strict_pair_pattern(bc, pattern):
     assert [bc.guarantees_simple_ground(m) for m in range(1, 9)] == pattern
-    res = spectrum.SpectralResult(np.arange(9.0), np.eye(9), np.zeros(9), 9)
+    res = spectrum.SpectralResult(np.arange(9.0), np.eye(9), np.zeros(9))
     assert list(gap_report(res, bc).required_strict) == pattern
 
 
@@ -423,6 +423,9 @@ def _check_factor(S, seed, kind):
     assert np.all(residual <= 1e-12 * norm1(S) * np.linalg.norm(X, axis=0))
     x = factor.solve(R[:, 0])  # a vector solves like a one-column block
     assert x.shape == (S.shape[0],)
+    if isinstance(factor, spectrum._PathFactor):  # every step elementwise: bit for bit
+        assert np.array_equal(x, factor.solve(R[:, :1])[:, 0])
+        assert np.array_equal(x, X[:, 0])
     np.testing.assert_allclose(x, X[:, 0], rtol=0.0, atol=1e-12 * np.abs(X[:, 0]).max())
 
 
@@ -456,7 +459,7 @@ def test_path_factor_matches_dense_verdict(seed, n_cells, bc, kind, strength, of
 )
 def test_path_factor_matches_dense_verdict_on_any_signs(seed, n, corner, shift):
     # indefinite diagonals put negative pivots on every reduction level, not
-    # only in the dense remainder
+    # only on the last
     rng = np.random.default_rng(seed)
     main, off = rng.standard_normal(n) + shift, rng.standard_normal(n - 1)
     S = sp.diags([off, main, off], [-1, 0, 1], format="lil")

@@ -1,7 +1,7 @@
 """States as nodal wedge coefficients, against the orbital Slater reference.
 
 The pencil's eigenvectors are read by one signed gather through the
-dof-to-node extension.  The reference here is the orbital route: map the
+grid's node -> dof map.  The reference here is the orbital route: map the
 coefficients to Slater coefficients over the orthonormal orbitals (mode
 products with V^-1 = V'M over the dense antisymmetric tensor), then to
 nodal values through the orbitals' nodal values.  Both must agree at
@@ -57,7 +57,7 @@ class OrbitalReference:
     def __init__(self, prob, x):
         self.prob, self.N = prob, prob.n_particles
         self.C = wedge_tensor(prob.slater, to_orbital(prob, x))[0]
-        self.U = np.asarray(prob.grid.extension.T @ prob.orbitals.transform)  # orbital nodal values
+        self.U = prob.grid.nodal_values(prob.orbitals.transform)  # orbital nodal values
 
     def nodal_tensor(self):
         return mode_product(self.C[None], self.U)[0] / np.sqrt(factorial(self.N))
@@ -105,9 +105,7 @@ def swap_gather(psi, grid):
     basis = psi.basis
     n, N = basis.n_orbitals, basis.n_particles
     tuples = _increasing_tuples(grid.n_nodes, N)
-    E = grid.extension
-    dof, weight = np.full(grid.n_nodes, -1), np.zeros(grid.n_nodes)
-    dof[E.indices], weight[E.indices] = np.repeat(np.arange(n), np.diff(E.indptr)), E.data
+    dof, weight = np.where(grid.dof < n, grid.dof, -1), grid.weight
     d = dof[tuples.T]
     ok = d.min(axis=0) >= 0
     det = np.prod(weight[tuples.T], axis=0)

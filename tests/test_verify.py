@@ -226,7 +226,7 @@ class TestInteractionPairing:
         # against six-point Gauss quadrature on every cell pair (exact: each
         # factor is linear per cell in each variable)
         grid = build_grid_basis(n_cells, bc)
-        E = grid.extension.toarray()
+        E = grid.nodal_values(np.eye(grid.n_dofs)).T
         rng = np.random.default_rng(100 * n_cells + len(bc.kind))
         A, B = (E.T @ (X - X.T) @ E for X in rng.standard_normal((2, grid.n_dofs, grid.n_dofs)))
         W = rng.uniform(-3.0, 3.0, (grid.n_nodes, grid.n_nodes))
