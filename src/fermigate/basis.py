@@ -389,19 +389,27 @@ def _project(basis: GridBasis, full: _Tridiag) -> SymMatrix:
 
     Node i adds w_i F_ii w_i to its dof's diagonal, and consecutive nodes
     add w_i F_i,i+1 w_(i+1) to their dof pair and its mirror, which for
-    the coupled dof carried by nodes 0 and n gives the corner pair.
-    Exact zeros of the sums are not stored.
+    the coupled dof carried by nodes 0 and n gives the corner pair.  Only
+    diagonal entries can sum two terms.  Exact zeros of the sums are not
+    stored.  The sums and the CSR order come from bincount and lexsort,
+    which the rest of a solve calls too: a first np.unique or scipy COO
+    conversion in a process maps new code pages, 0.1-0.25 MB of its RSS.
     """
     d, o = full
     m, dof, w = basis.n_dofs, basis.dof, basis.weight
-    left, right = dof[:-1], dof[1:]
-    off = w[:-1] * o * w[1:]
-    rows = np.concatenate([dof, left, right])
-    cols = np.concatenate([dof, right, left])
-    vals = np.concatenate([w * d * w, off, off])
-    keep = (rows < m) & (cols < m)
-    mat = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
-    mat.eliminate_zeros()
+    main = np.bincount(dof, w * d * w, m + 1)[:m]  # dof m: none
+    pair = (dof[:-1] < m) & (dof[1:] < m)
+    left, right, off = dof[:-1][pair], dof[1:][pair], (w[:-1] * o * w[1:])[pair]
+    i = np.arange(m)
+    rows = np.concatenate([i, left, right])
+    cols = np.concatenate([i, right, left])
+    vals = np.concatenate([main, off, off])
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    mat = sp.csr_matrix((vals[order], cols[order].astype(np.int32), indptr), shape=(m, m))
     return SymMatrix.from_sparse(mat)
 
 
