@@ -214,8 +214,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _format_float(x: float) -> str:
+    # strict JSON has no non-finite numbers: they are strings float() reads back
     if x != x:
-        return "NaN"
+        return '"NaN"'
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
     return f"{x:.12g}"
@@ -416,7 +417,7 @@ def _cmd_report(config: RunConfig) -> int:
             print(f"{r['name']:40s} {len(r.get('checks', [])):6d} {status:>8s}")
             for c in r.get("checks", []):
                 mark = "+" if c["passed"] else "-"
-                # JSON stores infinities as strings: float() reads them back
+                # JSON stores non-finite values as strings: float() reads them back
                 measured, threshold = float(c["measured"]), float(c["threshold"])
                 print(f"  {mark} {c['name']}: {measured:.6g} {c['comparator']} {threshold:.6g}")
         (out_dir / "checks.csv").write_bytes(_checks_csv(data.get("scenarios", [])))

@@ -26,13 +26,12 @@ from .basis import (
     HMinusOnePair,
     PotentialSpec,
     Sampled,
+    SymMatrix,
     assemble_overlap,
     assemble_potential,
     assemble_stiffness,
     build_grid_basis,
     _full_overlap,
-    _full_potential,
-    _full_stiffness,
 )
 from .errors import SpecError
 from .manybody import (
@@ -61,13 +60,17 @@ from .slater import (
     ManyBodyProblem,
     NoInteraction,
     SampledKernel,
+    SlaterBasis,
     WaveVector,
-    _cell_moments,
+    _increasing_tuples,
     _trapezoid_weights,
+    assemble_manybody,
     assemble_manybody_bruteforce,
     build_problem,
     reduced_density,
     reduced_pair_density,
+    signed_orderings,
+    transform_two_body,
 )
 from .spectrum import SpectralResult, solve_sp_eig
 
@@ -83,7 +86,6 @@ __all__ = [
     "monotonicity_suite",
     "neumann_trace_weak",
     "neumann_trace_limit",
-    "parity_holds",
     "spec_to_dict",
     "dict_to_potential",
     "dict_to_interaction",
@@ -245,11 +247,6 @@ def dict_to_bc(d: dict) -> BoundarySpec:
     return _decode("bc", d)
 
 
-def parity_holds(alpha: float, n_particles: int) -> bool:
-    """Non-degeneracy condition for the coupling psi(0) = alpha psi(1)."""
-    return BoundarySpec.quasiperiodic(alpha).guarantees_simple_ground(n_particles)
-
-
 # ---------------------------------------------------------------------------
 # shared problem cache: one entry per normalized problem key, the problem and
 # its many-body solves by k.  run_manifest releases an entry after the last
@@ -334,59 +331,38 @@ def neumann_trace_weak(
     profile,
     width_cells: int = 1,
 ) -> float:
-    """Boundary flux functional a(Psi, P_N F) - lam <Psi, P_N F>.
+    """Boundary flux functional a(Psi, P_N F) - lam <Psi, P_N F>, for any N.
 
-    F extends the face profile with a cutoff of the given width; the value
-    is independent of the width because two extensions differ by an element
-    of the variational space.  `nodal` is the eigenfunction's nodal vector
-    (one particle) or nodal matrix (two particles).
+    `nodal` is the eigenfunction's (n_nodes,)^N nodal tensor and `profile`
+    the face profile f, a scalar at N = 1, else an (n_nodes,)^(N-1) tensor.
+    F = beta (x) f extends f with a cutoff beta of the given width; the
+    value is independent of the width because two extensions differ by an
+    element of the variational space.
+
+    The form is the pencil of the free grid with the same cells, whose dofs
+    are the nodes with weight 1: the wedge coefficients of a nodal tensor
+    are sqrt(N!) times its values at the increasing node tuples t, so the
+    flux is c_Psi' (H - lam M) c_G, where F's antisymmetric part has
+    c_G(t) = sum_sigma sign(sigma) F(sigma t) / sqrt(N!): the signed sum of
+    F over the orderings of t, read through the wedges' signed_orderings.
     """
-    nodal = np.asarray(nodal, dtype=float)
-    n, h = grid.n_cells, grid.h
-    Kf = _full_stiffness(n, h).toarray()
-    Mf = _full_overlap(n, h).toarray()
-    Pf = _full_potential(v, n, h).toarray() if v is not None else None
+    nodal, f = np.asarray(nodal, dtype=float), np.asarray(profile, dtype=float)
+    N, n = nodal.ndim, grid.n_cells
+    if nodal.shape != (n + 1,) * N or f.shape != (n + 1,) * (N - 1):
+        raise ValueError("state and face profile must give one value per node on N and N - 1 axes")
     beta = _beta_profile(grid, face, width_cells)
-
-    if nodal.ndim == 1:
-        F = float(profile) * beta
-        A = Kf if Pf is None else Kf + Pf
-        return float(nodal @ (A @ F) - lam * (nodal @ (Mf @ F)))
-
-    if nodal.ndim != 2:
-        raise ValueError("weak trace implemented for one or two particles")
-    f_nodal = np.asarray(profile, dtype=float)
-    if f_nodal.shape != (grid.n_nodes,):
-        raise ValueError("face profile must give one value per node")
-    F = np.outer(beta, f_nodal)
-    G = 0.5 * (F - F.T)  # antisymmetric projection of the extension
-    val = np.sum(nodal * (Kf @ G @ Mf)) + np.sum(nodal * (Mf @ G @ Kf))
-    if Pf is not None:
-        val += np.sum(nodal * (Pf @ G @ Mf)) + np.sum(nodal * (Mf @ G @ Pf))
-    val += _interaction_pairing(nodal, G, w, grid)
-    val -= lam * np.sum(nodal * (Mf @ G @ Mf))
-    return float(val)
-
-
-def _interaction_pairing(A: np.ndarray, B: np.ndarray, w: InteractionSpec, grid: GridBasis) -> float:
-    """Two-body form between two-particle nodal matrices.
-
-    Contact pairs vanish: antisymmetric nodal matrices are zero on x = y.
-    On a pair of cells the state, the test function and the kernel are each
-    bilinear in their four corner values, so the form is exact: their
-    corners contracted with the cell's triple-hat moments in x and in y.
-    """
-    if isinstance(w, (NoInteraction, DeltaContact)):
-        return 0.0
-    if isinstance(w, SampledKernel):
-        n, T = grid.n_cells, _cell_moments(grid.h)
-
-        def corners(X):  # [e, f, k, l] = X[k + e, l + f] on cell pair (k, l)
-            return np.array([[X[e : e + n, f : f + n] for f in (0, 1)] for e in (0, 1)])
-
-        parts = (corners(A), corners(B), corners(np.asarray(w.values)))
-        return 2.0 * float(np.einsum("aeg,bfh,abkl,efkl,ghkl->", T, T, *parts, optimize=True))
-    raise TypeError(f"unsupported interaction {type(w).__name__}")
+    free = build_grid_basis(n, BoundarySpec.free())
+    # not enumerate_slater_basis: with both endpoints the tuples may exceed its cap
+    basis = SlaterBasis(n + 1, N, _increasing_tuples(n + 1, N))
+    M = assemble_overlap(free)
+    A = SymMatrix.from_sparse(assemble_stiffness(free).data + assemble_potential(free, v).data)
+    op = assemble_manybody(A, M, transform_two_body(w, free, M), basis)
+    c_psi = np.sqrt(factorial(N)) * nodal[tuple(basis.array.T)]
+    table = signed_orderings(basis.array, n + 1)
+    at = np.flatnonzero(table)
+    F = np.multiply.outer(beta, f).ravel()[at] / np.sqrt(factorial(N))
+    c_g = np.bincount(np.abs(table[at]) - 1, np.sign(table[at]) * F, basis.dim)
+    return float(c_psi @ (op.matrix @ c_g) - lam * (c_psi @ (op.overlap @ c_g)))
 
 
 def neumann_trace_limit(
@@ -396,8 +372,11 @@ def neumann_trace_limit(
     profile,
     eps_list,
 ) -> tuple[float, dict]:
-    """Flux by extrapolating -<trace at distance eps, f>/eps to eps -> 0.
+    """Flux by extrapolating -<trace at distance eps, f>/eps to eps -> 0, for any N.
 
+    The trace at distance eps is the slice of the (n_nodes,)^N nodal tensor
+    at the first coordinate's node eps from the face, paired in L2 with the
+    profile (a scalar at N = 1, a nodal tensor over the N - 1 other axes).
     eps values must be node-aligned (multiples of the grid spacing) and the
     eigenfunction must vanish on the chosen face.
     """
@@ -411,19 +390,12 @@ def neumann_trace_limit(
     face_node = _face_index(face, grid)
     sign = 1 if face == "left" else -1
 
-    if nodal.ndim == 1:
-        trace_face = abs(nodal[face_node])
-        scale = np.max(np.abs(nodal))
-        if trace_face > 1e-10 * scale:
-            raise ValueError("eigenfunction does not vanish on the requested face")
-        pair = np.array([nodal[face_node + sign * i] * float(profile) for i in idx])
-    else:
-        Mf = _full_overlap(grid.n_cells, h).toarray()
-        f_nodal = np.asarray(profile, dtype=float)
-        row_face = nodal[face_node, :]
-        if np.max(np.abs(row_face)) > 1e-10 * np.max(np.abs(nodal)):
-            raise ValueError("eigenfunction does not vanish on the requested face")
-        pair = np.array([nodal[face_node + sign * i, :] @ (Mf @ f_nodal) for i in idx])
+    if np.max(np.abs(nodal[face_node])) > 1e-10 * np.max(np.abs(nodal)):
+        raise ValueError("eigenfunction does not vanish on the requested face")
+    mf = np.asarray(profile, dtype=float)
+    for axis in range(mf.ndim):
+        mf = _full_overlap(grid.n_cells, h).along(mf, axis)
+    pair = np.array([np.sum(nodal[face_node + sign * i] * mf) for i in idx])
 
     values = -pair / eps
     coeff = np.polyfit(eps, values, 1)
@@ -659,20 +631,15 @@ def _run_positivity(s: Scenario, seed: int) -> VerificationReport:
         rep2 = positivity_report(restrict_to_simplex(psi2, prob.orbitals), eps_pos)
         checks.append(_check("excited_sign_consistency", rep2.sign_consistency, "le", 0.99))
     if bc.kind == "quasiperiodic":
-        dev, pairing = _trace_law_deviation(sample, psi, prob, bc.alpha)
+        dev = _trace_law_deviation(sample, prob, bc.alpha)
         checks.append(_check("quasiperiodic_trace_law_rel", dev, "le", 5e-2))
-        env["face_flux_measurement"] = pairing
     return _finish(s, checks, env)
 
 
-def _trace_law_deviation(
-    sample: SimplexSample, psi: WaveVector, prob: ManyBodyProblem, alpha: float
-) -> tuple[float, float]:
+def _trace_law_deviation(sample: SimplexSample, prob: ManyBodyProblem, alpha: float) -> float:
     """Relative deviation of Psi(0, x') from (-1)^(N-1) alpha Psi(x', 1).
 
-    Reads the face values off the simplex sample of psi.  Also returns the
-    weak flux pairing on the left face with a smooth profile, recorded as a
-    measurement only.
+    Reads the face values off the simplex sample of a state of prob.
     """
     N, grid = prob.n_particles, prob.grid
     last = grid.n_nodes - 1
@@ -681,15 +648,7 @@ def _trace_law_deviation(
     lhs = sample.values[(node[:, 0] == 0) & (node[:, -1] < last)]
     rhs = (-1.0) ** (N - 1) * alpha * sample.values[(node[:, -1] == last) & (node[:, 0] > 0)]
     scale = np.max(np.abs(lhs))
-    dev = float(np.max(np.abs(lhs - rhs)) / scale) if scale > 0 else 0.0
-    pairing = float("nan")
-    if N == 2:
-        lam = float(cached_mb_eig(prob, 1).eigenvalues[0])
-        f_nodal = np.sin(pi * grid.nodes)
-        pairing = neumann_trace_weak(
-            nodal_tensor(psi, prob.orbitals), lam, grid, prob.v, prob.w, "left", f_nodal
-        )
-    return dev, pairing
+    return float(np.max(np.abs(lhs - rhs)) / scale) if scale > 0 else 0.0
 
 
 def _run_monotonicity(s: Scenario, seed: int) -> VerificationReport:

@@ -57,6 +57,10 @@ n_cells = 200
 """
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         config = parse_config(MINIMAL)
@@ -412,6 +416,26 @@ n_particles = 2
         assert run(config) == 0
         assert "- ratio: inf le 1" in capsys.readouterr().out
         assert (tmp_path / "fmt" / "checks.csv").read_bytes() == emit_report([rep], "csv")
+
+    def test_report_command_on_nan_measured_value(self, tmp_path, capsys):
+        # JSON carries NaN as the string "NaN", as it does infinities
+        check = CheckResult("ratio", float("nan"), 1.0, "le", False, "")
+        rep = VerificationReport("undefined", "pass", (check,), {"value": float("nan")}, False)
+        src = tmp_path / "report.json"
+        src.write_bytes(emit_report([rep], "json"))
+        data = json.loads(src.read_text(), parse_constant=_reject_constant)
+        assert data["scenarios"][0]["environment"]["value"] == "NaN"
+        config = RunConfig(command="report", report_input=str(src), out_path=str(tmp_path / "fmt"))
+        assert run(config) == 0
+        assert "- ratio: nan le 1" in capsys.readouterr().out
+        assert (tmp_path / "fmt" / "checks.csv").read_bytes() == emit_report([rep], "csv")
+
+    def test_verify_report_is_strict_json(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["verify", "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert all(s["overall"] for s in data["scenarios"])
 
     def test_report_checks_csv_matches_verify_csv(self, tmp_path):
         args = ["verify", "--seed", "1", "--scenario", "sp_free_spectra",

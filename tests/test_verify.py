@@ -1,16 +1,30 @@
+import ast
 import collections
 import dataclasses
 import itertools
 import json
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trace_reference
 from fermigate import cli, verify
-from fermigate.basis import BoundarySpec, Delta, build_grid_basis
+from fermigate import slater as slater_module
+from fermigate.basis import BoundarySpec, Delta, HMinusOnePair, Sampled, _full_overlap, build_grid_basis
 from fermigate.manybody import solve_mb_eig
 from fermigate.simplex import nodal_tensor
-from fermigate.slater import DeltaContact, NoInteraction, SampledKernel, WaveVector, build_problem
+from fermigate.slater import (
+    DETERMINANT_CAP,
+    DeltaContact,
+    NoInteraction,
+    SampledKernel,
+    WaveVector,
+    build_problem,
+)
 from fermigate.verify import (
     Scenario,
     cached_problem,
@@ -20,7 +34,6 @@ from fermigate.verify import (
     monotonicity_suite,
     neumann_trace_limit,
     neumann_trace_weak,
-    parity_holds,
     run_manifest,
     run_scenario,
     slater_sum_oracle,
@@ -216,30 +229,129 @@ class TestNeumannTraceTwoParticles:
         assert plain.environment["weak"] < 0
 
 
-class TestInteractionPairing:
-    @pytest.mark.parametrize("n_cells", [4, 9, 23])
-    @pytest.mark.parametrize(
-        "bc", [DIRICHLET, BoundarySpec.free(), BoundarySpec.quasiperiodic(-1.0)], ids=lambda b: b.kind
-    )
-    def test_kernel_pairing_matches_gauss_double_integral(self, bc, n_cells):
-        # 2 int int A B w over the bilinear interpolants of nodal matrices,
-        # against six-point Gauss quadrature on every cell pair (exact: each
-        # factor is linear per cell in each variable)
-        grid = build_grid_basis(n_cells, bc)
-        E = grid.nodal_values(np.eye(grid.n_dofs)).T
-        rng = np.random.default_rng(100 * n_cells + len(bc.kind))
-        A, B = (E.T @ (X - X.T) @ E for X in rng.standard_normal((2, grid.n_dofs, grid.n_dofs)))
-        W = rng.uniform(-3.0, 3.0, (grid.n_nodes, grid.n_nodes))
-        kernel = SampledKernel(tuple(map(tuple, W + W.T)))
-        x, wt = np.polynomial.legendre.leggauss(6)
-        pts = (np.arange(n_cells)[:, None] + (x + 1.0) / 2.0).ravel() * grid.h
-        wts = np.tile(wt / 2.0 * grid.h, n_cells)
-        H = grid.hat_values_at(pts)
-        values = [H @ X @ H.T for X in (A, B, np.asarray(kernel.values))]
-        want = 2.0 * np.einsum("i,j,ij,ij,ij->", wts, wts, *values)
-        got = verify._interaction_pairing(A, B, kernel, grid)
+class TestNeumannTraceThreeParticles:
+    @pytest.fixture(scope="class")
+    def ground3(self):
+        prob = build_problem(None, NoInteraction(), DIRICHLET, 20, 3)
+        res = solve_mb_eig(prob.operator, 1)
+        nodal = nodal_tensor(WaveVector(res.eigenvectors[:, 0], prob.slater), prob.orbitals)
+        y = prob.grid.nodes
+        s1, s2 = np.sin(np.pi * y), np.sin(2 * np.pi * y)
+        return prob.grid, nodal, float(res.eigenvalues[0]), np.outer(s1, s2) - np.outer(s2, s1)
+
+    def test_weak_matches_analytic(self, ground3):
+        # only the cofactor of the third orbital, 2 f, pairs with f: the flux
+        # is sqrt(2) 3 pi / sqrt(6) <f, 2 f> = sqrt(3) pi
+        grid, nodal, lam, f = ground3
+        weak1 = neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", f, 1)
+        weak2 = neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", f, 2)
+        assert abs(weak1) == pytest.approx(np.sqrt(3.0) * np.pi, rel=2e-2)
+        assert abs(weak1 - weak2) <= 1e-10
+
+    @pytest.mark.parametrize("face", ["left", "right"])
+    def test_limit_pairs_the_profile_on_both_other_axes(self, ground3, face):
+        grid, nodal, _, f = ground3
+        h = grid.h
+        Mf = _full_overlap(grid.n_cells, h).toarray()
+        _, diag = neumann_trace_limit(nodal, grid, face, f, [4 * h, 2 * h, h])
+        node = {"left": lambda i: i, "right": lambda i: grid.n_cells - i}[face]
+        want = [-np.sum(nodal[node(i)] * (Mf @ f @ Mf)) / (i * h) for i in (4, 2, 1)]
+        assert np.allclose(diag["values"], want, rtol=1e-12, atol=0.0)
+
+
+BOUNDARIES = st.sampled_from(
+    [
+        DIRICHLET,
+        BoundarySpec.dirichlet_left(),
+        BoundarySpec.dirichlet_right(),
+        BoundarySpec.free(),
+        BoundarySpec.quasiperiodic(1.0),
+        BoundarySpec.quasiperiodic(-0.6),
+        BoundarySpec.line(2.0, 3.0),
+    ]
+)
+
+
+@st.composite
+def weak_trace_inputs(draw):
+    """neumann_trace_weak's arguments: a random N = 1 or 2 state of any
+    boundary kind, any potential kind, no, contact or kernel interaction."""
+    n_particles = draw(st.sampled_from([1, 2]))
+    grid = build_grid_basis(draw(st.integers(5, 12)), draw(BOUNDARIES))
+    width, face = draw(st.integers(1, 3)), draw(st.sampled_from(["left", "right"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = grid.n_cells
+    v = {
+        "none": None,
+        "delta": Delta(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-10.0, 10.0))),
+        "sampled": Sampled(tuple(rng.uniform(-5.0, 5.0, n + 1))),
+        "hminusone": HMinusOnePair(float(rng.uniform(-2.0, 2.0)), tuple(rng.uniform(-3.0, 3.0, n))),
+    }[draw(st.sampled_from(["none", "delta", "sampled", "hminusone"]))]
+    W = rng.uniform(-3.0, 3.0, (n + 1, n + 1))
+    w = {
+        "none": NoInteraction(),
+        "contact": DeltaContact(float(rng.uniform(-20.0, 20.0))),
+        "kernel": SampledKernel(tuple(map(tuple, W + W.T))),
+    }[draw(st.sampled_from(["none", "contact", "kernel"]))]
+    E = grid.nodal_values(np.eye(grid.n_dofs))
+    if n_particles == 1:
+        nodal, profile = E @ rng.standard_normal(grid.n_dofs), float(rng.uniform(-2.0, 2.0))
+    else:
+        X = rng.standard_normal((grid.n_dofs, grid.n_dofs))
+        nodal, profile = E @ (X - X.T) @ E.T, rng.standard_normal(grid.n_nodes)
+    lam = float(rng.uniform(-50.0, 500.0))
+    return nodal, lam, grid, v, w, face, profile, width
+
+
+class TestWeakTraceReference:
+    @settings(max_examples=60, deadline=None)
+    @given(weak_trace_inputs())
+    def test_pencil_form_matches_dense_forms(self, args):
+        got, want = neumann_trace_weak(*args), trace_reference.weak_flux(*args)
         assert abs(got - want) <= 1e-12 * abs(want)
-        assert verify._interaction_pairing(A, B, NoInteraction(), grid) == 0.0
+
+    def test_free_basis_over_the_determinant_cap(self):
+        # the free grid keeps both endpoints, so its wedges may exceed the
+        # cap while the Dirichlet problem's stay under it
+        n = 448
+        assert comb(n - 1, 2) <= DETERMINANT_CAP < comb(n + 1, 2)
+        grid = build_grid_basis(n, DIRICHLET)
+        s1, s2 = (np.sqrt(2.0) * np.sin(k * np.pi * grid.nodes) for k in (1, 2))
+        nodal = (np.outer(s1, s2) - np.outer(s2, s1)) / np.sqrt(2.0)
+        args = (nodal, 5 * PI2, grid, None, NoInteraction(), "left", np.sin(np.pi * grid.nodes))
+        got, want = neumann_trace_weak(*args), trace_reference.weak_flux(*args)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_builds_no_problem_and_caches_nothing(self, monkeypatch, mb_ground_80):
+        # the free pencil alone: no orbital solve, no cache entry
+        prob, nodal, lam = mb_ground_80
+        f = np.sin(np.pi * prob.grid.nodes)
+        want = neumann_trace_weak(nodal, lam, prob.grid, None, NoInteraction(), "left", f)
+        held = dict(verify._cache)
+
+        def refuse(*args):
+            raise AssertionError("the weak trace solved or cached a problem")
+
+        monkeypatch.setattr(slater_module, "solve_pencil", refuse)
+        monkeypatch.setattr(verify, "build_problem", refuse)
+        monkeypatch.setattr(verify, "cached_problem", refuse)
+        assert neumann_trace_weak(nodal, lam, prob.grid, None, NoInteraction(), "left", f) == want
+        assert verify._cache == held
+
+    def test_profile_rank_must_be_n_minus_one(self, ground):
+        grid, nodal, lam = ground
+        with pytest.raises(ValueError, match="profile"):
+            neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", np.ones(grid.n_nodes))
+
+
+class TestElementForms:
+    def test_verify_imports_no_element_form(self):
+        # the weak flux is the pencil's own form: the element matrices and
+        # cell moments stay in basis, slater and the oracle
+        tree = ast.parse(Path(verify.__file__).read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        assert not names & {"_full_stiffness", "_full_potential", "_cell_moments"}
 
 
 class TestMemo:
@@ -276,12 +388,6 @@ class TestMemo:
 
 
 class TestScenarios:
-    def test_parity_rule(self):
-        assert parity_holds(1.0, 3)
-        assert not parity_holds(1.0, 2)
-        assert parity_holds(-1.0, 2)
-        assert not parity_holds(-1.0, 3)
-
     def test_contact_reuses_the_free_problem(self):
         # the contact pencil is the free one, so one cache entry serves both
         args = (DIRICHLET, 8, 2)
