@@ -383,10 +383,10 @@ def neumann_trace_limit(
     nodal = np.asarray(nodal, dtype=float)
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     h = grid.h
-    idx = eps / h
-    if np.max(np.abs(idx - np.round(idx))) > 1e-9:
-        raise ValueError("eps values must be multiples of the grid spacing")
-    idx = np.round(idx).astype(int)
+    idx = np.round(eps / h)
+    if np.max(np.abs(eps / h - idx)) > 1e-9 or not 0 < min(idx) <= max(idx) <= grid.n_cells:
+        raise ValueError("eps values must be multiples of the grid spacing in (0, 1]")
+    idx = idx.astype(int)
     face_node = _face_index(face, grid)
     sign = 1 if face == "left" else -1
 

@@ -158,6 +158,14 @@ class TestNeumannTraceSingleParticle:
         with pytest.raises(ValueError, match="multiples"):
             neumann_trace_limit(nodal, grid, "left", 1.0, [1.5 * grid.h])
 
+    @pytest.mark.parametrize("face", ["left", "right"])
+    @pytest.mark.parametrize("eps", [0.0, 1.2])
+    def test_eps_must_lie_in_the_interval(self, ground, face, eps):
+        # a node past the far face must not wrap round to the near one
+        grid, nodal, _ = ground
+        with pytest.raises(ValueError, match="multiples"):
+            neumann_trace_limit(nodal, grid, face, 1.0, [grid.h, eps])
+
 
 @pytest.fixture(scope="module")
 def mb_ground_80():
