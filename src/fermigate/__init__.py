@@ -26,10 +26,8 @@ from .errors import (
 )
 from .manybody import DegeneracyReport, classify_degeneracy, inverse_iteration_ground, solve_mb_eig
 from .simplex import (
-    Permutation,
     SimplexSample,
     extend_from_simplex,
-    locate_cell,
     positivity_report,
     restrict_to_simplex,
 )

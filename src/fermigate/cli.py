@@ -461,7 +461,7 @@ def run(config: RunConfig) -> int:
         raise ConfigError(f"unknown command {config.command!r}")
     except ConfigError:
         raise
-    except (FermigateError, np.linalg.LinAlgError, ValueError) as exc:
+    except (FermigateError, np.linalg.LinAlgError, ValueError, MemoryError) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,9 @@ The open box (0,1)^N is tiled by the N! permutation reflections of the
 ordered region {x_1 < x_2 < ... < x_N}.  Antisymmetric functions are in
 bijection with their restriction to that region (scaled by sqrt(N!)), and
 both directions of the correspondence preserve the L2 and H1 norms.  This
-module implements the correspondence on nodal tensor data, point location
-and sampling, exact quadrature over the ordered region, and sign-statistics
-reports used by the positivity checks.
+module implements the correspondence on nodal tensor data, sampling,
+exact quadrature over the ordered region, and sign-statistics reports used
+by the positivity checks.
 
 A state enters as its nodal wedge coefficients (a WaveVector).  Its
 ordered-region values at the node tuples are one signed gather of them,
@@ -38,16 +38,13 @@ from .slater import (
     OrbitalSet,
     WaveVector,
     _increasing_tuples,
-    permutation_sign,
     scatter_orderings,
     signed_orderings,
 )
 
 __all__ = [
-    "Permutation",
     "SimplexSample",
     "PositivityReport",
-    "locate_cell",
     "extend_from_simplex",
     "restrict_full_tensor",
     "restrict_to_simplex",
@@ -58,59 +55,6 @@ __all__ = [
     "simplex_norms",
     "simplex_potential_energy",
 ]
-
-
-# ---------------------------------------------------------------------------
-# permutations
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of {0..N-1} with its parity sign."""
-
-    image: tuple[int, ...]
-    sign: int
-
-    @staticmethod
-    def from_image(image) -> "Permutation":
-        image = tuple(int(i) for i in image)
-        if sorted(image) != list(range(len(image))):
-            raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image}")
-        return Permutation(image=image, sign=permutation_sign(image))
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(image=tuple(range(n)), sign=1)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, v in enumerate(self.image):
-            inv[v] = i
-        return Permutation(image=tuple(inv), sign=self.sign)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Permute coordinates: (sigma x)_i = x_{sigma(i)}."""
-        x = np.asarray(x)
-        return x[..., list(self.image)]
-
-
-def locate_cell(x) -> tuple[Permutation, float]:
-    """Permutation sorting the point into the ordered region, with margin.
-
-    Returns sigma such that sigma^{-1} x has non-decreasing coordinates and
-    the minimal consecutive difference of the sorted coordinates.  A strictly
-    positive margin identifies a unique tile; ties give margin 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a single point")
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ValueError("point must lie in the open box (0,1)^N")
-    order = np.argsort(x, kind="stable")
-    srt = x[order]
-    margin = float(np.min(np.diff(srt))) if x.size > 1 else min(srt[0], 1 - srt[0])
-    sigma = Permutation.from_image(order).inverse()
-    return sigma, margin
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +240,10 @@ def positivity_report(sample: SimplexSample, exclusion_frac: float = 1e-6) -> Po
 
     The overall sign is fixed so the largest-magnitude interior value is
     positive; points with magnitude below exclusion_frac times the maximum
-    are excluded from the statistic.
+    are excluded from the statistic, so exclusion_frac must lie in [0, 1).
     """
+    if not 0.0 <= exclusion_frac < 1.0:
+        raise ValueError(f"exclusion_frac must lie in [0, 1), got {exclusion_frac!r}")
     mask = sample.interior
     if not np.any(mask):
         raise ValueError("sample has no interior points")

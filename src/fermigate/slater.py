@@ -270,6 +270,8 @@ class SampledKernel(InteractionSpec):
         arr = np.asarray(vals)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("kernel samples must form a square array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("kernel samples must be finite")
         if np.max(np.abs(arr - arr.T)) > 1e-14:
             raise ValueError("kernel samples must be symmetric to 1e-14")
 

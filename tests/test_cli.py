@@ -235,6 +235,18 @@ def test_ini_sampled_kernel_errors_name_the_field():
         parse_config(head)
 
 
+def test_sampled_kernel_rejects_non_finite_samples():
+    # NaN passed the symmetry test and reached H_N, where the solve failed
+    values = _kernel_rows(4)
+    values[1][2] = values[2][1] = float("nan")
+    with pytest.raises(SpecError, match="kernel samples must be finite") as info:
+        dict_to_interaction({"kind": "sampled-kernel", "values": values})
+    assert info.value.field == "values"
+    head = "[run]\ncommand = solve-many\n[problem]\nn_cells = 4\n[interaction]\nkind = sampled-kernel\n"
+    with pytest.raises(ConfigError, match=r"\[interaction\] values: kernel samples must be finite"):
+        parse_config(head + f"values = {_ini_value(values)}\n")
+
+
 def _sample_reports():
     checks = (
         CheckResult("alpha", 1.2345678901234e-05, 2e-3, "le", True, ""),
@@ -345,6 +357,20 @@ n_cells = 6
 n_particles = 50
 """
         assert run(parse_config(text)) == 2
+
+    @pytest.mark.parametrize("command, target", [
+        ("solve-many", "build_problem"),
+        ("solve-single", "solve_sp_eig"),
+    ])
+    def test_memory_error_is_a_solver_failure(self, command, target, monkeypatch, capsys, tmp_path):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.0 GiB")
+
+        monkeypatch.setattr(f"fermigate.cli.{target}", exhausted)
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\ncommand = {command}\n[problem]\nn_cells = 6\nn_particles = 2\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == "solver failure: MemoryError: Unable to allocate 12.0 GiB\n"
 
     def test_verify_single_scenario_exit_zero(self, tmp_path, capsys):
         config = RunConfig(

@@ -12,13 +12,11 @@ from fermigate.simplex import (
     TAG_INTERIOR,
     TAG_NEAR_INTERNAL,
     TAG_NEAR_OUTER,
-    Permutation,
     SimplexSample,
     _tag_points,
     box_norms,
     evaluate_state,
     extend_from_simplex,
-    locate_cell,
     nodal_tensor,
     positivity_report,
     restrict_full_tensor,
@@ -45,71 +43,6 @@ def ground20():
     prob = build_problem(None, NoInteraction(), DIRICHLET, 20, 2)
     res = solve_mb_eig(prob.operator, 2)
     return prob, res
-
-
-class TestPermutation:
-    def test_sign_matches_inversion_parity(self):
-        assert Permutation.from_image((0, 1, 2)).sign == 1
-        assert Permutation.from_image((1, 0, 2)).sign == -1
-        assert Permutation.from_image((2, 0, 1)).sign == 1
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation.from_image((0, 0, 2))
-
-    def test_inverse_composes_to_identity(self):
-        p = Permutation.from_image((2, 0, 3, 1))
-        x = np.array([10.0, 20.0, 30.0, 40.0])
-        np.testing.assert_array_equal(p.inverse().apply(p.apply(x)), x)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.permutations(list(range(5))))
-    def test_sign_multiplicative_with_inverse(self, image):
-        p = Permutation.from_image(tuple(image))
-        assert p.sign == p.inverse().sign
-        assert p.sign in (-1, 1)
-
-
-class TestLocateCell:
-    def test_simple_point(self):
-        sigma, margin = locate_cell(np.array([0.3, 0.1, 0.7]))
-        assert margin == pytest.approx(0.2, abs=1e-12)
-        np.testing.assert_allclose(
-            sigma.inverse().apply(np.array([0.3, 0.1, 0.7])), [0.1, 0.3, 0.7]
-        )
-
-    def test_tie_gives_zero_margin(self):
-        _, margin = locate_cell(np.array([0.5, 0.5]))
-        assert margin == 0.0
-
-    def test_point_outside_box_rejected(self):
-        with pytest.raises(ValueError):
-            locate_cell(np.array([0.5, 1.0]))
-
-    def test_monte_carlo_tessellation(self):
-        rng = np.random.default_rng(11)
-        n = 100_000
-        pts = rng.uniform(0.0, 1.0, size=(n, 3))
-        srt = np.sort(pts, axis=1)
-        margins = np.min(np.diff(srt, axis=1), axis=1)
-        # ties have measure zero
-        assert np.all(margins > 0.0)
-        order = np.argsort(pts, axis=1)
-        cell_id = order[:, 0] * 4 + order[:, 1] * 2 + order[:, 2]
-        counts = np.bincount(cell_id, minlength=8)
-        active = counts[counts > 0]
-        assert active.size == 6
-        se = np.sqrt((1 / 6) * (5 / 6) / n)
-        assert np.max(np.abs(active / n - 1 / 6)) <= 3 * se
-
-    def test_matches_vectorized_location(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            x = rng.uniform(0.01, 0.99, size=4)
-            sigma, margin = locate_cell(x)
-            assert margin > 0
-            sorted_x = sigma.inverse().apply(x)
-            assert np.all(np.diff(sorted_x) >= 0)
 
 
 class TestExtendRestrict:
@@ -167,6 +100,20 @@ class TestExtendRestrict:
             l2s, h1s = simplex_norms(scale * full, 1.0 / n_cells)
             assert abs(l2b - l2s) <= 1e-12 * l2b
             assert abs(h1b - h1s) <= 1e-12 * h1b
+
+    @pytest.mark.parametrize("fault", ["zero", "flip"])
+    def test_isometry_catches_a_tiling_fault(self, fault):
+        # break one of the six ordering classes of an antisymmetric N=3
+        # tensor: the box norms stop being 3! times the ordered-region ones
+        n_cells = 8
+        full = extend_from_simplex(random_simplex_data(n_cells + 1, 3, np.random.default_rng(29)), 3)
+        i, j, k = np.indices(full.shape)
+        tile = (j < i) & (i < k)  # x_2 < x_1 < x_3
+        full[tile] = 0.0 if fault == "zero" else -full[tile]
+        l2b, h1b = box_norms(full, 1.0 / n_cells)
+        l2s, h1s = simplex_norms(np.sqrt(6.0) * full, 1.0 / n_cells)
+        assert abs(l2b - l2s) / l2b > 1e-3
+        assert abs(h1b - h1s) / h1b > 1e-3
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -326,6 +273,17 @@ class TestPositivity:
         sample = SimplexSample(points=pts, values=vals, tags=("interior",) * 10)
         rep = positivity_report(sample)
         assert rep.sign_consistency == 1.0
+
+
+    @pytest.mark.parametrize("frac", [1.0, 1.5, -0.1, np.nan])
+    def test_exclusion_frac_must_lie_in_the_unit_interval(self, frac):
+        # a fraction of 1 or more excluded every point and reported consistency 1
+        pts = np.column_stack([np.linspace(0.2, 0.4, 10), np.linspace(0.5, 0.8, 10)])
+        vals = np.linspace(-1.0, 1.0, 10)
+        sample = SimplexSample(points=pts, values=vals, tags=("interior",) * 10)
+        with pytest.raises(ValueError, match="exclusion_frac"):
+            positivity_report(sample, frac)
+        assert positivity_report(sample, 0.0).sign_consistency == 0.5
 
 
 class TestEvaluation:

@@ -175,9 +175,9 @@ class TestSignedOrderings:
         assert got.tobytes() == wedge_tensor(basis, values).reshape(2, -1).tobytes()
 
     def test_no_other_signed_expansion_in_src(self):
-        # every signed ordering table comes from signed_orderings; only it,
-        # the rest-splitting of _split and the tile table may loop over N!
-        allowed = {("slater.py", "signed_orderings"), ("slater.py", "_split"), ("verify.py", "_TILES")}
+        # every signed ordering table comes from signed_orderings; only it
+        # and the rest-splitting of _split may loop over N!
+        allowed = {("slater.py", "signed_orderings"), ("slater.py", "_split")}
         found = set()
         for path in sorted(Path(slater_module.__file__).parent.glob("*.py")):
             for top in ast.parse(path.read_text()).body:

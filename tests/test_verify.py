@@ -1,7 +1,6 @@
 import ast
 import collections
 import dataclasses
-import itertools
 import json
 from math import comb
 from pathlib import Path
@@ -37,8 +36,6 @@ from fermigate.verify import (
     run_manifest,
     run_scenario,
     slater_sum_oracle,
-    tessellation_z,
-    tessellation_z_threshold,
 )
 
 PI2 = np.pi**2
@@ -457,6 +454,38 @@ class TestScenarios:
         assert not rep.overall
         assert rep.error is not None
 
+    @pytest.mark.parametrize("target", [-78.9, 0.0, np.nan, np.inf])
+    def test_gap_target_must_be_positive_and_finite(self, target):
+        # a negative target made the relative deviation negative, so it passed
+        s = make_scenario("nondegeneracy_nonlocal_antiperiodic_n2", {"gap_target": target, "grids": [12, 24]})
+        rep = run_scenario(s)
+        assert not rep.overall
+        assert rep.error.startswith("ValueError: gap_target must be positive and finite")
+
+    @pytest.mark.parametrize("frac", [1.0, np.nan])
+    def test_exclusion_frac_outside_the_unit_interval_is_a_report_error(self, frac):
+        # a fraction of 1 excluded every interior point and passed the ground check
+        s = make_scenario("simplex_positivity_local", {"exclusion_frac": frac, "n_cells": 16})
+        rep = run_scenario(s)
+        assert not rep.overall
+        assert rep.error.startswith("ValueError: exclusion_frac must lie in [0, 1)")
+
+    def test_structural_isometry_catches_a_tiling_fault(self, monkeypatch):
+        # an extension that leaves the half x_2 < x_1 of the box empty no
+        # longer tiles it by signed copies of the ordered region
+        extend = verify.extend_from_simplex
+
+        def half_empty(values, n_particles):
+            full = extend(values, n_particles)
+            i = np.indices(full.shape)
+            return np.where(i[1] < i[0], 0.0, full)
+
+        monkeypatch.setattr(verify, "extend_from_simplex", half_empty)
+        rep = run_scenario(make_scenario("structural_invariants"), seed=1)
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed == {"isometry_l2_n2", "isometry_h1_n2", "isometry_l2_n3", "isometry_h1_n3"}
+        assert min(c.measured for c in rep.checks if c.name in failed) > 1e-6
+
     def test_bad_manifest_entry_becomes_report_error(self, monkeypatch, tmp_path):
         bad = Scenario(name="missing_bc", kind="slater_sum", params={"n_particles": 2, "n_cells": 8})
         good = make_scenario("sp_free_spectra")
@@ -558,7 +587,7 @@ class TestScenarios:
 
     def test_reports_reproducible_at_fixed_seed(self):
         for name, overrides in (
-            ("structural_invariants", {"tessellation_points": 20000}),
+            ("structural_invariants", None),
             ("nondegeneracy_nonlocal_periodic_n3", {"grids": [12, 24]}),
             ("nondegeneracy_local", {"grids": [20, 40]}),
         ):
@@ -568,31 +597,6 @@ class TestScenarios:
             clear_cache()
             r2 = run_scenario(s, seed=11)
             assert r1 == r2
-
-
-class TestTessellation:
-    def test_threshold_from_family_wise_rate(self):
-        # Bonferroni over six tiles and both tails at a 1e-6 false-alarm rate
-        assert tessellation_z_threshold() == pytest.approx(5.23, abs=5e-3)
-
-    def test_mislabelled_tile_fails(self):
-        order = np.argsort(np.random.default_rng(302).uniform(size=(100_000, 3)), axis=1)
-        assert tessellation_z(order) <= tessellation_z_threshold()
-        bad = order.copy()
-        bad[np.all(order == [0, 1, 2], axis=1)] = [0, 2, 1]
-        assert tessellation_z(bad) > 100.0
-
-    def test_rankings_from_comparisons_equal_a_stable_argsort(self):
-        # every triple over {0, 1, 2}, ties included, then 10^4 random points
-        ties = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
-        for pts in (ties, np.random.default_rng(3).uniform(size=(10_000, 3))):
-            a, b, c = pts.T
-            pattern = 4 * (a <= b) + 2 * (a <= c) + (b <= c)
-            assert np.array_equal(verify._RANKINGS[pattern], np.argsort(pts, axis=1, kind="stable"))
-
-    def test_verify_seed_302_exits_zero(self, tmp_path):
-        # the derived threshold no longer fails this seed by chance
-        assert cli.main(["verify", "--seed", "302", "--out", str(tmp_path / "r.json")]) == 0
 
 
 class TestCacheScope:
