@@ -1,10 +1,11 @@
 """Single-particle P1 finite-element basis on the unit interval.
 
 The discrete space is a subspace of H^1(0,1) selected by a boundary
-condition on the trace pair (psi(0), psi(1)).  Dirichlet conditions drop
-endpoint hats; one-dimensional trace subspaces (quasi-periodic coupling
-psi(0) = alpha*psi(1), or a general line span{(a,b)}) are realised exactly
-by a single coupled degree of freedom combining the two endpoint half-hats.
+condition: the subspace {0}, a line span{(a, b)} or R^2 that the trace pair
+(psi(0), psi(1)) lies in.  {0} drops the endpoint hats; a line, which
+covers the one-sided Dirichlet conditions and the quasi-periodic coupling
+psi(0) = alpha*psi(1), is realised exactly by a single coupled degree of
+freedom combining the two endpoint half-hats.
 All element integrals are closed-form, so assembled matrices carry no
 quadrature error.
 
@@ -45,36 +46,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Boundary condition on the trace pair (value at 0, value at 1).
+    """Boundary condition: the subspace the trace pair (psi(0), psi(1)) lies in.
 
-    kind is one of 'dirichlet-both', 'dirichlet-left', 'dirichlet-right',
-    'free', 'quasiperiodic', 'line'.  'quasiperiodic' constrains
-    psi(0) = alpha * psi(1); 'line' constrains the trace pair to
-    span{(a, b)}.
+    kind is 'dirichlet-both' ({0}), 'line' (span{(a, b)}, a finite nonzero
+    direction) or 'free' (R^2).  dirichlet_left, dirichlet_right and
+    quasiperiodic are the lines (0, 1), (1, 0) and (alpha, 1), the last
+    one psi(0) = alpha * psi(1).
     """
 
     kind: str
-    alpha: float = 0.0
     a: float = 0.0
     b: float = 0.0
 
-    _KINDS = (
-        "dirichlet-both",
-        "dirichlet-left",
-        "dirichlet-right",
-        "free",
-        "quasiperiodic",
-        "line",
-    )
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in ("dirichlet-both", "line", "free"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == "quasiperiodic":
-            if not np.isfinite(self.alpha) or self.alpha == 0.0:
-                raise ValueError("quasiperiodic alpha must be nonzero and finite")
-        if self.kind == "line" and self.a == 0.0 and self.b == 0.0:
-            raise ValueError("line boundary direction must be nonzero")
+        if self.kind == "line" and not (np.isfinite([self.a, self.b]).all() and (self.a or self.b)):
+            raise ValueError("line boundary direction must be finite and nonzero")
 
     @staticmethod
     def dirichlet_both() -> "BoundarySpec":
@@ -82,11 +70,11 @@ class BoundarySpec:
 
     @staticmethod
     def dirichlet_left() -> "BoundarySpec":
-        return BoundarySpec("dirichlet-left")
+        return BoundarySpec.line(0.0, 1.0)
 
     @staticmethod
     def dirichlet_right() -> "BoundarySpec":
-        return BoundarySpec("dirichlet-right")
+        return BoundarySpec.line(1.0, 0.0)
 
     @staticmethod
     def free() -> "BoundarySpec":
@@ -94,29 +82,22 @@ class BoundarySpec:
 
     @staticmethod
     def quasiperiodic(alpha: float) -> "BoundarySpec":
-        return BoundarySpec("quasiperiodic", alpha=float(alpha))
+        if not np.isfinite(alpha) or alpha == 0.0:
+            raise ValueError("quasiperiodic alpha must be nonzero and finite")
+        return BoundarySpec.line(alpha, 1.0)
 
     @staticmethod
     def line(a: float, b: float) -> "BoundarySpec":
         return BoundarySpec("line", a=float(a), b=float(b))
 
-    def trace_direction(self) -> tuple[float, float] | None:
-        """Spanning vector of the trace subspace if it is one-dimensional."""
-        if self.kind == "quasiperiodic":
-            return (self.alpha, 1.0)
-        if self.kind == "line":
-            return (self.a, self.b)
-        return None
-
     def guarantees_simple_ground(self, n_particles: int) -> bool:
         """Parity rule: the N-particle ground state is simple under local
-        conditions (a = 0 or b = 0 counts as local) and, for a coupling
-        psi(0) = alpha psi(1) (alpha = a / b on a line), when
+        conditions (a line with a = 0 or b = 0 counts as local) and, for a
+        coupling psi(0) = alpha psi(1) (alpha = a / b), when
         alpha (-1)^(N-1) > 0."""
-        d = self.trace_direction()
-        if d is None or d[0] == 0.0 or d[1] == 0.0:
+        if self.kind != "line" or self.a == 0.0 or self.b == 0.0:
             return True
-        alpha_positive = (d[0] > 0.0) == (d[1] > 0.0)
+        alpha_positive = (self.a > 0.0) == (self.b > 0.0)
         return alpha_positive == (n_particles % 2 == 1)  # alpha (-1)^(N-1) > 0
 
 
@@ -171,24 +152,24 @@ class GridBasis:
 def build_grid_basis(n_cells: int, bc: BoundarySpec) -> GridBasis:
     """Construct the P1 basis for the given boundary condition.
 
-    Every dof is one node, from the first to the last node the condition
-    keeps, except under a one-dimensional trace subspace: then the interior
-    nodes come first and one coupled dof a * phi_0 + b * phi_n last.
-    Requires n_cells >= 4 so that the coupled boundary dof never overlaps
-    itself and every interior pattern occurs at least once.
+    'free' keeps every node as its own dof.  Every other kind drops the two
+    endpoint nodes, keeping the interior nodes in order, and a line adds
+    one coupled dof a * phi_0 + b * phi_n last; an endpoint whose weight is
+    zero carries no dof.  Requires n_cells >= 4 so that the coupled boundary
+    dof never overlaps itself and every interior pattern occurs at least
+    once.
     """
     if n_cells < 4:
         raise ValueError(f"n_cells must be >= 4, got {n_cells}")
     n = n_cells
-    first = 0 if bc.kind in ("dirichlet-right", "free") else 1
-    last = n if bc.kind in ("dirichlet-left", "free") else n - 1
-    n_dofs = last + 1 - first
+    first = 0 if bc.kind == "free" else 1
+    n_dofs = n + 1 - 2 * first
     dof, weight = np.full(n + 1, n_dofs), np.zeros(n + 1)
-    dof[first : last + 1], weight[first : last + 1] = np.arange(n_dofs), 1.0
-    direction = bc.trace_direction()
-    if direction is not None:
-        dof[[0, n]], weight[[0, n]] = n_dofs, direction
+    dof[first : n + 1 - first], weight[first : n + 1 - first] = np.arange(n_dofs), 1.0
+    if bc.kind == "line":
+        dof[[0, n]], weight[[0, n]] = n_dofs, (bc.a, bc.b)
         n_dofs += 1
+        dof[weight == 0.0] = n_dofs
     return GridBasis(n_cells=n, h=1.0 / n, bc=bc, n_dofs=n_dofs, dof=dof, weight=weight)
 
 

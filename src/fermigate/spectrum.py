@@ -46,7 +46,7 @@ LOBPCG_MAX_ITER = 500
 # LOBPCG iterates until every wanted residual is this fraction of its
 # RESIDUAL_RTOL bound, so eigenvalues (quadratic in the residual) reach
 # round-off even where the bound alone would leave them at 1e-10
-LOBPCG_TARGET = 1e-4
+LOBPCG_TARGET = 1e-2
 LOBPCG_SEED = 0
 
 

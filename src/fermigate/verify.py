@@ -164,36 +164,51 @@ def _finish(scenario: Scenario, checks: list[CheckResult], env: dict) -> Verific
 # problem spec codecs (shared with the CLI)
 
 
-def reals(x) -> tuple[float, ...]:
+def real(x) -> float:
+    # NaN and +-inf are rejected here, where the error can name the field
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(x)
+    return x
+
+
+def _split(x):
     # INI text separates the reals by commas or whitespace
-    return tuple(float(v) for v in (x.replace(",", " ").split() if isinstance(x, str) else x))
+    return x.replace(",", " ").split() if isinstance(x, str) else x
+
+
+def reals(x) -> tuple[float, ...]:
+    return tuple(real(v) for v in _split(x))
 
 
 def rows(x) -> tuple[tuple[float, ...], ...]:
-    # INI text separates the rows by ';'
-    return tuple(reals(r) for r in ([r for r in x.split(";") if r.strip()] if isinstance(x, str) else x))
+    # INI text separates the rows by ';'; SampledKernel rejects non-finite samples itself
+    lines = [r for r in x.split(";") if r.strip()] if isinstance(x, str) else x
+    return tuple(tuple(float(v) for v in _split(r)) for r in lines)
 
 
 # For each manifest param, every spec kind: (constructor, fields), each field
 # (key, attribute, coercion).  Constructor errors name the kind's first field.
+# A kind whose constructor is a preset function is an input alias: specs are
+# encoded under the kind of their class's row.
 _SPECS = {
     "bc": {
         "dirichlet-both": (partial(BoundarySpec, "dirichlet-both"), ()),
-        "dirichlet-left": (partial(BoundarySpec, "dirichlet-left"), ()),
-        "dirichlet-right": (partial(BoundarySpec, "dirichlet-right"), ()),
+        "line": (partial(BoundarySpec, "line"), (("a", "a", real), ("b", "b", real))),
         "free": (partial(BoundarySpec, "free"), ()),
-        "quasiperiodic": (partial(BoundarySpec, "quasiperiodic"), (("alpha", "alpha", float),)),
-        "line": (partial(BoundarySpec, "line"), (("a", "a", float), ("b", "b", float))),
+        "dirichlet-left": (BoundarySpec.dirichlet_left, ()),
+        "dirichlet-right": (BoundarySpec.dirichlet_right, ()),
+        "quasiperiodic": (BoundarySpec.quasiperiodic, (("alpha", "alpha", real),)),
     },
     "v": {
         "none": (type(None), ()),
-        "delta": (Delta, (("x0", "x0", float), ("strength", "strength", float))),
+        "delta": (Delta, (("x0", "x0", real), ("strength", "strength", real))),
         "sampled": (Sampled, (("values", "values", reals),)),
-        "hminusone": (HMinusOnePair, (("alpha", "alpha", float), ("cells", "V", reals))),
+        "hminusone": (HMinusOnePair, (("alpha", "alpha", real), ("cells", "V", reals))),
     },
     "w": {
         "none": (NoInteraction, ()),
-        "delta-contact": (DeltaContact, (("strength", "g", float),)),
+        "delta-contact": (DeltaContact, (("strength", "g", real),)),
         "sampled-kernel": (SampledKernel, (("values", "values", rows),)),
     },
 }
@@ -206,7 +221,7 @@ def _plain(x):
 def spec_to_dict(obj) -> dict:
     for kinds in _SPECS.values():
         for kind, (make, fields) in kinds.items():
-            if isinstance(obj, getattr(make, "func", make)) and getattr(obj, "kind", kind) == kind:
+            if type(obj) is getattr(make, "func", make) and getattr(obj, "kind", kind) == kind:
                 return {"kind": kind, **{key: _plain(getattr(obj, attr)) for key, attr, _ in fields}}
     raise TypeError(f"cannot encode {type(obj).__name__}")
 
@@ -630,14 +645,14 @@ def _run_positivity(s: Scenario, seed: int) -> VerificationReport:
         psi2 = WaveVector(res.eigenvectors[:, 1], prob.slater)
         rep2 = positivity_report(restrict_to_simplex(psi2, prob.orbitals), eps_pos)
         checks.append(_check("excited_sign_consistency", rep2.sign_consistency, "le", 0.99))
-    if bc.kind == "quasiperiodic":
-        dev = _trace_law_deviation(sample, prob, bc.alpha)
+    if bc.kind == "line" and bc.a and bc.b:
+        dev = _trace_law_deviation(sample, prob, bc.a, bc.b)
         checks.append(_check("quasiperiodic_trace_law_rel", dev, "le", 1e-12))
     return _finish(s, checks, env)
 
 
-def _trace_law_deviation(sample: SimplexSample, prob: ManyBodyProblem, alpha: float) -> float:
-    """Relative deviation of Psi(0, x') from (-1)^(N-1) alpha Psi(x', 1).
+def _trace_law_deviation(sample: SimplexSample, prob: ManyBodyProblem, a: float, b: float) -> float:
+    """Relative deviation of b Psi(0, x') from (-1)^(N-1) a Psi(x', 1).
 
     Reads the face values off the simplex sample of a state of prob.
     """
@@ -645,8 +660,8 @@ def _trace_law_deviation(sample: SimplexSample, prob: ManyBodyProblem, alpha: fl
     last = grid.n_nodes - 1
     node = np.rint(sample.points / grid.h).astype(int)
     # both faces list the interior rest tuples x' in the same (lexicographic) order
-    lhs = sample.values[(node[:, 0] == 0) & (node[:, -1] < last)]
-    rhs = (-1.0) ** (N - 1) * alpha * sample.values[(node[:, -1] == last) & (node[:, 0] > 0)]
+    lhs = b * sample.values[(node[:, 0] == 0) & (node[:, -1] < last)]
+    rhs = (-1.0) ** (N - 1) * a * sample.values[(node[:, -1] == last) & (node[:, 0] > 0)]
     scale = np.max(np.abs(lhs))
     return float(np.max(np.abs(lhs - rhs)) / scale) if scale > 0 else 0.0
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -20,6 +22,8 @@ from fermigate.basis import (
     build_grid_basis,
 )
 from fermigate.spectrum import _definite_factor, _PathFactor
+
+from boundary_reference import bc_id
 
 ALL_BCS = [
     BoundarySpec.dirichlet_both(),
@@ -48,18 +52,14 @@ def _hats(basis):
 
 def _definition_extension(basis):
     """Dof-to-node extension E (one row per dof) from the boundary kind's
-    definition: Dirichlet endpoints dropped, node order kept, and under a
-    one-dimensional trace subspace span{(a, b)} the interior nodes followed
-    by one coupled dof a * phi_0 + b * phi_n."""
+    definition: every node under 'free', else the interior nodes in order,
+    and under a line span{(a, b)} one coupled dof a * phi_0 + b * phi_n
+    after them."""
     bc, n = basis.bc, basis.n_cells
     nodes = np.eye(n + 1)
-    direction = bc.trace_direction()
-    if direction is not None:
-        a, b = direction
-        return np.vstack([nodes[1:n], a * nodes[0] + b * nodes[n]])
-    drop_left = bc.kind in ("dirichlet-both", "dirichlet-left")
-    drop_right = bc.kind in ("dirichlet-both", "dirichlet-right")
-    return nodes[int(drop_left) : n + 1 - int(drop_right)]
+    if bc.kind == "line":
+        return np.vstack([nodes[1:n], bc.a * nodes[0] + bc.b * nodes[n]])
+    return nodes if bc.kind == "free" else nodes[1:n]
 
 
 class TestBoundarySpec:
@@ -67,9 +67,28 @@ class TestBoundarySpec:
         with pytest.raises(ValueError, match="nonzero"):
             BoundarySpec.quasiperiodic(0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_quasiperiodic_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="nonzero and finite"):
+            BoundarySpec.quasiperiodic(alpha)
+
     def test_line_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             BoundarySpec.line(0.0, 0.0)
+
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.0)])
+    def test_line_non_finite_direction_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            BoundarySpec.line(a, b)
+
+    def test_presets_are_lines(self):
+        assert BoundarySpec.dirichlet_left() == BoundarySpec("line", a=0.0, b=1.0)
+        assert BoundarySpec.dirichlet_right() == BoundarySpec("line", a=1.0, b=0.0)
+        assert BoundarySpec.quasiperiodic(-0.3) == BoundarySpec("line", a=-0.3, b=1.0)
+        assert [f.name for f in dataclasses.fields(BoundarySpec)] == ["kind", "a", "b"]
+        for kind in ("dirichlet-left", "dirichlet-right", "quasiperiodic"):
+            with pytest.raises(ValueError, match="unknown boundary kind"):
+                BoundarySpec(kind)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -103,42 +122,38 @@ class TestBuildGridBasis:
         # constraint residual is exactly zero: t0 - alpha*t1
         assert t0 - (-1.0) * t1 == 0.0
 
-    @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
+    @pytest.mark.parametrize("bc", ALL_BCS, ids=bc_id)
     def test_every_trace_pair_lies_in_the_subspace(self, bc):
         basis = build_grid_basis(8, bc)
         for t0, t1 in _hats(basis)[:, [0, 8]].tolist():
             if bc.kind == "dirichlet-both":
                 assert (t0, t1) == (0.0, 0.0)
-            elif bc.kind == "dirichlet-left":
-                assert t0 == 0.0
-            elif bc.kind == "dirichlet-right":
-                assert t1 == 0.0
-            elif bc.kind in ("quasiperiodic", "line"):
-                a, b = bc.trace_direction()
-                assert t0 * b - t1 * a == 0.0
+            elif bc.kind == "line":
+                assert t0 * bc.b - t1 * bc.a == 0.0
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="n_cells"):
             build_grid_basis(3, BoundarySpec.free())
 
     @pytest.mark.parametrize("n_cells", [4, 9])
-    @pytest.mark.parametrize("bc", MAP_BCS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @pytest.mark.parametrize("bc", MAP_BCS, ids=bc_id)
     def test_node_to_dof_map_invariants(self, bc, n_cells):
         basis = build_grid_basis(n_cells, bc)
         dof, weight, m = basis.dof, basis.weight, basis.n_dofs
         assert dof.shape == weight.shape == (basis.n_nodes,)
         assert np.all((dof >= 0) & (dof <= m))
-        # a node with the sentinel dof m carries nothing
-        assert np.all(weight[dof == m] == 0.0)
+        # a node carries nothing exactly when its dof is the sentinel m,
+        # and then its weight is zero
+        assert np.array_equal(dof == m, weight == 0.0)
         # every dof is carried by one node, or by exactly the two endpoints
         for j in range(m):
             carriers = np.flatnonzero(dof == j).tolist()
             assert len(carriers) == 1 or carriers == [0, n_cells], (j, carriers)
         assert np.count_nonzero(np.bincount(dof, minlength=m + 1)[:m] == 2) == (
-            bc.trace_direction() is not None
+            bc.kind == "line" and bc.a != 0.0 and bc.b != 0.0
         )
 
-    @pytest.mark.parametrize("bc", MAP_BCS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @pytest.mark.parametrize("bc", MAP_BCS, ids=bc_id)
     def test_nodal_values_of_a_block_is_column_by_column(self, bc):
         basis = build_grid_basis(7, bc)
         block = np.random.default_rng(3).standard_normal((basis.n_dofs, 4))
@@ -163,7 +178,7 @@ class TestOverlap:
         assert M[2, 3] == pytest.approx(h / 6, rel=1e-15)
         assert M[0, 5] == 0.0
 
-    @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
+    @pytest.mark.parametrize("bc", ALL_BCS, ids=bc_id)
     def test_positive_definite(self, bc):
         # the one-body pattern takes the odd-even reduction of a path
         M = assemble_overlap(build_grid_basis(16, bc))
@@ -192,7 +207,7 @@ class TestOverlap:
         x = np.random.default_rng(7).standard_normal(M.dimension)
         assert np.linalg.norm(factor.solve(M @ x) - x) <= 1e-12 * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
+    @pytest.mark.parametrize("bc", ALL_BCS, ids=bc_id)
     def test_exact_symmetry(self, bc):
         basis = build_grid_basis(12, bc)
         for mat in (assemble_overlap(basis), assemble_stiffness(basis)):
@@ -267,7 +282,7 @@ class TestPotential:
         with pytest.raises(ValueError):
             Delta(1.5, 1.0)
 
-    @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda b: b.kind + str(b.alpha))
+    @pytest.mark.parametrize("bc", ALL_BCS, ids=bc_id)
     def test_sampled_ones_equals_overlap(self, bc):
         basis = build_grid_basis(12, bc)
         P = assemble_potential(basis, Sampled((1.0,) * basis.n_nodes))
@@ -363,7 +378,7 @@ def _reference(basis, full):
 
 
 @pytest.mark.parametrize("n_cells", [4, 5, 7, 200])
-@pytest.mark.parametrize("bc", REFERENCE_BCS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+@pytest.mark.parametrize("bc", REFERENCE_BCS, ids=bc_id)
 def test_one_body_matrices_match_sparse_reference(bc, n_cells):
     basis = build_grid_basis(n_cells, bc)
     n, h = basis.n_cells, basis.h

@@ -31,8 +31,10 @@ from fermigate.verify import (
     VerificationReport,
     _decode,
     clear_cache,
+    dict_to_bc,
     dict_to_interaction,
     make_scenario,
+    real,
     rows,
     run_scenario,
     spec_to_dict,
@@ -147,18 +149,18 @@ def _ini_value(x) -> str:
 @st.composite
 def _spec_dict(draw, param, kind, n_cells):
     """A dict for one table kind, its list fields sized for n_cells."""
-    real = st.floats(-2.0, 2.0, allow_nan=False)
+    finite = st.floats(-2.0, 2.0, allow_nan=False)
     d = {"kind": kind}
     for key, _, coerce in _SPECS[param][kind][1]:
-        if coerce is float:
-            d[key] = draw(real)
+        if coerce is real:
+            d[key] = draw(finite)
         elif coerce is rows:
             m = n_cells + 1
-            a = np.array(draw(st.lists(real, min_size=m * m, max_size=m * m))).reshape(m, m)
+            a = np.array(draw(st.lists(finite, min_size=m * m, max_size=m * m))).reshape(m, m)
             d[key] = ((a + a.T) / 2).tolist()
         else:
             size = n_cells + 1 if key == "values" else n_cells
-            d[key] = draw(st.lists(real, min_size=size, max_size=size))
+            d[key] = draw(st.lists(finite, min_size=size, max_size=size))
     return d
 
 
@@ -173,10 +175,14 @@ def test_spec_round_trip_through_table_and_ini(param, kind, data):
     except SpecError:  # a value the constructor rejects, e.g. Delta.x0 outside [0, 1]
         assume(False)
     encoded = spec_to_dict(spec)
-    assert encoded == d and list(encoded) == list(d)
+    if kind in ("dirichlet-left", "dirichlet-right", "quasiperiodic"):
+        # an input alias is written as its preset's canonical kind
+        assert encoded["kind"] == "line"
+    else:
+        assert encoded == d and list(encoded) == list(d)
     assert _decode(param, encoded) == spec
     section, names = _INI_HOME[param]
-    body = "".join(f"{names.get(k, k)} = {_ini_value(v)}\n" for k, v in encoded.items())
+    body = "".join(f"{names.get(k, k)} = {_ini_value(v)}\n" for k, v in d.items())
     head = f"[run]\ncommand = solve-many\n[problem]\nn_cells = {n_cells}\n"
     text = head + (body if section == "problem" else f"[{section}]\n{body}")
     assert getattr(parse_config(text), _CONFIG_FIELD[param]) == spec
@@ -245,6 +251,59 @@ def test_sampled_kernel_rejects_non_finite_samples():
     head = "[run]\ncommand = solve-many\n[problem]\nn_cells = 4\n[interaction]\nkind = sampled-kernel\n"
     with pytest.raises(ConfigError, match=r"\[interaction\] values: kernel samples must be finite"):
         parse_config(head + f"values = {_ini_value(values)}\n")
+
+
+# one non-finite value in a field of each spec that reads reals: (param, dict, field)
+_NON_FINITE = {
+    "sampled": ("v", {"kind": "sampled", "values": [0.0, 1.0, float("nan"), 2.0, 3.0]}, "values"),
+    "delta": ("v", {"kind": "delta", "x0": 0.5, "strength": float("inf")}, "strength"),
+    "hminusone": ("v", {"kind": "hminusone", "alpha": 1.0, "cells": [0.0, -float("inf"), 0.0, 0.0]}, "cells"),
+    "delta-contact": ("w", {"kind": "delta-contact", "strength": float("nan")}, "strength"),
+    "line-a": ("bc", {"kind": "line", "a": float("nan"), "b": 1.0}, "a"),
+    "line-b": ("bc", {"kind": "line", "a": 1.0, "b": -float("inf")}, "b"),
+    "quasiperiodic": ("bc", {"kind": "quasiperiodic", "alpha": float("inf")}, "alpha"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_FINITE))
+def test_non_finite_value_is_a_spec_error_naming_its_field(name, tmp_path, capsys):
+    # NaN and inf used to decode; line(nan, 1) then failed in assembly, so
+    # an INI file with it exited 2 instead of 1
+    param, d, field = _NON_FINITE[name]
+    with pytest.raises(SpecError, match="expected real") as info:
+        _decode(param, d)
+    assert info.value.field == field
+    section, names = _INI_HOME[param]
+    body = "".join(f"{names.get(k, k)} = {_ini_value(v)}\n" for k, v in d.items())
+    text = "[run]\ncommand = solve-many\n[problem]\nn_cells = 4\n"
+    text += body if section == "problem" else f"[{section}]\n{body}"
+    config = tmp_path / "nonfinite.ini"
+    config.write_text(text)
+    assert main(["solve-many", "--config", str(config), "--out", str(tmp_path / "out.json")]) == 1
+    assert f"[{section}] {names.get(field, field)}: expected real" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "d, preset",
+    [
+        ({"kind": "dirichlet-left"}, BoundarySpec.dirichlet_left()),
+        ({"kind": "dirichlet-right"}, BoundarySpec.dirichlet_right()),
+        ({"kind": "quasiperiodic", "alpha": 1.0}, BoundarySpec.quasiperiodic(1.0)),
+        ({"kind": "quasiperiodic", "alpha": -1.0}, BoundarySpec.quasiperiodic(-1.0)),
+        ({"kind": "quasiperiodic", "alpha": 0.5}, BoundarySpec.line(0.5, 1.0)),
+    ],
+    ids=["dirichlet-left", "dirichlet-right", "periodic", "antiperiodic", "quasiperiodic0.5"],
+)
+def test_old_kind_names_decode_to_their_presets(d, preset, tmp_path):
+    assert dict_to_bc(d) == preset
+    canonical = {"kind": "line", "a": preset.a, "b": preset.b}
+    assert spec_to_dict(dict_to_bc(d)) == canonical
+    body = "".join(f"{_INI_HOME['bc'][1].get(k, k)} = {_ini_value(v)}\n" for k, v in d.items())
+    config = tmp_path / "alias.ini"
+    config.write_text(f"[run]\ncommand = solve-single\n[problem]\nn_cells = 8\n{body}")
+    out = tmp_path / "out.json"
+    assert main(["solve-single", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["problem"]["bc"] == canonical
 
 
 def _sample_reports():

@@ -28,6 +28,7 @@ from fermigate.slater import (
 from fermigate.spectrum import RESIDUAL_RTOL, _lobpcg
 from fermigate.verify import Scenario, clear_cache, run_scenario
 
+from boundary_reference import bc_id
 from wedge_reference import mode_product, to_orbital, wedge_coefficients, wedge_tensor
 
 PI2 = np.pi**2
@@ -212,7 +213,7 @@ class TestLobpcgCore:
 
 
 class TestSeparableStart:
-    @pytest.mark.parametrize("bc", EVERY_BOUNDARY, ids=lambda bc: bc.kind)
+    @pytest.mark.parametrize("bc", EVERY_BOUNDARY, ids=bc_id)
     @pytest.mark.parametrize("n_particles, n_cells", [(2, 24), (3, 12)])
     @pytest.mark.parametrize("w", [NoInteraction(), DeltaContact(5.0)], ids=["free", "contact"])
     def test_free_and_contact_start_converged(self, bc, n_particles, n_cells, w):
@@ -344,7 +345,7 @@ def assert_same_solve(got, want, M):
 
 
 class TestSeparableInverse:
-    @pytest.mark.parametrize("bc", EVERY_BOUNDARY, ids=lambda bc: bc.kind)
+    @pytest.mark.parametrize("bc", EVERY_BOUNDARY, ids=bc_id)
     @pytest.mark.parametrize("n_particles, n_cells", [(1, 10), (2, 10), (3, 8), (4, 7), (5, 7)])
     def test_matches_the_float64_reference(self, n_particles, n_cells, bc):
         v, w = reflection_symmetric(n_cells)

@@ -56,6 +56,7 @@ from fermigate.slater import (
 )
 from fermigate.spectrum import solve_sp_eig
 
+from boundary_reference import bc_id
 from wedge_reference import mode_product, pencil_parts, to_orbital, wedge_coefficients, wedge_tensor
 
 DIRICHLET = BoundarySpec.dirichlet_both()
@@ -324,7 +325,7 @@ class TestTwoBodyTensor:
         with pytest.raises(ValueError, match="symmetric"):
             SampledKernel(((0.0, 1.0), (0.5, 0.0)))
 
-    @pytest.mark.parametrize("bc", ALL_KINDS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=bc_id)
     @settings(max_examples=12, deadline=None)
     @given(st.integers(4, 40), st.integers(0, 2**32 - 1))
     def test_kernel_pair_tensor_matches_quadrature(self, bc, n_cells, seed):
@@ -834,7 +835,7 @@ def dense_pencil(prob):
 
 class TestPencilAgainstDenseReference:
     @pytest.mark.parametrize("n_particles", [2, 3, 4])
-    @pytest.mark.parametrize("bc", ALL_KINDS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=bc_id)
     @pytest.mark.parametrize("kernel", [False, True], ids=["free", "kernel"])
     def test_pencil_matches_kron_reference(self, bc, n_particles, kernel):
         n_cells = 5
@@ -852,7 +853,7 @@ class TestPencilAgainstDenseReference:
         assert np.max(np.abs(M.toarray() - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
 
     @pytest.mark.parametrize("n_particles", [2, 3, 4])
-    @pytest.mark.parametrize("bc", ALL_KINDS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=bc_id)
     def test_pencil_structure(self, bc, n_particles):
         n_cells = 6
         nodes = np.linspace(0.0, 1.0, n_cells + 1)
@@ -879,7 +880,7 @@ class TestPencilAgainstDenseReference:
 
 class TestRowBlocks:
     @pytest.mark.parametrize("n_particles", [2, 3, 4])
-    @pytest.mark.parametrize("bc", ALL_KINDS, ids=lambda b: f"{b.kind}{b.alpha or ''}{b.a or ''}")
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=bc_id)
     @pytest.mark.parametrize("kernel", [False, True], ids=["free", "kernel"])
     def test_blocks_of_a_few_rows_match_one_block(self, monkeypatch, bc, n_particles, kernel):
         n_cells = 7

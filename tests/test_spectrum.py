@@ -23,6 +23,8 @@ from fermigate.manybody import GAP_FLOOR_RTOL
 from fermigate.slater import NoInteraction, build_problem
 from fermigate.spectrum import RESIDUAL_RTOL, gap_report, solve_pencil, solve_sp_eig
 
+from boundary_reference import bc_id
+
 PI2 = np.pi**2
 
 
@@ -251,10 +253,10 @@ def test_lobpcg_branch_matches_dense_reference(seed, n_cells, bc, kind, strength
     assert np.all(np.linalg.norm(R, axis=0) <= bound)
     assert np.max(np.abs(X.T @ (M.data @ X) - np.eye(k))) <= 1e-10
 
-    if v is None and bc.kind == "quasiperiodic" and abs(bc.alpha) == 1.0:
+    if v is None and bc.kind == "line" and bc.b == 1.0 and abs(bc.a) == 1.0:
         # the free (anti)periodic pencil pairs every level above the first
         # periodic one: pairs (1, 2), (3, 4), ... or (0, 1), (2, 3), ...
-        first = 1 if bc.alpha > 0 else 0
+        first = 1 if bc.a > 0 else 0
         for j in range(first, k - 1, 2):
             floor = GAP_FLOOR_RTOL * max(1.0, abs(lam[j + 1]))
             assert lam[j + 1] - lam[j] <= 1e-2 * floor
@@ -277,13 +279,13 @@ PARITY_PATTERNS = [
     (BoundarySpec.line(-1.0, -0.5), ODD),
     (BoundarySpec.line(-1.0, 0.5), EVEN),
     (BoundarySpec.line(1.0, -2.0), EVEN),
-    (BoundarySpec.line(0.0, 1.0), ALL),
-    (BoundarySpec.line(1.0, 0.0), ALL),
+    (BoundarySpec.line(0.0, -2.0), ALL),
+    (BoundarySpec.line(3.0, 0.0), ALL),
 ]
 
 
 @pytest.mark.parametrize(
-    "bc, pattern", PARITY_PATTERNS, ids=[f"{bc.kind}{bc.trace_direction() or ''}" for bc, _ in PARITY_PATTERNS]
+    "bc, pattern", PARITY_PATTERNS, ids=[bc_id(bc) for bc, _ in PARITY_PATTERNS]
 )
 def test_parity_rule_gives_the_strict_pair_pattern(bc, pattern):
     assert [bc.guarantees_simple_ground(m) for m in range(1, 9)] == pattern

@@ -516,8 +516,8 @@ class TestScenarios:
         reports = run_manifest([missing, mistyped, rejected, unknown, good])
         assert [r.error for r in reports[:4]] == [
             "SpecError: v.x0: required field is missing",
-            "SpecError: w.strength: expected float, got 'strong'",
-            "SpecError: bc.a: line boundary direction must be nonzero",
+            "SpecError: w.strength: expected real, got 'strong'",
+            "SpecError: bc.a: line boundary direction must be finite and nonzero",
             "SpecError: v.kind: unknown kind 'gaussian', expected one of none, delta, sampled, hminusone",
         ]
         assert not any(r.overall for r in reports[:4])
