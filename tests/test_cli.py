@@ -267,8 +267,8 @@ _NON_FINITE = {
 
 @pytest.mark.parametrize("name", list(_NON_FINITE))
 def test_non_finite_value_is_a_spec_error_naming_its_field(name, tmp_path, capsys):
-    # NaN and inf used to decode; line(nan, 1) then failed in assembly, so
-    # an INI file with it exited 2 instead of 1
+    # past decode, line(nan, 1) would fail in assembly as a solver error
+    # (exit 2) instead of a config error naming the field (exit 1)
     param, d, field = _NON_FINITE[name]
     with pytest.raises(SpecError, match="expected real") as info:
         _decode(param, d)
