@@ -49,7 +49,8 @@ class BoundarySpec:
     """Boundary condition: the subspace the trace pair (psi(0), psi(1)) lies in.
 
     kind is 'dirichlet-both' ({0}), 'line' (span{(a, b)}, a finite nonzero
-    direction) or 'free' (R^2).  dirichlet_left, dirichlet_right and
+    direction) or 'free' (R^2); only a line takes a direction, so each
+    subspace has one spec.  dirichlet_left, dirichlet_right and
     quasiperiodic are the lines (0, 1), (1, 0) and (alpha, 1), the last
     one psi(0) = alpha * psi(1).
     """
@@ -63,6 +64,8 @@ class BoundarySpec:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "line" and not (np.isfinite([self.a, self.b]).all() and (self.a or self.b)):
             raise ValueError("line boundary direction must be finite and nonzero")
+        if self.kind != "line" and (self.a or self.b):
+            raise ValueError(f"{self.kind} boundary takes no direction, got ({self.a}, {self.b})")
 
     @staticmethod
     def dirichlet_both() -> "BoundarySpec":

@@ -13,7 +13,7 @@ import itertools
 import json
 import zlib
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from importlib import resources
 from math import factorial, pi
 
@@ -68,6 +68,7 @@ from .slater import (
     build_problem,
     reduced_density,
     reduced_pair_density,
+    scatter_orderings,
     signed_orderings,
     transform_two_body,
 )
@@ -312,14 +313,6 @@ def _sp_solve(v, bc, n_cells, k) -> SpectralResult:
 # Neumann trace formulas
 
 
-def _face_index(face: str, grid: GridBasis) -> int:
-    if face == "left":
-        return 0
-    if face == "right":
-        return grid.n_cells
-    raise ValueError("face must be 'left' or 'right'")
-
-
 def _beta_profile(grid: GridBasis, face: str, width_cells: int) -> np.ndarray:
     """Piecewise-linear cutoff equal to 1 on the face, 0 after width_cells."""
     if not 1 <= width_cells < grid.n_cells:
@@ -331,6 +324,13 @@ def _beta_profile(grid: GridBasis, face: str, width_cells: int) -> np.ndarray:
     else:
         beta[-(width_cells + 1):] = ramp[::-1]
     return beta
+
+
+def _signed_sums(table: np.ndarray, values: np.ndarray, dim: int) -> np.ndarray:
+    """For each of dim wedges, the sum of +-values over its orderings in a
+    signed_orderings table: its coefficient in the antisymmetric part."""
+    at = np.flatnonzero(table)
+    return np.bincount(np.abs(table[at]) - 1, np.sign(table[at]) * values[at], dim)
 
 
 def neumann_trace_weak(
@@ -370,10 +370,8 @@ def neumann_trace_weak(
     A = SymMatrix.from_sparse(assemble_stiffness(free).data + assemble_potential(free, v).data)
     op = assemble_manybody(A, M, transform_two_body(w, free, M), basis)
     c_psi = np.sqrt(factorial(N)) * nodal[tuple(basis.array.T)]
-    table = signed_orderings(basis.array, n + 1)
-    at = np.flatnonzero(table)
-    F = np.multiply.outer(beta, f).ravel()[at] / np.sqrt(factorial(N))
-    c_g = np.bincount(np.abs(table[at]) - 1, np.sign(table[at]) * F, basis.dim)
+    F = np.multiply.outer(beta, f).ravel() / np.sqrt(factorial(N))
+    c_g = _signed_sums(signed_orderings(basis.array, n + 1), F, basis.dim)
     return float(c_psi @ (op.matrix @ c_g) - lam * (c_psi @ (op.overlap @ c_g)))
 
 
@@ -389,7 +387,9 @@ def neumann_trace_limit(
     The trace at distance eps is the slice of the (n_nodes,)^N nodal tensor
     at the first coordinate's node eps from the face, paired in L2 with the
     profile (a scalar at N = 1, a nodal tensor over the N - 1 other axes).
-    eps values must be node-aligned (multiples of the grid spacing) and the
+    The values are fitted by a quadratic in eps ('slope' is its linear
+    coefficient), read at 0.  At least three distinct eps values are needed;
+    they must be node-aligned (multiples of the grid spacing) and the
     eigenfunction must vanish on the chosen face.
     """
     nodal = np.asarray(nodal, dtype=float)
@@ -399,24 +399,27 @@ def neumann_trace_limit(
     if np.max(np.abs(eps / h - idx)) > 1e-9 or not 0 < min(idx) <= max(idx) <= grid.n_cells:
         raise ValueError("eps values must be multiples of the grid spacing in (0, 1]")
     idx = idx.astype(int)
-    face_node = _face_index(face, grid)
-    sign = 1 if face == "left" else -1
+    if face not in ("left", "right"):
+        raise ValueError("face must be 'left' or 'right'")
+    face_node, sign = (0, 1) if face == "left" else (grid.n_cells, -1)
 
     if np.max(np.abs(nodal[face_node])) > 1e-10 * np.max(np.abs(nodal)):
         raise ValueError("eigenfunction does not vanish on the requested face")
+    if len(set(idx)) < 3:
+        raise ValueError("the quadratic fit needs at least three distinct eps values")
     mf = np.asarray(profile, dtype=float)
     for axis in range(mf.ndim):
         mf = _full_overlap(grid.n_cells, h).along(mf, axis)
     pair = np.array([np.sum(nodal[face_node + sign * i] * mf) for i in idx])
 
     values = -pair / eps
-    coeff = np.polyfit(eps, values, 1)
+    coeff = np.polyfit(eps, values, 2)
     fit = np.polyval(coeff, eps)
     diagnostics = {
         "eps": eps.tolist(),
         "values": values.tolist(),
         "fit_residual": float(np.max(np.abs(values - fit))),
-        "slope": float(coeff[0]),
+        "slope": float(coeff[1]),
     }
     return float(np.polyval(coeff, 0.0)), diagnostics
 
@@ -678,54 +681,44 @@ def _run_monotonicity(s: Scenario, seed: int) -> VerificationReport:
     return _finish(s, checks, {"n_cells": n_cells, "pairs": pairs})
 
 
-def _run_neumann_sp(s: Scenario, seed: int) -> VerificationReport:
-    n_cells = int(s.params.get("n_cells", 200))
-    bc = BoundarySpec.dirichlet_both()
-    res = _sp_solve(None, bc, n_cells, 1)
-    grid = build_grid_basis(n_cells, bc)
-    lam = float(res.eigenvalues[0])
-    nodal = grid.nodal_values(res.eigenvectors[:, 0])
-    # fix phase: positive in the interior
-    if nodal[grid.n_nodes // 2] < 0:
-        nodal = -nodal
-    analytic = -np.sqrt(2.0) * pi
-    weak1 = neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", 1.0, 1)
-    weak2 = neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", 1.0, 2)
-    h = grid.h
-    limit, diag = neumann_trace_limit(nodal, grid, "left", 1.0, [8 * h, 4 * h, 2 * h, h])
-    checks = [
-        _check("weak_vs_analytic_rel", abs(weak1 - analytic) / abs(analytic), "le", 2e-2),
-        _check("limit_vs_analytic_rel", abs(limit - analytic) / abs(analytic), "le", 2e-2),
-        _check("extension_independence", abs(weak1 - weak2), "le", 1e-10),
-        _check("zero_profile", abs(neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", 0.0, 1)), "le", 1e-12),
-    ]
-    env = {"n_cells": n_cells, "weak": weak1, "limit": limit, "analytic": analytic, **diag}
-    return _finish(s, checks, env)
+def _face_profile(nodes: np.ndarray, n_particles: int):
+    """1 at N = 1, else det[sin(k pi y_j)], k = 1..N-1, over the N - 1 other axes:
+    against the free Dirichlet ground state it pairs with one cofactor alone."""
+    if n_particles == 1:
+        return 1.0
+    tuples = _increasing_tuples(len(nodes), n_particles - 1)
+    table = signed_orderings(tuples, len(nodes))
+    product = reduce(np.multiply.outer, [np.sin(k * pi * nodes) for k in range(1, n_particles)])
+    det = _signed_sums(table, product.ravel(), len(tuples))
+    return scatter_orderings(table, det).reshape(product.shape)
 
 
-def _run_neumann_mb(s: Scenario, seed: int) -> VerificationReport:
+def _run_neumann(s: Scenario, seed: int) -> VerificationReport:
     (key,) = _problems(s)
-    n_cells = key[3]
+    n_cells, N = key[3:]
     prob = cached_problem(*key)
     res = cached_mb_eig(prob, 1)
-    lam = float(res.eigenvalues[0])
-    psi = WaveVector(res.eigenvectors[:, 0], prob.slater)
-    nodal = nodal_tensor(psi, prob.orbitals)
-    # fix phase: positive in the interior of the ordered region x1 < x2
-    if nodal[n_cells // 4, 3 * n_cells // 4] < 0:
+    nodal = nodal_tensor(WaveVector(res.eigenvectors[:, 0], prob.slater), prob.orbitals)
+    # fix phase: positive at an interior tuple of the ordered region x1 < ... < xN
+    if nodal[tuple(j * n_cells // (N + 1) for j in range(1, N + 1))] < 0:
         nodal = -nodal
-    grid = prob.grid
-    f_nodal = np.sin(pi * grid.nodes)
-    weak1 = neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", f_nodal, 1)
-    weak2 = neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", f_nodal, 2)
-    h = grid.h
-    limit, diag = neumann_trace_limit(nodal, grid, "left", f_nodal, [8 * h, 4 * h, 2 * h, h])
+    grid, f, lam = prob.grid, _face_profile(prob.grid.nodes, N), float(res.eigenvalues[0])
+    weak1, weak2, zero = (
+        neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", profile, width)
+        for profile, width in ((f, 1), (f, 2), (0.0 * f, 1))
+    )
+    limit, diag = neumann_trace_limit(nodal, grid, "left", f, grid.h * np.array([8, 4, 2, 1]))
+    env = {"n_cells": n_cells, "n_particles": N, "weak": weak1, "limit": limit}
     checks = [
         _check("weak_vs_limit_rel", abs(weak1 - limit) / abs(weak1), "le", 2e-2),
         _check("extension_independence", abs(weak1 - weak2), "le", 1e-10),
+        _check("zero_profile", abs(zero), "le", 1e-12),
     ]
-    env = {"n_cells": n_cells, "weak": weak1, "limit": limit, **diag}
-    return _finish(s, checks, env)
+    if N <= 2:  # the flux of the free ground state against f is -sqrt(2) pi
+        analytic = env["analytic"] = -np.sqrt(2.0) * pi
+        for name, x in (("weak", weak1), ("limit", limit)):
+            checks.append(_check(f"{name}_vs_analytic_rel", abs(x - analytic) / abs(analytic), "le", 2e-2))
+    return _finish(s, checks, {**env, **diag})
 
 
 # random states in each isometry and pullback check
@@ -829,8 +822,9 @@ def _monotonicity_problems(p: dict) -> tuple:
     return tuple((v, w, bc, n, n_particles) for bc in _MONOTONE_CHAIN for n in (n_cells, 2 * n_cells))
 
 
-def _neumann_mb_problems(p: dict) -> tuple:
-    return ((None, NoInteraction(), BoundarySpec.dirichlet_both(), int(p.get("n_cells", 80)), 2),)
+def _neumann_problems(defaults: dict, p: dict) -> tuple:
+    p = {**defaults, **p}  # the free Dirichlet problem whose ground state's flux is read
+    return ((None, NoInteraction(), BoundarySpec.dirichlet_both(), int(p["n_cells"]), int(p["n_particles"])),)
 
 
 def _structural_problems(p: dict) -> tuple:
@@ -843,7 +837,8 @@ _PROBLEMS = {
     "nondegeneracy": _nondegeneracy_problems,
     "simplex_positivity": _positivity_problems,
     "monotonicity": _monotonicity_problems,
-    "neumann_trace_mb": _neumann_mb_problems,
+    "neumann_trace_sp": partial(_neumann_problems, {"n_cells": 200, "n_particles": 1}),
+    "neumann_trace_mb": partial(_neumann_problems, {"n_cells": 80, "n_particles": 2}),
     "structural": _structural_problems,
 }
 
@@ -861,8 +856,8 @@ _RUNNERS = {
     "nondegeneracy": _run_nondegeneracy,
     "simplex_positivity": _run_positivity,
     "monotonicity": _run_monotonicity,
-    "neumann_trace_sp": _run_neumann_sp,
-    "neumann_trace_mb": _run_neumann_mb,
+    "neumann_trace_sp": _run_neumann,
+    "neumann_trace_mb": _run_neumann,
     "structural": _run_structural,
 }
 

@@ -94,6 +94,14 @@ class TestBoundarySpec:
         with pytest.raises(ValueError):
             BoundarySpec("robin")
 
+    @pytest.mark.parametrize("kind", ["free", "dirichlet-both"])
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, -2.0), (np.nan, 0.0)])
+    def test_direction_only_on_a_line(self, kind, a, b):
+        # the grid ignores it, so it would make a second, unequal spec of one subspace
+        with pytest.raises(ValueError, match="takes no direction"):
+            BoundarySpec(kind, a=a, b=b)
+        assert BoundarySpec(kind, a=0.0, b=-0.0) == BoundarySpec(kind)
+
 
 class TestBuildGridBasis:
     def test_dof_counts(self):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fermigate
+from boundary_reference import bc_id
 from fermigate.cli import (
     RunConfig,
     emit_report,
@@ -186,6 +187,16 @@ def test_spec_round_trip_through_table_and_ini(param, kind, data):
     head = f"[run]\ncommand = solve-many\n[problem]\nn_cells = {n_cells}\n"
     text = head + (body if section == "problem" else f"[{section}]\n{body}")
     assert getattr(parse_config(text), _CONFIG_FIELD[param]) == spec
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [BoundarySpec.dirichlet_both(), BoundarySpec.free(), BoundarySpec.line(2.0, -3.0),
+     BoundarySpec.dirichlet_left(), BoundarySpec.dirichlet_right(), BoundarySpec.quasiperiodic(-0.3)],
+    ids=bc_id,
+)
+def test_every_boundary_round_trips(bc):
+    assert dict_to_bc(spec_to_dict(bc)) == bc
 
 
 def test_readme_configs_parse():

@@ -13,7 +13,18 @@ from hypothesis import strategies as st
 import trace_reference
 from fermigate import cli, verify
 from fermigate import slater as slater_module
-from fermigate.basis import BoundarySpec, Delta, HMinusOnePair, Sampled, _full_overlap, build_grid_basis
+from fermigate.basis import (
+    BoundarySpec,
+    Delta,
+    HMinusOnePair,
+    Sampled,
+    SymMatrix,
+    _full_overlap,
+    assemble_overlap,
+    assemble_potential,
+    assemble_stiffness,
+    build_grid_basis,
+)
 from fermigate.manybody import solve_mb_eig
 from fermigate.simplex import nodal_tensor
 from fermigate.slater import (
@@ -262,6 +273,107 @@ class TestNeumannTraceThreeParticles:
         node = {"left": lambda i: i, "right": lambda i: grid.n_cells - i}[face]
         want = [-np.sum(nodal[node(i)] * (Mf @ f @ Mf)) / (i * h) for i in (4, 2, 1)]
         assert np.allclose(diag["values"], want, rtol=1e-12, atol=0.0)
+
+
+class TestLimitFit:
+    def test_quadratic_values_extrapolate_exactly(self):
+        # -<trace_eps, 1>/eps = 2 + 3 eps + 5 eps^2: the limit 2, the slope 3
+        grid = build_grid_basis(40, DIRICHLET)
+        x, h = grid.nodes, grid.h
+        val, diag = neumann_trace_limit(-x * (2 + 3 * x + 5 * x**2), grid, "left", 1.0, [8 * h, 4 * h, 2 * h, h])
+        assert val == pytest.approx(2.0, rel=1e-12)
+        assert diag["slope"] == pytest.approx(3.0, rel=1e-9)
+        assert diag["fit_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("steps", [(1, 2), (2, 2, 1, 1)])
+    def test_fit_needs_three_distinct_eps(self, ground, steps):
+        grid, nodal, _ = ground
+        with pytest.raises(ValueError, match="three distinct"):
+            neumann_trace_limit(nodal, grid, "left", 1.0, [k * grid.h for k in steps])
+
+
+@pytest.fixture
+def scratch_cache():
+    held = set(verify._cache)
+    yield
+    for key in set(verify._cache) - held:
+        del verify._cache[key]
+
+
+class TestOneFluxRunner:
+    """Both flux kinds run one runner on the cached Dirichlet free problem;
+    only the face profile, the phase node and the closed form depend on N."""
+
+    @pytest.mark.parametrize("n_cells", [8, 13, 50, 200])
+    def test_one_particle_pencil_is_the_one_body_pencil(self, scratch_cache, n_cells):
+        op = cached_problem(None, NoInteraction(), DIRICHLET, n_cells, 1).operator
+        grid = build_grid_basis(n_cells, DIRICHLET)
+        A = SymMatrix.from_sparse(assemble_stiffness(grid).data + assemble_potential(grid, None).data)
+        for got, want in ((op.matrix, A.data), (op.overlap, assemble_overlap(grid).data)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+    def test_every_manifest_kind_has_a_runner(self):
+        kinds = {s.kind for s in default_manifest()}
+        assert set(verify._RUNNERS) == kinds
+        assert set(verify._PROBLEMS) <= kinds
+        flux = ("neumann_trace_sp", "neumann_trace_mb")
+        assert {verify._RUNNERS[k] for k in flux} == {verify._run_neumann}
+        assert {verify._PROBLEMS[k].func for k in flux} == {verify._neumann_problems}
+
+    @pytest.mark.parametrize(
+        "kind, params, n_cells, n_particles",
+        [
+            ("neumann_trace_sp", {}, 200, 1),
+            ("neumann_trace_mb", {}, 80, 2),
+            ("neumann_trace_sp", {"n_particles": 2}, 200, 2),
+            ("neumann_trace_mb", {"n_cells": 40, "n_particles": 3}, 40, 3),
+        ],
+    )
+    def test_declaration_defaults(self, kind, params, n_cells, n_particles):
+        (key,) = verify._problems(Scenario("flux", kind, params))
+        assert key == (None, NoInteraction(), DIRICHLET, n_cells, n_particles)
+
+    def test_profile_rule(self):
+        y = build_grid_basis(20, DIRICHLET).nodes
+        s1, s2 = np.sin(np.pi * y), np.sin(2 * np.pi * y)
+        assert verify._face_profile(y, 1) == 1.0
+        assert np.array_equal(verify._face_profile(y, 2), s1)
+        assert np.array_equal(verify._face_profile(y, 3), np.outer(s1, s2) - np.outer(s2, s1))
+        S = np.sin(np.outer(y, np.pi * np.arange(1, 4)))
+        rows = np.indices((y.size,) * 3).reshape(3, -1).T
+        assert np.allclose(verify._face_profile(y, 4).ravel(), np.linalg.det(S[rows]), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("name, n_particles", [("neumann_trace_sp", 1), ("neumann_trace_mb", 2)])
+    def test_closed_form_checks_at_one_and_two(self, name, n_particles):
+        r = run_scenario(make_scenario(name, {"n_cells": 40}), seed=1)
+        assert r.overall and r.environment["n_particles"] == n_particles
+        assert [c.name for c in r.checks] == ["weak_vs_limit_rel", "extension_independence", "zero_profile",
+                                              "weak_vs_analytic_rel", "limit_vs_analytic_rel"]
+        assert r.environment["analytic"] == -SQRT2PI
+
+    def test_three_particle_flux_scenario(self):
+        r = run_scenario(make_scenario("neumann_trace_mb", {"n_cells": 40, "n_particles": 3}), seed=1)
+        assert r.error is None and r.overall
+        checks = {c.name: c.measured for c in r.checks}
+        assert list(checks) == ["weak_vs_limit_rel", "extension_independence", "zero_profile"]
+        assert abs(r.environment["weak"]) == pytest.approx(np.sqrt(3.0) * np.pi, rel=5e-3)
+        assert checks["weak_vs_limit_rel"] <= 2e-2
+
+    @pytest.mark.parametrize("n_particles", [1, 3])
+    def test_environment_ignores_eigenvector_sign(self, monkeypatch, n_particles):
+        s = make_scenario("neumann_trace_mb", {"n_cells": 20, "n_particles": n_particles})
+        plain = run_scenario(s)
+
+        def negated(prob, k):
+            res = solve_mb_eig(prob.operator, k)
+            return dataclasses.replace(res, eigenvectors=-res.eigenvectors)
+
+        monkeypatch.setattr(verify, "cached_mb_eig", negated)
+        flipped = run_scenario(s)
+        assert plain.error is None and flipped.error is None
+        assert flipped.environment == plain.environment
 
 
 BOUNDARIES = st.sampled_from(
@@ -706,8 +818,9 @@ class TestCacheLifetime:
 
     def test_release_forces_no_rebuild(self, traced_manifest):
         # the call counts of a run that kept every entry to its end; every
-        # many-body solve, classify_degeneracy's included, goes through the cache
-        assert traced_manifest["calls"] == {"build_problem": 35, "solve_mb_eig": 27}
+        # many-body solve, classify_degeneracy's and the N = 1 flux's included,
+        # goes through the cache
+        assert traced_manifest["calls"] == {"build_problem": 36, "solve_mb_eig": 28}
 
     def test_held_entries_are_declared_ahead(self, traced_manifest):
         by_name = {s.name: s for s in default_manifest()}
