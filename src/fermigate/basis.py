@@ -226,10 +226,13 @@ class HMinusOnePair(PotentialSpec):
 
 
 def norm1(X) -> float:
-    """Largest absolute column sum of a dense or sparse matrix."""
+    """Largest absolute column sum of a dense or sparse matrix.  Of a sparse one it sums rows: for the
+    exactly symmetric, index-sorted CSR matrices all callers pass (SymMatrix data and assemble_manybody's
+    pencils), row i adds column i's terms in the same order, so the two sums agree bit for bit."""
     if sp.issparse(X):
         X = sp.csr_matrix(X)
-        return float(np.bincount(X.indices, np.abs(X.data), X.shape[1]).max(initial=0.0))
+        abs_X = sp.csr_matrix((np.abs(X.data), X.indices, X.indptr), shape=X.shape)
+        return float((abs_X @ np.ones(X.shape[1])).max(initial=0.0))
     return float(np.abs(X).sum(axis=0).max())
 
 

@@ -262,9 +262,9 @@ def dict_to_bc(d: dict) -> BoundarySpec:
 
 # ---------------------------------------------------------------------------
 # shared problem cache: one entry per normalized problem key, the problem and
-# its many-body solves by k.  run_manifest releases an entry after the last
-# scenario that declares its problem; a scenario run alone releases the
-# entries it added when it ends.
+# its many-body solves by k, each of which also serves every smaller k.
+# run_manifest releases an entry after the last scenario that declares its
+# problem; a scenario run alone releases the entries it added when it ends.
 
 
 _cache: dict = {}
@@ -295,13 +295,14 @@ def cached_problem(v, w, bc, n_cells, n_particles) -> ManyBodyProblem:
 
 
 def cached_mb_eig(prob: ManyBodyProblem, k: int) -> SpectralResult:
+    """The problem's solve with at least k levels (slice it for exactly k)."""
     key = _problem_key(prob.v, prob.w, prob.grid.bc, prob.grid.n_cells, prob.n_particles)
     _, solves = _memo(_cache, key, lambda: (prob, {}))
-    return _memo(solves, k, lambda: solve_mb_eig(prob.operator, k))
+    return _memo(solves, max([k, *solves]), lambda: solve_mb_eig(prob.operator, k))
 
 
 def _sp_solve(v, bc, n_cells, k) -> SpectralResult:
-    # not cached: no two one-body requests of the manifest ask for the same solve
+    # not cached, though sp_free_spectra repeats the gap laws' coarse solves and the N = 1 flux orbitals
     grid = build_grid_basis(n_cells, bc)
     K = assemble_stiffness(grid)
     M = assemble_overlap(grid)
@@ -315,6 +316,8 @@ def _sp_solve(v, bc, n_cells, k) -> SpectralResult:
 
 def _beta_profile(grid: GridBasis, face: str, width_cells: int) -> np.ndarray:
     """Piecewise-linear cutoff equal to 1 on the face, 0 after width_cells."""
+    if face not in ("left", "right"):
+        raise ValueError("face must be 'left' or 'right'")
     if not 1 <= width_cells < grid.n_cells:
         raise ValueError("extension width out of range")
     beta = np.zeros(grid.n_nodes)
@@ -333,6 +336,26 @@ def _signed_sums(table: np.ndarray, values: np.ndarray, dim: int) -> np.ndarray:
     return np.bincount(np.abs(table[at]) - 1, np.sign(table[at]) * values[at], dim)
 
 
+def _weak_fluxes(nodal, lam, grid, v, w, face, cases) -> list[float]:
+    """neumann_trace_weak at each (profile, width_cells) of cases, off one free pencil."""
+    nodal = np.asarray(nodal, dtype=float)
+    N, n = nodal.ndim, grid.n_cells
+    cases = [(np.asarray(f, dtype=float), width) for f, width in cases]
+    if nodal.shape != (n + 1,) * N or any(f.shape != (n + 1,) * (N - 1) for f, _ in cases):
+        raise ValueError("state and face profile must give one value per node on N and N - 1 axes")
+    F = [np.multiply.outer(_beta_profile(grid, face, width), f).ravel() / np.sqrt(factorial(N)) for f, width in cases]
+    free = build_grid_basis(n, BoundarySpec.free())
+    # not enumerate_slater_basis: with both endpoints the tuples may exceed its cap
+    basis = SlaterBasis(n + 1, N, _increasing_tuples(n + 1, N))
+    M = assemble_overlap(free)
+    A = SymMatrix.from_sparse(assemble_stiffness(free).data + assemble_potential(free, v).data)
+    op = assemble_manybody(A, M, transform_two_body(w, free, M), basis)
+    c_psi = np.sqrt(factorial(N)) * nodal[tuple(basis.array.T)]
+    table = signed_orderings(basis.array, n + 1)
+    c_gs = (_signed_sums(table, F_case, basis.dim) for F_case in F)
+    return [float(c_psi @ (op.matrix @ c_g) - lam * (c_psi @ (op.overlap @ c_g))) for c_g in c_gs]
+
+
 def neumann_trace_weak(
     nodal,
     lam: float,
@@ -349,7 +372,7 @@ def neumann_trace_weak(
     the face profile f, a scalar at N = 1, else an (n_nodes,)^(N-1) tensor.
     F = beta (x) f extends f with a cutoff beta of the given width; the
     value is independent of the width because two extensions differ by an
-    element of the variational space.
+    element of the variational space.  `face` is 'left' or 'right'.
 
     The form is the pencil of the free grid with the same cells, whose dofs
     are the nodes with weight 1: the wedge coefficients of a nodal tensor
@@ -358,21 +381,7 @@ def neumann_trace_weak(
     c_G(t) = sum_sigma sign(sigma) F(sigma t) / sqrt(N!): the signed sum of
     F over the orderings of t, read through the wedges' signed_orderings.
     """
-    nodal, f = np.asarray(nodal, dtype=float), np.asarray(profile, dtype=float)
-    N, n = nodal.ndim, grid.n_cells
-    if nodal.shape != (n + 1,) * N or f.shape != (n + 1,) * (N - 1):
-        raise ValueError("state and face profile must give one value per node on N and N - 1 axes")
-    beta = _beta_profile(grid, face, width_cells)
-    free = build_grid_basis(n, BoundarySpec.free())
-    # not enumerate_slater_basis: with both endpoints the tuples may exceed its cap
-    basis = SlaterBasis(n + 1, N, _increasing_tuples(n + 1, N))
-    M = assemble_overlap(free)
-    A = SymMatrix.from_sparse(assemble_stiffness(free).data + assemble_potential(free, v).data)
-    op = assemble_manybody(A, M, transform_two_body(w, free, M), basis)
-    c_psi = np.sqrt(factorial(N)) * nodal[tuple(basis.array.T)]
-    F = np.multiply.outer(beta, f).ravel() / np.sqrt(factorial(N))
-    c_g = _signed_sums(signed_orderings(basis.array, n + 1), F, basis.dim)
-    return float(c_psi @ (op.matrix @ c_g) - lam * (c_psi @ (op.overlap @ c_g)))
+    return _weak_fluxes(nodal, lam, grid, v, w, face, [(profile, width_cells)])[0]
 
 
 def neumann_trace_limit(
@@ -438,12 +447,11 @@ def slater_sum_oracle(
     """Max relative deviation of the lowest non-interacting levels from
     sorted sums of the problem's orbital (single-particle) levels."""
     prob = cached_problem(v, NoInteraction(), bc, n_cells, n_particles)
-    sums = sorted(sum(c) for c in itertools.combinations(prob.orbitals.levels, n_particles))[:k]
-    mb_res = cached_mb_eig(prob, k)
-    sums = np.asarray(sums)
-    dev = np.max(np.abs(mb_res.eigenvalues - sums) / np.maximum(np.abs(sums), 1.0))
+    sums = np.asarray(sorted(sum(c) for c in itertools.combinations(prob.orbitals.levels, n_particles))[:k])
+    lam = cached_mb_eig(prob, k).eigenvalues[:k]
+    dev = np.max(np.abs(lam - sums) / np.maximum(np.abs(sums), 1.0))
     info = {
-        "many_body": mb_res.eigenvalues.tolist(),
+        "many_body": lam.tolist(),
         "orbital_sums": sums.tolist(),
     }
     return float(dev), info
@@ -703,10 +711,8 @@ def _run_neumann(s: Scenario, seed: int) -> VerificationReport:
     if nodal[tuple(j * n_cells // (N + 1) for j in range(1, N + 1))] < 0:
         nodal = -nodal
     grid, f, lam = prob.grid, _face_profile(prob.grid.nodes, N), float(res.eigenvalues[0])
-    weak1, weak2, zero = (
-        neumann_trace_weak(nodal, lam, grid, None, NoInteraction(), "left", profile, width)
-        for profile, width in ((f, 1), (f, 2), (0.0 * f, 1))
-    )
+    cases = ((f, 1), (f, 2), (0.0 * f, 1))  # the widths 1 and 2, and the zero profile
+    weak1, weak2, zero = _weak_fluxes(nodal, lam, grid, None, NoInteraction(), "left", cases)
     limit, diag = neumann_trace_limit(nodal, grid, "left", f, grid.h * np.array([8, 4, 2, 1]))
     env = {"n_cells": n_cells, "n_particles": N, "weak": weak1, "limit": limit}
     checks = [

@@ -20,6 +20,7 @@ from fermigate.basis import (
     assemble_potential,
     assemble_stiffness,
     build_grid_basis,
+    norm1,
 )
 from fermigate.spectrum import _definite_factor, _PathFactor
 
@@ -439,3 +440,28 @@ class TestFromSparse:
         )
         sym = SymMatrix.from_sparse(mat)
         np.testing.assert_array_equal(sym.dense(), [[3.0, 1.0], [1.0, 4.0]])
+
+
+def _column_norm1(X) -> float:
+    """The column-sum reference: a weighted bincount over the column indices."""
+    X = sp.csr_matrix(X)
+    return float(np.bincount(X.indices, np.abs(X.data), X.shape[1]).max(initial=0.0))
+
+
+class TestNorm1:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+    def test_row_sums_match_the_column_sums_of_a_symmetric_matrix(self, empty, seed):
+        # the rows flagged in `empty` hold no entry: runs of them, and the last row, occur
+        rng = np.random.default_rng(seed)
+        live = ~np.asarray(empty)
+        B = rng.standard_normal((live.size,) * 2) * (rng.random((live.size,) * 2) < 0.4) * np.outer(live, live)
+        X = SymMatrix.from_sparse(np.triu(B) + np.triu(B, 1).T).data
+        # row i's sorted entries are column i's in row order: the same sums, bit for bit
+        assert norm1(X) == _column_norm1(X)
+
+    def test_all_zero_matrix(self):
+        assert norm1(sp.csr_matrix((5, 5))) == _column_norm1(sp.csr_matrix((5, 5))) == 0.0
+
+    def test_one_by_one_matrix(self):
+        assert norm1(sp.csr_matrix([[-3.0]])) == _column_norm1(sp.csr_matrix([[-3.0]])) == 3.0

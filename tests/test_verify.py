@@ -166,6 +166,17 @@ class TestNeumannTraceSingleParticle:
         with pytest.raises(ValueError, match="multiples"):
             neumann_trace_limit(nodal, grid, "left", 1.0, [1.5 * grid.h])
 
+    @pytest.mark.parametrize("trace", ["weak", "limit"])
+    def test_unknown_face_is_rejected(self, trace):
+        # neither reads a face other than 'left' as the right one
+        grid = build_grid_basis(8, DIRICHLET)
+        nodal, h = np.sin(np.pi * grid.nodes), grid.h
+        with pytest.raises(ValueError, match="face must be"):
+            if trace == "weak":
+                neumann_trace_weak(nodal, PI2, grid, None, NoInteraction(), "top", 1.0)
+            else:
+                neumann_trace_limit(nodal, grid, "top", 1.0, [h, 2 * h, 3 * h])
+
     @pytest.mark.parametrize("face", ["left", "right"])
     @pytest.mark.parametrize("eps", [0.0, 1.2])
     def test_eps_must_lie_in_the_interval(self, ground, face, eps):
@@ -769,7 +780,8 @@ def traced_manifest():
     Records the run order, the normalized problem keys each scenario
     requests through cached_problem, the cache keys held when each scenario
     starts (what the scenarios before it left), and the number of
-    build_problem and solve_mb_eig calls.
+    build_problem, assemble_manybody (its own and the weak flux's) and
+    solve_mb_eig calls.
     """
     trace = {"order": [], "requested": {}, "held": {}, "calls": collections.Counter()}
 
@@ -797,6 +809,9 @@ def traced_manifest():
         mp.setattr(verify, "run_scenario", watched)
         mp.setattr(verify, "cached_problem", requesting)
         mp.setattr(verify, "build_problem", counted("build_problem", verify.build_problem))
+        assemble = counted("assemble_manybody", verify.assemble_manybody)
+        mp.setattr(verify, "assemble_manybody", assemble)
+        mp.setattr(slater_module, "assemble_manybody", assemble)
         mp.setattr(verify, "solve_mb_eig", counted("solve_mb_eig", verify.solve_mb_eig))
         clear_cache()
         trace["reports"] = run_manifest(default_manifest(), seed=1)
@@ -819,8 +834,32 @@ class TestCacheLifetime:
     def test_release_forces_no_rebuild(self, traced_manifest):
         # the call counts of a run that kept every entry to its end; every
         # many-body solve, classify_degeneracy's and the N = 1 flux's included,
-        # goes through the cache
-        assert traced_manifest["calls"] == {"build_problem": 36, "solve_mb_eig": 28}
+        # goes through the cache, and the positivity scenarios read their
+        # non-degeneracy twins' k = 2 solves; every build assembles one
+        # pencil, and each flux scenario one free pencil more
+        assert traced_manifest["calls"] == {"build_problem": 36, "assemble_manybody": 38, "solve_mb_eig": 26}
+
+    def test_a_solve_serves_every_smaller_k(self, monkeypatch, scratch_cache):
+        solved = []
+        solve = verify.solve_mb_eig
+        monkeypatch.setattr(verify, "solve_mb_eig", lambda op, k: solved.append(k) or solve(op, k))
+        prob = cached_problem(None, NoInteraction(), DIRICHLET, 8, 2)
+        two = verify.cached_mb_eig(prob, 2)
+        assert verify.cached_mb_eig(prob, 1).eigenvalues[0] == two.eigenvalues[0]
+        assert solved == [2]
+        three = verify.cached_mb_eig(prob, 3)
+        assert solved == [2, 3] and len(three.eigenvalues) == 3
+        assert verify.cached_mb_eig(prob, 2) is three
+
+    @pytest.mark.parametrize("name", ["neumann_trace_sp", "neumann_trace_mb"])
+    def test_each_flux_scenario_builds_one_free_pencil(self, monkeypatch, name):
+        # the cached problem's pencil is slater's build; verify assembles only
+        # the free grid's, once for the widths 1 and 2 and the zero profile
+        built = []
+        assemble = verify.assemble_manybody
+        monkeypatch.setattr(verify, "assemble_manybody", lambda *args: built.append(args[3]) or assemble(*args))
+        assert run_scenario(make_scenario(name), seed=1).overall
+        assert len(built) == 1
 
     def test_held_entries_are_declared_ahead(self, traced_manifest):
         by_name = {s.name: s for s in default_manifest()}
