@@ -194,6 +194,8 @@ class Delta(PotentialSpec):
     def __post_init__(self):
         if not 0.0 <= self.x0 <= 1.0:
             raise ValueError(f"delta position must lie in [0,1], got {self.x0}")
+        if not np.isfinite(self.strength):
+            raise ValueError(f"delta strength must be finite, got {self.strength}")
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,8 @@ class Sampled(PotentialSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not np.isfinite(self.values).all():
+            raise ValueError("sampled potential values must be finite")
 
 
 @dataclass(frozen=True)
@@ -219,6 +223,8 @@ class HMinusOnePair(PotentialSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "V", tuple(float(v) for v in self.V))
+        if not np.isfinite([self.alpha, *self.V]).all():
+            raise ValueError("H^-1 pair alpha and cell values must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +244,11 @@ def norm1(X) -> float:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Exactly symmetric sparse real matrix."""
+    """Exactly symmetric sparse real matrix in canonical CSR form.
+
+    from_sparse checks a matrix from outside; the one-body assembly and the
+    sum of two SymMatrix are symmetric by construction and skip the check.
+    """
 
     data: sp.csr_matrix = field(repr=False)
     dimension: int
@@ -269,6 +279,14 @@ class SymMatrix:
 
     def norm1(self) -> float:
         return norm1(self.data)
+
+    def __add__(self, other: "SymMatrix") -> "SymMatrix":
+        """The sum, with no re-check: scipy adds two canonical CSR matrices
+        entry by entry, dropping exact zeros, so the sum of two exactly
+        symmetric ones is canonical and exactly symmetric too."""
+        if not isinstance(other, SymMatrix):
+            return NotImplemented
+        return SymMatrix(data=self.data + other.data, dimension=self.dimension)
 
     def __matmul__(self, other):
         return self.data @ other
@@ -381,6 +399,9 @@ def _project(basis: GridBasis, full: _Tridiag) -> SymMatrix:
     stored.  The sums and the CSR order come from bincount and lexsort,
     which the rest of a solve calls too: a first np.unique or scipy COO
     conversion in a process maps new code pages, 0.1-0.25 MB of its RSS.
+    A pair and its mirror store one value and no dof pair occurs twice, so
+    the result is exactly symmetric and canonical by construction and
+    skips SymMatrix.from_sparse's re-check; only finiteness is checked.
     """
     d, o = full
     m, dof, w = basis.n_dofs, basis.dof, basis.weight
@@ -391,13 +412,15 @@ def _project(basis: GridBasis, full: _Tridiag) -> SymMatrix:
     rows = np.concatenate([i, left, right])
     cols = np.concatenate([i, right, left])
     vals = np.concatenate([main, off, off])
+    if not np.isfinite(vals).all():
+        raise ValueError("matrix entries must be finite")
     keep = vals != 0.0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     order = np.lexsort((cols, rows))
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
     mat = sp.csr_matrix((vals[order], cols[order].astype(np.int32), indptr), shape=(m, m))
-    return SymMatrix.from_sparse(mat)
+    return SymMatrix(data=mat, dimension=m)
 
 
 def assemble_overlap(basis: GridBasis) -> SymMatrix:

@@ -455,8 +455,7 @@ def solve_sp_eig(K: SymMatrix, P: SymMatrix, M: SymMatrix, k: int) -> SpectralRe
     """Lowest k eigenpairs of (K + P) x = lambda M x."""
     if not (K.dimension == P.dimension == M.dimension):
         raise ValueError("K, P, M dimensions disagree")
-    A = SymMatrix.from_sparse(K.data + P.data)
-    return solve_pencil(A, M, k)
+    return solve_pencil(K + P, M, k)
 
 
 def solve_dense_symmetric(H, k: int) -> SpectralResult:

@@ -26,7 +26,6 @@ from .basis import (
     HMinusOnePair,
     PotentialSpec,
     Sampled,
-    SymMatrix,
     assemble_overlap,
     assemble_potential,
     assemble_stiffness,
@@ -348,7 +347,7 @@ def _weak_fluxes(nodal, lam, grid, v, w, face, cases) -> list[float]:
     # not enumerate_slater_basis: with both endpoints the tuples may exceed its cap
     basis = SlaterBasis(n + 1, N, _increasing_tuples(n + 1, N))
     M = assemble_overlap(free)
-    A = SymMatrix.from_sparse(assemble_stiffness(free).data + assemble_potential(free, v).data)
+    A = assemble_stiffness(free) + assemble_potential(free, v)
     op = assemble_manybody(A, M, transform_two_body(w, free, M), basis)
     c_psi = np.sqrt(factorial(N)) * nodal[tuple(basis.array.T)]
     table = signed_orderings(basis.array, n + 1)

@@ -336,6 +336,27 @@ class TestPotential:
         with pytest.raises(ValueError, match="per-cell"):
             assemble_potential(basis, HMinusOnePair(1.0, (0.0,) * 7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: Delta(0.5, x),
+            lambda x: Sampled((0.0, x, 1.0, 2.0, 3.0)),
+            lambda x: HMinusOnePair(x, (0.0,) * 4),
+            lambda x: HMinusOnePair(1.0, (0.0, x, 0.0, 0.0)),
+        ],
+        ids=["delta-strength", "sampled", "hminusone-alpha", "hminusone-cells"],
+    )
+    def test_non_finite_value_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(bad)
+
+    def test_overflowing_potential_rejected(self):
+        # finite cell values whose flux sum V_(k-1) - V_k overflows
+        V = (1e308, -1e308, 1e308, -1e308)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="matrix entries must be finite"):
+            assemble_potential(build_grid_basis(4, BoundarySpec.free()), HMinusOnePair(0.0, V))
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -409,6 +430,33 @@ def test_one_body_matrices_match_sparse_reference(bc, n_cells):
         assert np.max(np.abs(mat.dense() - ref)) <= 1e-15 * scale, name
         dense = mat.dense()
         assert np.array_equal(dense, dense.T), name
+
+
+def _same_sym_matrix(got, want):
+    assert got.dimension == want.dimension
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.data, name), getattr(want.data, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("n_cells", [4, 7, 200])
+@pytest.mark.parametrize("bc", MAP_BCS, ids=bc_id)
+def test_one_body_matrices_are_symmetric_by_construction(bc, n_cells):
+    # the projection and the sum skip from_sparse, which would change nothing
+    basis = build_grid_basis(n_cells, bc)
+    K = assemble_stiffness(basis)
+    for mat in (assemble_overlap(basis), K):
+        _same_sym_matrix(mat, SymMatrix.from_sparse(mat.data.copy()))
+    for name, v in _potentials(n_cells).items():
+        P = assemble_potential(basis, v)
+        _same_sym_matrix(P, SymMatrix.from_sparse(P.data.copy()))
+        _same_sym_matrix(K + P, SymMatrix.from_sparse(K.data + P.data))
+
+
+def test_sum_takes_only_sym_matrices():
+    K = assemble_stiffness(build_grid_basis(4, BoundarySpec.free()))
+    with pytest.raises(TypeError):
+        K + K.data
 
 
 class TestFromSparse:

@@ -57,7 +57,14 @@ from fermigate.slater import (
 from fermigate.spectrum import solve_sp_eig
 
 from boundary_reference import bc_id
-from wedge_reference import mode_product, pencil_parts, to_orbital, wedge_coefficients, wedge_tensor
+from wedge_reference import (
+    concatenated_pencil,
+    mode_product,
+    pencil_parts,
+    to_orbital,
+    wedge_coefficients,
+    wedge_tensor,
+)
 
 DIRICHLET = BoundarySpec.dirichlet_both()
 ALL_KINDS = [
@@ -308,6 +315,12 @@ class TestTwoBodyTensor:
             T = transform_two_body(DeltaContact(g), grid7, M)
             assert T.is_null
             assert T.n_orbitals == grid7.n_dofs
+
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
+    def test_non_finite_contact_strength_rejected(self, g):
+        # a NaN contact is invisible to fermions: it would solve as the free problem
+        with pytest.raises(ValueError, match="contact strength must be finite"):
+            DeltaContact(g)
 
     def test_disjoint_support_vanishes(self, grid7):
         # only neighbouring dof pairs are stored, and wedges of distant dofs
@@ -878,6 +891,19 @@ class TestPencilAgainstDenseReference:
             assert np.shares_memory(H.indices, M.indices)
 
 
+def assert_same_pencil(op, reference):
+    """op's H_N and M_N equal the reference pair bit for bit, arrays, dtypes
+    and the arrays the two matrices share."""
+    pairs = ((op.matrix, reference[0]), (op.overlap, reference[1]))
+    for got, want in pairs:
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("indices", "indptr"):
+        shared = [np.shares_memory(getattr(H, name), getattr(M, name)) for H, M in zip(*pairs)]
+        assert shared[0] == shared[1], name
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("n_particles", [2, 3, 4])
     @pytest.mark.parametrize("bc", ALL_KINDS, ids=bc_id)
@@ -918,6 +944,28 @@ class TestRowBlocks:
                 assert np.shares_memory(H.indices, M.indices)
                 assert np.shares_memory(H.indptr, M.indptr)
 
+    @pytest.mark.parametrize("n_particles", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bc", ALL_KINDS, ids=bc_id)
+    @pytest.mark.parametrize("kernel", [False, True], ids=["free", "kernel"])
+    def test_pencil_equals_the_concatenated_reference(self, bc, n_particles, kernel):
+        # no potential: at N = 3 the kinetic terms cancel in entries of H
+        grid = build_grid_basis(7, bc)
+        w = random_kernel(grid, 30 + n_particles) if kernel else NoInteraction()
+        prob = build_problem(None, w, bc, 7, n_particles)
+        args = (*pencil_parts(prob), prob.slater)
+        assert_same_pencil(assemble_manybody(*args), concatenated_pencil(*args))
+
+    def test_cancelling_overlap_entries_match_the_concatenated_reference(self):
+        # every 2 x 2 minor of an all-ones tridiagonal M on a diagonal wedge
+        # vanishes, so M_N drops its diagonal and H_N keeps it
+        ones = sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(6, 6), format="csr")
+        M = SymMatrix.from_sparse(ones)
+        A = SymMatrix.from_sparse(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csr"))
+        args = (A, M, None, enumerate_slater_basis(6, 2))
+        op = assemble_manybody(*args)
+        assert op.overlap.nnz < op.matrix.nnz
+        assert_same_pencil(op, concatenated_pencil(*args))
+
     def test_one_body_entry_outside_the_mass_pattern_rejected(self):
         grid = build_grid_basis(8, DIRICHLET)
         K = assemble_stiffness(grid).data.tolil()
@@ -951,9 +999,9 @@ class TestRowBlocks:
         assert np.max(np.abs(op.dense() - oracle.dense())) <= 1e-10
         assert np.max(np.abs(op.overlap.toarray() - oracle.overlap.toarray())) <= 1e-10
 
-    def test_peak_memory_is_a_few_pencils(self):
-        # the transient arrays of one row block, not of every contribution
-        prob = build_problem(None, NoInteraction(), BoundarySpec.quasiperiodic(1.0), 40, 3)
+    @staticmethod
+    def traced_peak_and_pencil(n_cells, n_particles):
+        prob = build_problem(None, NoInteraction(), BoundarySpec.quasiperiodic(1.0), n_cells, n_particles)
         args = (*pencil_parts(prob), prob.slater)
         gc.collect()
         tracemalloc.start()
@@ -963,9 +1011,20 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         arrays = {id(a): a for m in (op.matrix, op.overlap) for a in (m.data, m.indices, m.indptr)}
-        pencil = sum(a.nbytes for a in arrays.values())  # shared arrays count once
-        assert op.dim == 9880
-        assert peak <= 3.0 * pencil, (peak, pencil)
+        return op.dim, peak, sum(a.nbytes for a in arrays.values())  # shared arrays count once
+
+    def test_peak_memory_is_a_few_pencils(self):
+        # the transient arrays of one row block, not of every contribution,
+        # and one copy of each array of the pencil's tail
+        dim, peak, pencil = self.traced_peak_and_pencil(40, 3)
+        assert dim == 9880
+        assert peak <= 1.5 * pencil, (peak, pencil)
+
+    def test_peak_memory_at_two_particles_is_a_few_pencils(self):
+        # nothing cancels: H_N and M_N share their structure
+        dim, peak, pencil = self.traced_peak_and_pencil(320, 2)
+        assert dim == 51040
+        assert peak <= 1.5 * pencil, (peak, pencil)
 
     def test_pair_tensor_peak_memory_is_two_pair_matrices(self):
         # node-by-pair moments, never point-by-pair or point-by-point arrays

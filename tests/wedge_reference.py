@@ -9,7 +9,9 @@ import itertools
 from math import factorial
 
 import numpy as np
+import scipy.sparse as sp
 
+from fermigate import slater
 from fermigate.basis import SymMatrix, assemble_overlap, assemble_potential, assemble_stiffness
 from fermigate.slater import permutation_sign, transform_two_body
 
@@ -21,6 +23,33 @@ def pencil_parts(prob):
     M = assemble_overlap(grid)
     A = SymMatrix.from_sparse(assemble_stiffness(grid).data + assemble_potential(grid, prob.v).data)
     return A, M, transform_two_body(prob.w, grid, M)
+
+
+def concatenated_pencil(A, M, two_body, basis):
+    """assemble_manybody's (H_N, M_N) as it was built before the tail kept one
+    copy of each array: the same row blocks, every part concatenated at once,
+    the structure from _symmetric_csr's transpose-and-add and each matrix's
+    exact zeros dropped from a copy by eliminate_zeros."""
+    csr, D = M.data, basis.dim
+    adata = A.dense()[np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)), csr.indices]
+    W = None if two_body is None or two_body.is_null else two_body.pair_matrix
+    land = slater._landing(csr, basis)
+    step = max(1, slater._BLOCK_SLOTS // land.slots.shape[0])
+    blocks = [
+        slater._upper_block(basis.array[first : first + step], first, land, csr, adata, W)
+        for first in range(0, D, step)
+    ]
+    counts, ucol, hu, mu = (np.concatenate(part) for part in zip(*blocks))
+    indptr, indices, mirror = slater._symmetric_csr(counts, ucol)
+
+    def pencil_matrix(upper):
+        mat = sp.csr_matrix((upper[mirror], indices, indptr), shape=(D, D))
+        if not mat.data.all():
+            mat = mat.copy()
+            mat.eliminate_zeros()
+        return mat
+
+    return pencil_matrix(hu), pencil_matrix(mu)
 
 
 def wedge_tensor(basis, coeffs):
