@@ -3,6 +3,7 @@
 The reference for fermigate's signed_orderings table and for the tests
 that map states between nodal and orbital coefficients.  A problem keeps
 only its pencil, so pencil_parts assembles its dof matrices again.
+concatenated_pencil is the reference for the tail of assemble_manybody.
 """
 
 import itertools
