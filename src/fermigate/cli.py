@@ -185,6 +185,8 @@ def parse_config(text: str) -> RunConfig:
     if k < 1:
         raise _fail("solver", "k", f"expected positive integer, got {k}")
     deg_tol = _get_typed(cp, "solver", "deg_tol", float, 1e-6)
+    if not 0.0 <= deg_tol < np.inf:
+        raise _fail("solver", "deg_tol", f"expected a finite number >= 0, got {deg_tol}")
     out_path = _get_typed(cp, "output", "path", str)
     out_format = (_get_typed(cp, "output", "format", str, "json") or "json").lower()
     if out_format not in ("json", "csv"):

@@ -27,6 +27,7 @@ mesh size.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,7 @@ from .slater import (
     ManyBodyOperator,
     WaveVector,
     enumerate_slater_basis,
-    scatter_orderings,
-    signed_orderings,
+    scatter_wedges,
 )
 from .spectrum import LOBPCG_SEED, SpectralResult, _definite_factor, _lobpcg, norm1
 
@@ -84,34 +84,32 @@ def _separable_inverse(op: ManyBodyOperator):
     search: LOBPCG M-orthonormalizes its directions and runs Rayleigh-Ritz
     on them, and the Ritz values, residuals, their bound and the
     orthonormality check stay in float64.  apply(R, theta) takes and
-    returns float64 columns, but scatters them through the basis's
-    signed_orderings table into the (m, n^N) antisymmetric tensor, changes
-    it to the orbital basis, scales it, changes it back and reads the
-    wedges off in float32.  Its tables, the float32 level sums with +inf at
-    tied mode indices (which carry no antisymmetric weight, so their weight
-    is exactly 0), are built on the first apply, so free and contact
-    pencils, which return at iteration 0, never build them.
+    returns float64 columns, but scatters them over the orderings of the
+    wedges into the (m, n^N) antisymmetric tensor, changes it to the
+    orbital basis, scales it, changes it back and reads the wedges off in
+    float32.  Its tables, the float32 level sums with +inf at tied mode
+    indices (which carry no antisymmetric weight, so their weight is
+    exactly 0), are built on the first apply, so free and contact pencils,
+    which return at iteration 0, never build them.
     """
     basis, orbitals = op.basis, op.orbitals
-    N = basis.n_particles
+    J, n, N = basis.array, basis.n_orbitals, basis.n_particles
 
     @functools.cache
     def tables():
-        levels, J = orbitals.levels, basis.array
-        n = levels.size
-        orderings = signed_orderings(J, n)
         gather = np.ravel_multi_index(tuple(J.T), (n,) * N).astype(np.int32)
-        total = levels
+        total = levels = orbitals.levels
         for _ in range(N - 1):
             total = np.add.outer(total, levels)
-        sums = total.astype(np.float32).reshape(-1)
-        sums[orderings == 0] = np.inf
+        idx, pairs = np.ogrid[(slice(n),) * N], itertools.combinations(range(N), 2)
+        tie = functools.reduce(np.logical_or, (idx[a] == idx[b] for a, b in pairs), False)
+        sums = np.where(tie, np.float32(np.inf), total.astype(np.float32)).reshape(-1)
         V = orbitals.transform.astype(np.float32)
-        return orderings, gather, sums, V, np.ascontiguousarray(V.T)
+        return gather, sums, V, np.ascontiguousarray(V.T)
 
     def apply(R: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        orderings, gather, sums, V, Vt = tables()
-        C = scatter_orderings(orderings, R.T.astype(np.float32))
+        gather, sums, V, Vt = tables()
+        C = scatter_wedges(R.T.astype(np.float32), J, n)
         C = _contract(C, Vt, V, N)
         weight = np.empty_like(sums)
         for row, t in zip(C, theta):
@@ -132,7 +130,7 @@ def _start_block(op: ManyBodyOperator, k: int) -> np.ndarray:
     The separable eigenstates are the antisymmetrized products of the
     orbitals, ranked by the sum of their levels with ties in tuple order;
     the k lowest use only orbitals below s = k + N - 1.  Each is scattered
-    as a unit column through the signed_orderings table of those products,
+    as a unit column over the orderings of those products,
     contracted with the first s orbitals in float64 and read off at the
     wedges.  The guard columns are seeded random, so sectors of a symmetry
     shared by v and w that the wanted columns miss stay reachable.
@@ -142,7 +140,7 @@ def _start_block(op: ManyBodyOperator, k: int) -> np.ndarray:
     levels = orbitals.levels[products.array].sum(axis=1)
     unit = np.zeros((k, products.dim))
     unit[np.arange(k), np.argsort(levels, kind="stable")[:k]] = 1.0
-    C = scatter_orderings(signed_orderings(products.array, products.n_orbitals), unit)
+    C = scatter_wedges(unit, products.array, products.n_orbitals)
     B = orbitals.transform[:, : products.n_orbitals]
     C = _contract(C, B, B.T, N)
     n = op.basis.n_orbitals

@@ -10,10 +10,10 @@ by the positivity checks.
 
 A state enters as its nodal wedge coefficients (a WaveVector).  Its
 ordered-region values at the node tuples are one signed gather of them,
-through the signed_orderings table of its wedges, and everything else is
-built from those values: the full nodal tensor scatters them through the
-table of the increasing node tuples, and point values and the densities
-of slater read that tensor.
+each tuple's wedge and sign found by slater.wedge_of, and everything else
+is built from those values: the full nodal tensor scatters them over the
+orderings of the increasing node tuples, and point values and the
+densities of slater read that tensor.
 
 The quadrature integrates a nodal tensor cell by cell over the part of each
 grid cell that lies in the ordered region.  That part is fixed by the cell's
@@ -38,8 +38,8 @@ from .slater import (
     OrbitalSet,
     WaveVector,
     _increasing_tuples,
-    scatter_orderings,
-    signed_orderings,
+    scatter_wedges,
+    wedge_of,
 )
 
 __all__ = [
@@ -70,15 +70,13 @@ def _sorted_mask(n_nodes: int, N: int) -> np.ndarray:
     return mask
 
 
-def _antisymmetric(table: np.ndarray, ordered: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The tensor with +-ordered / sqrt(N!) at every ordering of each
-    increasing node tuple, scattered through their signed_orderings table.
-
-    Its zeros are +0.0, as in a sum of signed coordinate transposes.
-    """
-    full = scatter_orderings(table, (1.0 / np.sqrt(factorial(len(shape)))) * ordered)
+def _antisymmetric(tuples: np.ndarray, ordered: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The tensor with +-ordered / sqrt(N!) at every ordering of each increasing
+    node tuple; its zeros are +0.0, as in a sum of signed coordinate transposes."""
+    N = tuples.shape[1]
+    full = scatter_wedges((1.0 / np.sqrt(factorial(N))) * ordered, tuples, n_nodes)
     full += 0.0
-    return full.reshape(shape)
+    return full.reshape((n_nodes,) * N)
 
 
 def extend_from_simplex(values: np.ndarray, n_particles: int) -> np.ndarray:
@@ -97,14 +95,13 @@ def extend_from_simplex(values: np.ndarray, n_particles: int) -> np.ndarray:
     if values.shape != (n_nodes,) * N:
         raise ValueError("nodal array must be hypercubic")
     tuples = _increasing_tuples(n_nodes, N)
-    table = signed_orderings(tuples, n_nodes)
-    ordered = values.reshape(-1)[np.ravel_multi_index(tuple(tuples.T), values.shape)]
+    ordered = values[tuple(tuples.T)]
     if np.count_nonzero(values) > np.count_nonzero(ordered):
         # a nonzero off the increasing tuples: tied ones order no wedge
-        if np.any(table[np.flatnonzero(values)] == 0):
+        if np.any(wedge_of(np.nonzero(values), n_nodes)[1] == 0):
             raise ValueError("tied-index nodal values must be exactly zero")
         raise ValueError("values outside the ordered index region must be zero")
-    return _antisymmetric(table, ordered, values.shape)
+    return _antisymmetric(tuples, ordered, n_nodes)
 
 
 def restrict_full_tensor(full: np.ndarray, n_particles: int) -> np.ndarray:
@@ -127,9 +124,8 @@ def _ordered_values(psi: WaveVector, grid: GridBasis) -> tuple[np.ndarray, np.nd
     E[i, j] = grid.weight[i] where grid.dof[i] = j.  A node carries at most
     one dof, so only the wedge J that the dofs of t order can contribute,
     and only when those dofs are distinct; its determinant is the sign of
-    that ordering times the product of the node weights.  So the dof tuples
-    of t, looked up in the basis's signed_orderings table, scatter +-c_J to
-    t.
+    that ordering times the product of the node weights.  So wedge_of the
+    dof tuple of t gives J and the sign of +-c_J at t.
     """
     basis = psi.basis
     if basis.n_orbitals != grid.n_dofs:
@@ -137,22 +133,17 @@ def _ordered_values(psi: WaveVector, grid: GridBasis) -> tuple[np.ndarray, np.nd
     n, N = basis.n_orbitals, basis.n_particles
     tuples = _increasing_tuples(grid.n_nodes, N)
     dof, weight = grid.dof, grid.weight  # dof n: none
-    code = signed_orderings(basis.array, n + 1)[np.ravel_multi_index(dof[tuples.T], (n + 1,) * N)]
-    values = np.prod(weight[tuples.T], axis=0) * scatter_orderings(code, psi.coefficients)
-    values[code == 0] = 0.0  # +0.0 where no wedge lands, whatever the weights' signs
+    wedge, sign = wedge_of(dof[tuples.T], n)
+    values = np.prod(weight[tuples.T], axis=0) * (sign * psi.coefficients[wedge])
+    values[sign == 0] = 0.0  # +0.0 where no wedge lands, whatever the weights' signs
     return tuples, values
 
 
 def nodal_tensor(psi: WaveVector, orbitals: OrbitalSet) -> np.ndarray:
-    """Nodal values of the state on the full tensor grid.
-
-    Its values at the increasing node tuples, scattered over every ordering
-    through their signed_orderings table (as extend_from_simplex does,
-    without validating a full input array).  Reads orbitals.grid only.
-    """
-    tuples, ordered = _ordered_values(psi, orbitals.grid)
-    n_nodes = orbitals.grid.n_nodes
-    return _antisymmetric(signed_orderings(tuples, n_nodes), ordered, (n_nodes,) * tuples.shape[1])
+    """Nodal values of the state on the full tensor grid: its values at the
+    increasing node tuples, scattered over every ordering as
+    extend_from_simplex does, without its checks.  Reads orbitals.grid only."""
+    return _antisymmetric(*_ordered_values(psi, orbitals.grid), orbitals.grid.n_nodes)
 
 
 def evaluate_state(psi: WaveVector, orbitals: OrbitalSet, points: np.ndarray) -> np.ndarray:
@@ -207,12 +198,9 @@ def _tag_points(points: np.ndarray, h: float) -> tuple[str, ...]:
     points = np.asarray(points, dtype=float)
     dist_out = np.minimum(points[:, 0], 1.0 - points[:, -1])
     dist_int = np.diff(points, axis=1).min(axis=1, initial=np.inf) / np.sqrt(2.0)
-    tags = np.where(
-        dist_out < h,
-        TAG_NEAR_OUTER,
-        np.where(dist_int < h, TAG_NEAR_INTERNAL, TAG_INTERIOR),
-    )
-    return tuple(tags.tolist())
+    # one shared string per tag, not a string array and a new str per point
+    near = np.where(dist_out < h, 0, np.where(dist_int < h, 1, 2))
+    return tuple(map((TAG_NEAR_OUTER, TAG_NEAR_INTERNAL, TAG_INTERIOR).__getitem__, near.tolist()))
 
 
 def restrict_to_simplex(psi: WaveVector, orbitals: OrbitalSet) -> SimplexSample:

@@ -8,10 +8,12 @@ Hamiltonian and the Gram matrix form a sparse symmetric pencil
 
 where A = K + P_v and M are the one-particle dof matrices, W is the local
 pair tensor of the interaction and P scatters wedge coefficients into
-antisymmetric dof tensors.  W, like A and M, is exact: the kernel's
-bilinear interpolant against products of hats, from closed-form cell
-moments.  Every term is local: phi_a phi_c vanishes unless a and c are
-neighbours, so a wedge couples only to wedges of neighbouring dofs.  A
+antisymmetric dof tensors (scatter_wedges, and gather_wedges is P');
+wedge_of finds the wedge of any ordering of its indices by rank, so no
+other module knows how wedges are encoded.  W, like A and M, is exact: the
+kernel's bilinear interpolant against products of hats, from closed-form
+cell moments.  Every term is local: phi_a phi_c vanishes unless a and c
+are neighbours, so a wedge couples only to wedges of neighbouring dofs.  A
 contact interaction is the null term, because antisymmetric P1 functions
 vanish on the diagonal x = y exactly.
 
@@ -45,7 +47,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb, perm
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,7 +83,9 @@ __all__ = [
     "orthonormalize_orbitals",
     "transform_one_body",
     "transform_two_body",
-    "signed_orderings",
+    "wedge_of",
+    "scatter_wedges",
+    "gather_wedges",
     "assemble_manybody",
     "assemble_manybody_bruteforce",
     "reduced_density",
@@ -166,36 +169,66 @@ def permutation_sign(perm) -> int:
     return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
 
 
-def signed_orderings(tuples: np.ndarray, side: int) -> np.ndarray:
-    """Every ordering of every wedge, with its sign, as one int32 table.
+def wedge_of(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The wedge each index tuple orders, and the sign of that ordering.
 
-    tuples is the (D, N) array of strictly increasing wedge tuples, and
-    side >= their largest index + 1.  Entry t of the raveled (side,)^N
-    index grid holds k + 1 when t is an even ordering of wedge k, -(k + 1)
-    when it is an odd one, and 0 when two of its indices tie or it orders
-    no wedge.  scatter_orderings expands wedge values through it.
+    columns are the tuples' N index arrays, of one shape, over 0..n-1 with
+    n for none.  A tuple of distinct indices below n gets the lexicographic
+    rank k of its sorted tuple among the rows of _increasing_tuples(n, N)
+    and its ordering's sign, any other tuple -1 and 0.  With q_i the count
+    of indices above t_i, k = C(n, N) - 1 - sum_i C(n - 1 - t_i, q_i + 1)
+    (the combinatorial number system; Knuth, TAOCP 4A, 7.2.1.3); the sign
+    is the parity of the pairs out of order.  No sort, no n^N table.
     """
-    D, N = tuples.shape
-    table = np.zeros(side**N, dtype=np.int32)
-    code = np.arange(1, D + 1, dtype=np.int32)
+    N, D, shape = len(columns), comb(n, len(columns)), np.shape(columns[0])
+    # rev[t * N + q] = C(n - 1 - t, q + 1), capped at D (every term of a rank is), 0 at t = n
+    rev = [[min(comb(n - 1 - t, q + 1), D) for q in range(N)] for t in range(n)] + [[0] * N]
+    rev = np.array(rev, dtype=np.int32).ravel()
+    above = [np.full(shape, N - 1 - i, dtype=np.int8) for i in range(N)]  # q_i; a tie counts as above
+    ok, odd, down = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool), np.empty(shape, dtype=bool)
+    for i, j in itertools.combinations(range(N), 2):
+        odd ^= np.greater(columns[i], columns[j], out=down)
+        above[i] -= down
+        above[j] += down
+        ok &= np.not_equal(columns[i], columns[j], out=down)
+    wedge, at = np.full(shape, D - 1, dtype=np.int32), np.empty(shape, dtype=np.int32)
+    for t, q in zip(columns, above):
+        ok &= np.less(t, n, out=down)
+        wedge -= rev.take(np.add(np.multiply(t, N, out=at), q, out=at))
+    wedge[~ok] = -1
+    return wedge, np.where(odd, np.int8(-1), np.int8(1)) * ok
+
+
+def _orderings(tuples: np.ndarray, side: int):
+    """Each permutation's sign and the raveled (side,)^N index of every
+    wedge's ordering by it, in lexicographic order of the permutations;
+    tuples is the (D, N) array of strictly increasing wedge tuples."""
     columns = list(tuples.T.astype(np.intp))
-    for perm in itertools.permutations(range(N)):
+    for perm in itertools.permutations(range(len(columns))):
         at = columns[perm[0]]
         for j in perm[1:]:
-            at = at * side + columns[j]  # the raveled index of the ordering
-        table[at] = permutation_sign(perm) * code
-    return table
+            at = at * side + columns[j]
+        yield permutation_sign(perm), at
 
 
-def scatter_orderings(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values[..., k] at every ordering of wedge k, with its sign, and 0 elsewhere.
+def scatter_wedges(values: np.ndarray, tuples: np.ndarray, side: int) -> np.ndarray:
+    """values[..., k] at every ordering of wedge k, with its sign, and 0 elsewhere:
+    over the last axis, (..., D) wedge values become (..., side^N) entries."""
+    out = np.zeros(values.shape[:-1] + (side ** tuples.shape[1],), dtype=values.dtype)
+    rows, v = out.reshape(-1, out.shape[-1]), values.reshape(-1, values.shape[-1])
+    for sign, at in _orderings(tuples, side):
+        for row, r in zip(rows, v if sign > 0 else -v):
+            row[at] = r  # row by row: numpy's fast path for a 1-d scatter
+    return out
 
-    Over the last axis, (..., D) wedge values become (..., side^N) entries
-    of the signed_orderings table: one np.take from [0, values, -reversed
-    values], which its negative codes index from the end.
-    """
-    zero = np.zeros(values.shape[:-1] + (1,), dtype=values.dtype)
-    return np.take(np.concatenate([zero, values, -values[..., ::-1]], axis=-1), table, axis=-1)
+
+def gather_wedges(values: np.ndarray, tuples: np.ndarray, side: int) -> np.ndarray:
+    """The transpose of scatter_wedges: (..., side^N) values become (..., D), each
+    wedge's signed sum over its orderings, from 0 in ascending raveled index."""
+    out = np.zeros(values.shape[:-1] + (tuples.shape[0],), dtype=values.dtype)
+    for sign, at in _orderings(tuples, side):
+        (np.add if sign > 0 else np.subtract)(out, np.take(values, at, axis=-1), out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +433,17 @@ class WaveVector:
 _BLOCK_SLOTS = 1 << 15
 
 
-class _Landing(NamedTuple):
-    """Where the row sums of the pencil land, shared by every row block."""
-
-    nb: np.ndarray  # nb[a, t]: the t-th neighbour of dof a, n for none
-    slots: np.ndarray  # (width^N, N) neighbour-slot tuples
-    orderings: np.ndarray  # signed_orderings of the wedges over (n + 1)^N tuples
-
-
-def _landing(M: sp.csr_matrix, basis: SlaterBasis) -> _Landing:
+def _landing(M: sp.csr_matrix, basis: SlaterBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Where the row sums of the pencil land, shared by every row block: nb[a, t],
+    the t-th neighbour of dof a (the t-th nonzero of row a of M), n for none,
+    and the (width^N, N) neighbour-slot tuples."""
     n, N = basis.n_orbitals, basis.n_particles
-    # slot t of dof a is the t-th nonzero of row a of M (its t-th neighbour);
-    # n stands for no neighbour
     deg = np.diff(M.indptr)
     width = int(deg.max())
     ok = np.arange(width) < deg[:, None]
     nb = np.where(ok, M.indices[np.where(ok, M.indptr[:-1, None] + np.arange(width), 0)], n)
-    # a tuple with a tie or a missing neighbour orders no wedge
     slots = np.array(list(itertools.product(range(width), repeat=N)), dtype=np.int32)
-    return _Landing(nb, slots.reshape(-1, N), signed_orderings(basis.array, n + 1))
+    return nb, slots.reshape(-1, N)
 
 
 def _upper_block(J, first, land, M, adata, W):
@@ -429,15 +454,10 @@ def _upper_block(J, first, land, M, adata, W):
     count of each row, the entry columns in CSR order and the H_N and M_N
     entry values.
     """
-    n, N = land.nb.shape[0], J.shape[1]
-    n_slots = land.slots.shape[0]
-    flat = np.zeros((J.shape[0], n_slots), dtype=np.int32)
-    for k in range(N):
-        flat *= n + 1
-        flat += np.take(np.take(land.nb, J[:, k], axis=0), land.slots[:, k], axis=1)
-    col = land.orderings[flat]
-    np.abs(col, out=col)
-    col -= 1  # the wedge each tuple lands on, -1 for none
+    (nb, slots), N = land, J.shape[1]
+    n, n_slots = nb.shape[0], slots.shape[0]
+    # the wedge each tuple lands on, -1 for none, and the sign of its ordering
+    col, sign = wedge_of([np.take(nb[J[:, k]], slots[:, k], axis=1) for k in range(N)], n)
 
     # sort the contributions of each row by column, then slot; -1 marks a
     # tuple that does not land or lands below the diagonal
@@ -460,10 +480,9 @@ def _upper_block(J, first, land, M, adata, W):
     del col, new
 
     # pos[k] is the position in M's CSR data of the pair (J_k, b_k)
-    sign = land.orderings[flat.ravel()[row * n_slots + slot]]
-    sign = np.sign(sign, out=sign).astype(float)  # in place: one int32 temporary per block
-    pos = [M.indptr[J[:, k]][row] + land.slots[:, k][slot] for k in range(N)]
-    del flat, row, slot
+    sign = sign.ravel()[row * n_slots + slot].astype(float)
+    pos = [M.indptr[J[:, k]][row] + slots[:, k][slot] for k in range(N)]
+    del row, slot
     mv = [M.data[p] for p in pos]
     av = [adata[p] for p in pos]
 
@@ -501,7 +520,9 @@ def _symmetric_csr(counts: np.ndarray, ucol: np.ndarray) -> tuple[np.ndarray, ..
     lower = sp.csr_matrix((number, ucol, indptr), shape=(D, D)).T.tocsr()
     number[ucol == np.repeat(np.arange(D, dtype=np.int32), counts)] = 0
     full = lower + sp.csr_matrix((number, ucol, indptr), shape=(D, D))
-    return full.indptr, full.indices, full.data - 1
+    del lower, number
+    full.data -= 1
+    return full.indptr, full.indices, full.data
 
 
 def assemble_manybody(
@@ -513,31 +534,29 @@ def assemble_manybody(
     entry outside it above round-off (eps times the largest |A| entry)
     raises ValueError.  Row J of the pencil sums the full tensor operator
     over the dof tuples b with b_k a neighbour of J_k; a tuple without ties
-    lands on the wedge it orders, with the sign of that ordering, both read
-    from the wedges' signed_orderings table over (n + 1)^N tuples.  Because
-    the full operator commutes with coordinate permutations, these row sums
-    equal P'(.)P exactly.
+    lands on the wedge it orders, with the sign of that ordering, both from
+    wedge_of.  Because the full operator commutes with coordinate
+    permutations, these row sums equal P'(.)P exactly.
 
     The rows are assembled in blocks of about _BLOCK_SLOTS neighbour-slot
     tuples, in row order; the sort keys, positions, signs and products of
     the individual contributions exist for one block at a time, so while
-    the rows are summed an assembly holds the table (4 bytes per tuple),
-    its upper-triangle entries (20 bytes each) and one block.  Only the
-    contributions to the upper triangle are summed, each entry in slot
-    order whatever the block size, and the lower triangle mirrors them, so
-    both matrices are exactly symmetric.  They share one CSR structure,
-    less the entries that cancel to exactly zero in either; at N >= 3 the
-    kinetic terms of a uniform grid cancel in many entries of H.
+    the rows are summed an assembly holds its upper-triangle entries (20
+    bytes each) and one block.  Only the contributions to the upper
+    triangle are summed, each entry in slot order whatever the block size,
+    and the lower triangle mirrors them, so both matrices are exactly
+    symmetric.  They share one CSR structure, less the entries that cancel
+    to exactly zero in either; at N >= 3 the kinetic terms of a uniform
+    grid cancel in many entries of H.
 
     Past the rows an assembly keeps one copy of each array: the blocks'
-    parts are joined one part at a time, each matrix's data is gathered
-    once from its upper entries, which go as soon as they are read, and a
-    matrix's exact zeros are dropped by one mask over the full structure.
-    Beyond the result it then holds at most the upper entries while
-    _symmetric_csr merges the structure (the CSR arrays of the upper and
-    lower triangles and their sum), or the unmasked data of a matrix that
-    drops entries and its mask; traced peaks are 1.2 to 1.45 times the
-    pencil at N = 2 to 5.
+    parts are joined one at a time, each matrix's data is gathered once
+    from its upper entries, which then go, and a matrix's exact zeros are
+    dropped by one mask over the full structure.  Beyond the result it
+    holds at most the upper entries while _symmetric_csr merges the
+    structure (the CSR arrays of the upper and lower triangles and their
+    sum), or the unmasked data of a matrix that drops entries and its mask;
+    traced peaks are 1.17 to 1.43 times the pencil at N = 2 to 5.
     """
     n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
     if A.dimension != n or M.dimension != n:
@@ -560,7 +579,7 @@ def assemble_manybody(
     W = two_body.pair_matrix if has_two else None
 
     land = _landing(csr, basis)
-    step = max(1, _BLOCK_SLOTS // land.slots.shape[0])
+    step = max(1, _BLOCK_SLOTS // land[1].shape[0])
     J = basis.array
     blocks = [
         _upper_block(J[first : first + step], first, land, csr, adata, W)

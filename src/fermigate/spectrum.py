@@ -497,6 +497,8 @@ class GapReport:
 
 def gap_report(result: SpectralResult, bc: BoundarySpec, deg_tol: float = 1e-6) -> GapReport:
     """Classify consecutive eigenvalue gaps as strict/degenerate/violation."""
+    if not 0.0 <= deg_tol < np.inf:
+        raise ValueError(f"deg_tol must be finite and >= 0, got {deg_tol!r}")
     lam = result.eigenvalues
     if lam.size < 2:
         raise ValueError("need at least two eigenvalues")

@@ -65,10 +65,10 @@ from .slater import (
     assemble_manybody,
     assemble_manybody_bruteforce,
     build_problem,
+    gather_wedges,
     reduced_density,
     reduced_pair_density,
-    scatter_orderings,
-    signed_orderings,
+    scatter_wedges,
     transform_two_body,
 )
 from .spectrum import SpectralResult, solve_sp_eig
@@ -328,13 +328,6 @@ def _beta_profile(grid: GridBasis, face: str, width_cells: int) -> np.ndarray:
     return beta
 
 
-def _signed_sums(table: np.ndarray, values: np.ndarray, dim: int) -> np.ndarray:
-    """For each of dim wedges, the sum of +-values over its orderings in a
-    signed_orderings table: its coefficient in the antisymmetric part."""
-    at = np.flatnonzero(table)
-    return np.bincount(np.abs(table[at]) - 1, np.sign(table[at]) * values[at], dim)
-
-
 def _weak_fluxes(nodal, lam, grid, v, w, face, cases) -> list[float]:
     """neumann_trace_weak at each (profile, width_cells) of cases, off one free pencil."""
     nodal = np.asarray(nodal, dtype=float)
@@ -350,8 +343,7 @@ def _weak_fluxes(nodal, lam, grid, v, w, face, cases) -> list[float]:
     A = assemble_stiffness(free) + assemble_potential(free, v)
     op = assemble_manybody(A, M, transform_two_body(w, free, M), basis)
     c_psi = np.sqrt(factorial(N)) * nodal[tuple(basis.array.T)]
-    table = signed_orderings(basis.array, n + 1)
-    c_gs = (_signed_sums(table, F_case, basis.dim) for F_case in F)
+    c_gs = (gather_wedges(F_case, basis.array, n + 1) for F_case in F)
     return [float(c_psi @ (op.matrix @ c_g) - lam * (c_psi @ (op.overlap @ c_g))) for c_g in c_gs]
 
 
@@ -378,7 +370,7 @@ def neumann_trace_weak(
     are sqrt(N!) times its values at the increasing node tuples t, so the
     flux is c_Psi' (H - lam M) c_G, where F's antisymmetric part has
     c_G(t) = sum_sigma sign(sigma) F(sigma t) / sqrt(N!): the signed sum of
-    F over the orderings of t, read through the wedges' signed_orderings.
+    F over the orderings of t, which slater.gather_wedges takes.
     """
     return _weak_fluxes(nodal, lam, grid, v, w, face, [(profile, width_cells)])[0]
 
@@ -694,10 +686,9 @@ def _face_profile(nodes: np.ndarray, n_particles: int):
     if n_particles == 1:
         return 1.0
     tuples = _increasing_tuples(len(nodes), n_particles - 1)
-    table = signed_orderings(tuples, len(nodes))
     product = reduce(np.multiply.outer, [np.sin(k * pi * nodes) for k in range(1, n_particles)])
-    det = _signed_sums(table, product.ravel(), len(tuples))
-    return scatter_orderings(table, det).reshape(product.shape)
+    det = gather_wedges(product.ravel(), tuples, len(nodes))
+    return scatter_wedges(det, tuples, len(nodes)).reshape(product.shape)
 
 
 def _run_neumann(s: Scenario, seed: int) -> VerificationReport:
@@ -738,7 +729,7 @@ def _run_structural(s: Scenario, seed: int) -> VerificationReport:
     # extension isometry and round trips
     for N, n_cells, label in ((2, 12, "n2"), (3, 8, "n3")):
         nn = n_cells + 1
-        increasing = tuple(np.array(list(itertools.combinations(range(nn), N))).T)
+        increasing = tuple(_increasing_tuples(nn, N).T)
         worst_l2 = worst_h1 = worst_rt = 0.0
         for _ in range(_STRUCTURAL_TRIALS):
             vals = np.zeros((nn,) * N)

@@ -7,7 +7,7 @@ lines; tolerances are fixed here and nowhere else.
 import itertools
 import time
 from contextlib import contextmanager
-from math import factorial, pi
+from math import comb, factorial, pi
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from fermigate.simplex import (
     extend_from_simplex,
     nodal_tensor,
     restrict_full_tensor,
+    restrict_to_simplex,
     simplex_norms,
 )
 from fermigate.slater import (
@@ -236,11 +237,6 @@ def test_criterion_10_structural_invariants():
             again = extend_from_simplex(back, n_particles)
             assert np.max(np.abs(again - full)) <= 1e-12 * np.max(np.abs(full))
 
-        # tessellation uniqueness on 1e5 points
-        pts = rng.uniform(0.0, 1.0, size=(100_000, 3))
-        margins = np.min(np.diff(np.sort(pts, axis=1), axis=1), axis=1)
-        assert np.all(margins > 0.0)
-
         # density normalizations on an interacting ground state
         prob = cached_problem(
             Delta(0.5, -10.0), DeltaContact(5.0), BoundarySpec.dirichlet_both(), 40, 2
@@ -253,6 +249,12 @@ def test_criterion_10_structural_invariants():
         assert abs(float(wts @ rho) - 2.0) <= 1e-10
         rho2 = reduced_pair_density(psi, prob.orbitals)
         assert abs(float(wts @ rho2 @ wts) - 2.0) <= 1e-8
+
+        # the ordered-region sample: every strictly increasing node tuple, once
+        sample = restrict_to_simplex(psi, prob.orbitals)
+        assert len(sample) == comb(prob.grid.n_nodes, 2)
+        assert np.all(np.diff(sample.points, axis=1) > 0.0)
+        assert len(np.unique(sample.points, axis=0)) == len(sample)
 
         # antisymmetry under coordinate swap
         from fermigate.simplex import evaluate_state

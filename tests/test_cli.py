@@ -99,6 +99,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[run\] command"):
             parse_config("[run]\ncommand = explode\n")
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_deg_tol_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ConfigError, match=r"\[solver\] deg_tol: expected a finite number >= 0"):
+            parse_config(MINIMAL + f"\n[solver]\ndeg_tol = {value}\n")
+
     def test_delta_potential_parsed(self):
         text = MINIMAL + "\n[potential]\nkind = delta\nx0 = 0.5\nstrength = -10\n"
         config = parse_config(text)

@@ -404,16 +404,16 @@ class TestSeparableInverse:
     def test_apply_never_forms_the_float64_tensor(self, monkeypatch):
         # every tensor the apply scatters or multiplies inside a kernel solve is float32
         op = build_problem(Delta(0.3, -5.0), gaussian_kernel(10), DIRICHLET, 10, 3).operator
-        matmul, scatter = np.matmul, manybody.scatter_orderings
+        matmul, scatter = np.matmul, manybody.scatter_wedges
         operands, scattered, applies = [], [], []
 
         def recording_matmul(*args, **kwargs):
             operands.extend(np.asarray(a).dtype for a in args)
             return matmul(*args, **kwargs)
 
-        def recording_scatter(table, values):
+        def recording_scatter(values, tuples, side):
             scattered.append(values.dtype)
-            return scatter(table, values)
+            return scatter(values, tuples, side)
 
         def traced_inverse(op_):
             apply = _separable_inverse(op_)
@@ -422,7 +422,7 @@ class TestSeparableInverse:
                 applies.append(R.shape)
                 with monkeypatch.context() as m:
                     m.setattr(np, "matmul", recording_matmul)
-                    m.setattr(manybody, "scatter_orderings", recording_scatter)
+                    m.setattr(manybody, "scatter_wedges", recording_scatter)
                     return apply(R, theta)
 
             return traced

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermigate import basis as basis_module
+from fermigate import simplex
 from fermigate import slater as slater_module
 from fermigate.basis import (
     BoundarySpec,
@@ -49,10 +50,11 @@ from fermigate.slater import (
     permutation_sign,
     reduced_density,
     reduced_pair_density,
-    scatter_orderings,
-    signed_orderings,
+    gather_wedges,
+    scatter_wedges,
     transform_one_body,
     transform_two_body,
+    wedge_of,
 )
 from fermigate.spectrum import solve_sp_eig
 
@@ -61,6 +63,7 @@ from wedge_reference import (
     concatenated_pencil,
     mode_product,
     pencil_parts,
+    swap_gather,
     to_orbital,
     wedge_coefficients,
     wedge_tensor,
@@ -143,49 +146,70 @@ class TestEnumerate:
             build_problem(None, NoInteraction(), DIRICHLET, 60, 8)
 
 
-class TestSignedOrderings:
+def ordering_codes(J, side):
+    """The signed code of every tuple over (side,)^N, by the N! loop: k + 1 at
+    an even ordering of wedge k of J, -(k + 1) at an odd one, 0 elsewhere."""
+    return wedge_tensor(SlaterBasis(side, J.shape[1], J), np.arange(1.0, len(J) + 1)).astype(int).ravel()
+
+
+SHAPES = st.integers(1, 5).flatmap(lambda N: st.tuples(st.just(N), st.integers(N, (9, 9, 8, 7, 6)[N - 1])))
+
+
+class TestWedges:
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 5).flatmap(lambda N: st.tuples(st.just(N), st.integers(N, (9, 9, 8, 7, 6)[N - 1]))),
-        st.integers(0, 2),
-        st.data(),
-    )
-    def test_table_lists_every_signed_ordering(self, shape, extra, data):
+    @given(SHAPES)
+    def test_lookup_reads_the_signed_orderings(self, shape):
+        # every tuple over 0..n, with n for none, as N index arrays of shape (n + 1,)^N
+        N, n = shape
+        codes = ordering_codes(_increasing_tuples(n, N), n + 1)
+        columns = np.indices((n + 1,) * N)
+        wedge, sign = wedge_of(list(columns), n)
+        assert wedge.dtype == np.int32 and sign.dtype == np.int8
+        assert wedge.shape == sign.shape == columns.shape[1:]
+        assert np.array_equal(wedge.ravel(), np.abs(codes) - 1)
+        assert np.array_equal(sign.ravel(), np.sign(codes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(ALL_KINDS), st.integers(1, 4), st.integers(5, 9), st.integers(0, 2**32 - 1))
+    def test_node_gather_equals_the_swap_gather(self, bc, N, n_cells, seed):
+        grid = build_grid_basis(n_cells, bc)
+        basis = enumerate_slater_basis(grid.n_dofs, N)
+        c = np.random.default_rng(seed).standard_normal(basis.dim)
+        c[::3] = 0.0  # exact zeros, so every zero's sign counts
+        psi = WaveVector(c, basis)
+        tuples, values = simplex._ordered_values(psi, grid)
+        want_tuples, want = swap_gather(psi, grid)
+        assert np.array_equal(tuples, want_tuples) and values.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES, st.integers(0, 2), st.data())
+    def test_scatter_and_gather_follow_the_signed_orderings(self, shape, extra, data):
         N, n = shape
         every = _increasing_tuples(n, N)
         keep = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
         keep[data.draw(st.integers(0, len(every) - 1))] = True
         J, side = every[np.array(keep)], n + extra
-        table = signed_orderings(J, side)
-        assert table.dtype == np.int32 and table.shape == (side**N,)
-        # each wedge appears exactly N! times
-        assert np.array_equal(np.bincount(np.abs(table[table != 0]) - 1, minlength=len(J)),
-                              np.full(len(J), factorial(N)))
-        # entry t holds (k + 1) * sign when sorting t gives wedge k by a
-        # permutation of that sign, 0 when t ties or its sort is no wedge
-        t = np.indices((side,) * N).reshape(N, -1).T
-        order = np.argsort(t, axis=1, kind="stable")
-        ordered = np.take_along_axis(t, order, axis=1)
-        wedge = np.full(side**N, -1)
-        wedge[np.ravel_multi_index(tuple(J.T), (side,) * N)] = np.arange(len(J))
-        k = wedge[np.ravel_multi_index(tuple(ordered.T), (side,) * N)]
-        k[np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)] = -1
-        want = np.zeros(side**N, dtype=int)
-        for perm in itertools.permutations(range(N)):
-            at = np.all(order == perm, axis=1) & (k >= 0)
-            want[at] = permutation_sign(perm) * (k[at] + 1)
-        assert np.array_equal(table, want)
-        # a scatter through the table is the dense reference, bit for bit
-        basis = SlaterBasis(side, N, J)
-        values = np.random.default_rng(len(J)).standard_normal((len(J), 2))
+        rng = np.random.default_rng(len(J))
+        # a scatter is the N! loop's tensor bit for bit, signed zeros included
+        values = rng.standard_normal((len(J), 2))
         values[::3] = 0.0
-        got = scatter_orderings(table, values.T)
-        assert got.tobytes() == wedge_tensor(basis, values).reshape(2, -1).tobytes()
+        got = scatter_wedges(values.T, J, side)
+        assert got.tobytes() == wedge_tensor(SlaterBasis(side, N, J), values).reshape(2, -1).tobytes()
+        # a gather sums each wedge's signed orderings from 0 in ascending raveled index
+        F = rng.standard_normal((2, side**N))
+        codes = ordering_codes(J, side)
+        at = np.flatnonzero(codes)
+        want = [np.bincount(np.abs(codes[at]) - 1, np.sign(codes[at]) * f[at], len(J)) for f in F]
+        assert gather_wedges(F, J, side).tobytes() == np.array(want).tobytes()
+        # and it is the scatter's transpose; integer values make both sums exact
+        x = rng.integers(-9, 10, len(J)).astype(float)
+        g = rng.integers(-9, 10, side**N).astype(float)
+        assert gather_wedges(g, J, side) @ x == g @ scatter_wedges(x, J, side)
 
     def test_no_other_signed_expansion_in_src(self):
-        # every signed ordering table comes from signed_orderings; only it
-        # and the rest-splitting of _split may loop over N!
-        allowed = {("slater.py", "signed_orderings"), ("slater.py", "_split")}
+        # every scatter and gather over the orderings of wedges goes through
+        # _orderings; only it and the rest-splitting of _split may loop over N!
+        allowed = {("slater.py", "_orderings"), ("slater.py", "_split")}
         found = set()
         for path in sorted(Path(slater_module.__file__).parent.glob("*.py")):
             for top in ast.parse(path.read_text()).body:
@@ -1048,8 +1072,8 @@ ParityLanding = namedtuple("ParityLanding", "nb slots rank parity")
 
 
 def parity_landing(M, basis):
-    """_landing as it was before the signed_orderings table: a rank and an
-    int8 parity array over the (n + 1)^N flat tuple indices."""
+    """_landing with a rank and an int8 parity array over the (n + 1)^N flat
+    tuple indices, filled by the N! loop."""
     n, N, D = basis.n_orbitals, basis.n_particles, basis.dim
     deg = np.diff(M.indptr)
     width = int(deg.max())
@@ -1067,7 +1091,7 @@ def parity_landing(M, basis):
 
 
 def parity_upper_block(J, first, land, M, adata, W):
-    """_upper_block as it was before the signed_orderings table."""
+    """_upper_block reading its columns and signs off parity_landing's arrays."""
     nb, slots, rank, parity = land
     n, N = nb.shape[0], J.shape[1]
     n_slots = slots.shape[0]
@@ -1146,7 +1170,7 @@ class TestOracleIndependence:
 
         monkeypatch.setattr(basis_module, "_project", forbidden)
         for name in ("assemble_manybody", "_landing", "_upper_block", "_symmetric_csr",
-                     "signed_orderings", "scatter_orderings", "assemble_overlap",
+                     "wedge_of", "scatter_wedges", "gather_wedges", "assemble_overlap",
                      "assemble_stiffness", "assemble_potential"):
             monkeypatch.setattr(slater_module, name, forbidden)
         for (v, w), op in zip(cases, pencils):

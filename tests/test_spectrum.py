@@ -343,6 +343,14 @@ class TestGapReport:
             else:
                 assert verdict == "degenerate-within-tolerance"
 
+    @pytest.mark.parametrize("deg_tol", [np.nan, -1.0, np.inf])
+    def test_deg_tol_must_be_finite_and_non_negative(self, deg_tol):
+        # nan would call every pair a violation, -1 a degenerate pair strict
+        _, K, P, M = free_problem(8, BoundarySpec.quasiperiodic(1.0))
+        res = solve_sp_eig(K, P, M, 3)
+        with pytest.raises(ValueError, match="deg_tol must be finite and >= 0"):
+            gap_report(res, BoundarySpec.quasiperiodic(1.0), deg_tol)
+
     def test_needs_two_eigenvalues(self):
         _, K, P, M = free_problem(8, BoundarySpec.dirichlet_both())
         res = solve_sp_eig(K, P, M, 1)

@@ -11,6 +11,7 @@ round-off for every boundary kind and N = 2..4.
 import dataclasses
 import functools
 import itertools
+import tracemalloc
 from math import comb, factorial
 
 import numpy as np
@@ -32,7 +33,7 @@ from fermigate.slater import (
 )
 
 from boundary_reference import bc_id
-from wedge_reference import mode_product, to_orbital, transposed_extension, wedge_tensor
+from wedge_reference import mode_product, swap_gather, to_orbital, transposed_extension, wedge_tensor
 
 RTOL = 1e-12
 
@@ -97,33 +98,6 @@ class OrbitalReference:
         w = _trapezoid_weights(grid)
         rho2 /= np.outer(w, w) * factorial(self.N - 2)
         return 0.5 * (rho2 + rho2.T)
-
-
-def swap_gather(psi, grid):
-    """simplex._ordered_values as it was before the signed_orderings table:
-    sort each tuple's dofs by pairwise swaps, flip the determinant's sign
-    per swap, and find the wedge by searchsorted on the raveled tuples."""
-    basis = psi.basis
-    n, N = basis.n_orbitals, basis.n_particles
-    tuples = _increasing_tuples(grid.n_nodes, N)
-    dof, weight = np.where(grid.dof < n, grid.dof, -1), grid.weight
-    d = dof[tuples.T]
-    ok = d.min(axis=0) >= 0
-    det = np.prod(weight[tuples.T], axis=0)
-    below = np.zeros_like(d)
-    for j, k in itertools.combinations(range(N), 2):
-        ok &= d[j] != d[k]
-        swap = d[j] > d[k]
-        below[j] += swap
-        below[k] += ~swap
-        det[swap] *= -1.0
-    key = np.sum(d * n ** (N - 1 - below), axis=0)
-    table = 0
-    for column in basis.array.T:
-        table = table * n + column
-    values = np.zeros(len(tuples))
-    values[ok] = det[ok] * psi.coefficients[np.searchsorted(table, key[ok])]
-    return tuples, values
 
 
 def assert_close(got, want):
@@ -204,6 +178,21 @@ class TestGatherBits:
 
 
 class TestFiveParticles:
+    def test_sample_holds_no_table_of_dof_tuples(self):
+        # a (n + 1)^N table of the dof tuples alone would be 39 MB here
+        grid = build_grid_basis(24, BoundarySpec.quasiperiodic(1.0))
+        basis = slater.enumerate_slater_basis(grid.n_dofs, 5)
+        psi = WaveVector(np.random.default_rng(24).standard_normal(basis.dim), basis)
+        orbitals = slater.OrbitalSet(grid, np.empty(0), np.empty((0, 0)))  # no pencil: it reads the grid only
+        tracemalloc.start()
+        try:
+            sample = restrict_to_simplex(psi, orbitals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sample) == comb(grid.n_nodes, 5)
+        assert peak < 12 * 2**20, peak
+
     def test_post_processing_runs(self):
         n_cells = 10
         prob = build_problem(Delta(0.3, -4.0), gaussian_kernel(n_cells), BoundarySpec.quasiperiodic(1.0),

@@ -1,7 +1,8 @@
 """Dense antisymmetric tensors of wedge coefficients, built by an N!-step loop.
 
-The reference for fermigate's signed_orderings table and for the tests
-that map states between nodal and orbital coefficients.  A problem keeps
+The reference for fermigate's wedge lookup, scatter and gather, and for
+the tests that map states between nodal and orbital coefficients;
+swap_gather finds wedges by sorting instead.  A problem keeps
 only its pencil, so pencil_parts assembles its dof matrices again.
 concatenated_pencil is the reference for the tail of assemble_manybody.
 """
@@ -35,7 +36,7 @@ def concatenated_pencil(A, M, two_body, basis):
     adata = A.dense()[np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)), csr.indices]
     W = None if two_body is None or two_body.is_null else two_body.pair_matrix
     land = slater._landing(csr, basis)
-    step = max(1, slater._BLOCK_SLOTS // land.slots.shape[0])
+    step = max(1, slater._BLOCK_SLOTS // land[1].shape[0])
     blocks = [
         slater._upper_block(basis.array[first : first + step], first, land, csr, adata, W)
         for first in range(0, D, step)
@@ -92,3 +93,30 @@ def to_orbital(prob, x):
     """Orbital Slater coefficients of nodal wedge coefficients x (V^-1 = V'M)."""
     inverse = (assemble_overlap(prob.grid).data @ prob.orbitals.transform).T
     return wedge_coefficients(prob.slater, mode_product(wedge_tensor(prob.slater, x), inverse))[:, 0]
+
+
+def swap_gather(psi, grid):
+    """simplex._ordered_values by pairwise swaps: sort each node tuple's dofs,
+    flip the determinant's sign per swap, and find the wedge by searchsorted
+    on the raveled tuples."""
+    basis = psi.basis
+    n, N = basis.n_orbitals, basis.n_particles
+    tuples = slater._increasing_tuples(grid.n_nodes, N)
+    dof, weight = np.where(grid.dof < n, grid.dof, -1), grid.weight
+    d = dof[tuples.T]
+    ok = d.min(axis=0) >= 0
+    det = np.prod(weight[tuples.T], axis=0)
+    below = np.zeros_like(d)
+    for j, k in itertools.combinations(range(N), 2):
+        ok &= d[j] != d[k]
+        swap = d[j] > d[k]
+        below[j] += swap
+        below[k] += ~swap
+        det[swap] *= -1.0
+    key = np.sum(d * n ** (N - 1 - below), axis=0)
+    table = 0
+    for column in basis.array.T:
+        table = table * n + column
+    values = np.zeros(len(tuples))
+    values[ok] = det[ok] * psi.coefficients[np.searchsorted(table, key[ok])]
+    return tuples, values
