@@ -130,11 +130,9 @@ def _ordered_values(psi: WaveVector, grid: GridBasis) -> tuple[np.ndarray, np.nd
     basis = psi.basis
     if basis.n_orbitals != grid.n_dofs:
         raise ValueError("state and grid disagree on the number of dofs")
-    n, N = basis.n_orbitals, basis.n_particles
-    tuples = _increasing_tuples(grid.n_nodes, N)
-    dof, weight = grid.dof, grid.weight  # dof n: none
-    wedge, sign = wedge_of(dof[tuples.T], n)
-    values = np.prod(weight[tuples.T], axis=0) * (sign * psi.coefficients[wedge])
+    tuples = _increasing_tuples(grid.n_nodes, basis.n_particles)
+    wedge, sign = wedge_of(grid.dof[tuples.T], basis.n_orbitals)  # dof n_orbitals: none
+    values = np.prod(grid.weight[tuples.T], axis=0) * (sign * psi.coefficients[wedge])
     values[sign == 0] = 0.0  # +0.0 where no wedge lands, whatever the weights' signs
     return tuples, values
 

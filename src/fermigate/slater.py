@@ -45,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from math import comb, perm
 
 import numpy as np
@@ -169,6 +169,13 @@ def permutation_sign(perm) -> int:
     return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
 
 
+@cache
+def _rank_terms(n: int, N: int) -> np.ndarray:
+    """wedge_of's rank terms C(n - 1 - t, q + 1) at [t * N + q], capped at C(n, N), 0 at t = n."""
+    terms = [[min(comb(n - 1 - t, q + 1), comb(n, N)) for q in range(N)] for t in range(n)] + [[0] * N]
+    return np.array(terms, dtype=np.int32).ravel()
+
+
 def wedge_of(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The wedge each index tuple orders, and the sign of that ordering.
 
@@ -181,9 +188,6 @@ def wedge_of(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
     is the parity of the pairs out of order.  No sort, no n^N table.
     """
     N, D, shape = len(columns), comb(n, len(columns)), np.shape(columns[0])
-    # rev[t * N + q] = C(n - 1 - t, q + 1), capped at D (every term of a rank is), 0 at t = n
-    rev = [[min(comb(n - 1 - t, q + 1), D) for q in range(N)] for t in range(n)] + [[0] * N]
-    rev = np.array(rev, dtype=np.int32).ravel()
     above = [np.full(shape, N - 1 - i, dtype=np.int8) for i in range(N)]  # q_i; a tie counts as above
     ok, odd, down = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool), np.empty(shape, dtype=bool)
     for i, j in itertools.combinations(range(N), 2):
@@ -194,7 +198,7 @@ def wedge_of(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
     wedge, at = np.full(shape, D - 1, dtype=np.int32), np.empty(shape, dtype=np.int32)
     for t, q in zip(columns, above):
         ok &= np.less(t, n, out=down)
-        wedge -= rev.take(np.add(np.multiply(t, N, out=at), q, out=at))
+        wedge -= _rank_terms(n, N).take(np.add(np.multiply(t, N, out=at), q, out=at))
     wedge[~ok] = -1
     return wedge, np.where(odd, np.int8(-1), np.int8(1)) * ok
 
@@ -442,8 +446,7 @@ def _landing(M: sp.csr_matrix, basis: SlaterBasis) -> tuple[np.ndarray, np.ndarr
     width = int(deg.max())
     ok = np.arange(width) < deg[:, None]
     nb = np.where(ok, M.indices[np.where(ok, M.indptr[:-1, None] + np.arange(width), 0)], n)
-    slots = np.array(list(itertools.product(range(width), repeat=N)), dtype=np.int32)
-    return nb, slots.reshape(-1, N)
+    return nb, np.array(list(itertools.product(range(width), repeat=N)), dtype=np.int32)
 
 
 def _upper_block(J, first, land, M, adata, W):
@@ -456,7 +459,6 @@ def _upper_block(J, first, land, M, adata, W):
     """
     (nb, slots), N = land, J.shape[1]
     n, n_slots = nb.shape[0], slots.shape[0]
-    # the wedge each tuple lands on, -1 for none, and the sign of its ordering
     col, sign = wedge_of([np.take(nb[J[:, k]], slots[:, k], axis=1) for k in range(N)], n)
 
     # sort the contributions of each row by column, then slot; -1 marks a

@@ -25,7 +25,6 @@ from fermigate.slater import (
     SampledKernel,
     WaveVector,
     _CUBIC,
-    _increasing_tuples,
     _trapezoid_weights,
     build_problem,
     reduced_density,
